@@ -32,7 +32,6 @@ from .nets import (
     build_hierarchy,
     build_net_tree_spanner,
     cluster_dist,
-    region_net_points,
 )
 from .prune import (
     PhaseReport,

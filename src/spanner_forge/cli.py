@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -157,24 +157,20 @@ def _meta_path(instance_path: str) -> str:
     return instance_path + ".meta.json"
 
 
+# PruneParams fields settable by a flag of the same name; eps and
+# iterations come from --eps and --k.
+_PRUNE_FLAGS = tuple(
+    f.name for f in fields(PruneParams) if f.name not in ("eps", "iterations")
+)
+
+
 def _prune_params_from_args(args) -> PruneParams:
     if getattr(args, "config", None):
         base = PruneParams.from_config_file(args.config).to_dict()
     else:
         base = {}
     base["eps"] = args.eps
-    for name in (
-        "delta",
-        "alpha",
-        "kappa",
-        "kappa_eff",
-        "alpha_log_const",
-        "logstar_const",
-    ):
-        val = getattr(args, name, None)
-        if val is not None:
-            base[name] = val
-    for name in ("candidate_mode", "constant_mode", "hop_cap"):
+    for name in _PRUNE_FLAGS:
         val = getattr(args, name, None)
         if val is not None:
             base[name] = val
@@ -380,18 +376,7 @@ def _config_of(args) -> ExperimentConfig:
         out=getattr(args, "out", None),
         prune={
             k: getattr(args, k)
-            for k in (
-                "delta",
-                "alpha",
-                "kappa",
-                "kappa_eff",
-                "candidate_mode",
-                "constant_mode",
-                "alpha_log_const",
-                "logstar_const",
-                "hop_cap",
-                "config",
-            )
+            for k in _PRUNE_FLAGS + ("config",)
             if getattr(args, k, None) is not None
         },
     )
@@ -403,7 +388,6 @@ def _add_prune_flags(p) -> None:
     p.add_argument("--alpha", type=float)
     p.add_argument("--kappa", type=float)
     p.add_argument("--kappa-eff", dest="kappa_eff", type=float)
-    p.add_argument("--candidate-mode", dest="candidate_mode", choices=["exact", "fast"])
     p.add_argument(
         "--constant-mode", dest="constant_mode", choices=["practical", "theoretical"]
     )

@@ -174,6 +174,32 @@ class MetricsReport:
         }
 
 
+def bounded_dijkstra(adj, source: int, limit: float, target: int | None = None) -> dict:
+    """Dijkstra labels of the vertices settled within ``limit`` of ``source``.
+
+    ``adj`` is a per-vertex list of (neighbor, weight) lists.  Labels
+    above ``limit`` are never pushed; the search stops as soon as
+    ``target`` is settled.  The returned dict lists vertices in settle
+    order.
+    """
+    settled: dict = {}
+    dist = {source: 0.0}
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled[u] = d
+        if u == target:
+            break
+        for v, w in adj[u]:
+            nd = d + w
+            if nd <= limit and nd < dist.get(v, math.inf):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return settled
+
+
 def shortest_dist(G: SpannerGraph, s: int, t: int, cutoff: float | None = None) -> float:
     """Exact shortest-path distance from s to t (Dijkstra).
 
@@ -186,25 +212,7 @@ def shortest_dist(G: SpannerGraph, s: int, t: int, cutoff: float | None = None) 
     if s == t:
         return 0.0
     limit = math.inf if cutoff is None else cutoff * (1.0 + GEOM_RTOL)
-    adj = G.adjacency
-    dist = {s: 0.0}
-    heap = [(0.0, s)]
-    done = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > limit:
-            return math.inf
-        if u in done:
-            continue
-        if u == t:
-            return d
-        done.add(u)
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return math.inf
+    return bounded_dijkstra(G.adjacency, s, limit, t).get(t, math.inf)
 
 
 def _worker_count() -> int:
@@ -359,29 +367,8 @@ def _path_greedy_dijkstra(X: PointSet, t: float) -> list:
     edges = []
     for k in range(len(w)):
         u, v, wk = int(iu[k]), int(iv[k]), float(w[k])
-        cutoff = t * wk
-        # bounded Dijkstra on the current graph
-        limit = cutoff * (1.0 + GREEDY_RTOL)
-        dist = {u: 0.0}
-        heap = [(0.0, u)]
-        done = set()
-        found = math.inf
-        while heap:
-            d, x = heapq.heappop(heap)
-            if d > limit:
-                break
-            if x in done:
-                continue
-            if x == v:
-                found = d
-                break
-            done.add(x)
-            for y, wy in adj[x]:
-                nd = d + wy
-                if nd <= limit and nd < dist.get(y, math.inf):
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, y))
-        if found <= limit:
+        limit = t * wk * (1.0 + GREEDY_RTOL)
+        if v in bounded_dijkstra(adj, u, limit, v):
             continue
         edges.append((u, v, wk))
         adj[u].append((v, wk))

@@ -1,29 +1,19 @@
 """Hierarchical nets and cluster graphs.
 
 A geometric net hierarchy with parent links, the cross-edge spanner it
-induces, approximate-edge lookup, net-point queries for the waist
-regions of a segment, and the bounded-hop cluster-graph distance oracle
-used by the fast pruning path.
+induces, approximate-edge lookup, and the bounded-hop cluster-graph
+distance oracle behind the "clusters" phase-2 backend of the pruning
+pipeline.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 
 import numpy as np
 
-from .geom import (
-    A_HI,
-    A_LO,
-    B_HI,
-    B_LO,
-    BAND_TOL,
-    GEOM_RTOL,
-    GeomError,
-    PointSet,
-)
-from .graph import GraphError, SpannerGraph
+from .geom import GEOM_RTOL, GeomError, PointSet
+from .graph import GraphError, SpannerGraph, bounded_dijkstra
 
 # Cross-edge radius multiplier at level i is CROSS_RADIUS(eps) * 2^i.
 def cross_radius_const(eps: float) -> float:
@@ -53,20 +43,6 @@ class NetHierarchy:
 
     def radius(self, i: int) -> float:
         return float(2.0**i)
-
-    def ancestor(self, u: int, level: int) -> int:
-        """Net point of N_level on u's parent chain."""
-        a = u
-        for i in range(level):
-            a = self.parent[(a, i)]
-        return a
-
-    def ancestors(self, u: int) -> list:
-        """Parent chain of u from level 0 to the top."""
-        chain = [u]
-        for i in range(self.top):
-            chain.append(self.parent[(chain[-1], i)])
-        return chain
 
     def check_invariants(self, rtol: float = GEOM_RTOL) -> None:
         """Separation and covering at every level (O(n^2) per level)."""
@@ -166,21 +142,6 @@ def build_net_tree_spanner(
     )
 
 
-def _approx_level(H: NetHierarchy, u: int, v: int, eps: float) -> int:
-    """Lowest level whose ancestors of u and v are distinct and within
-    cross-edge range of each other."""
-    R = cross_radius_const(eps)
-    c = H.points.coords
-    au, av = u, v
-    for i in range(H.top + 1):
-        if au != av and np.linalg.norm(c[au] - c[av]) <= R * H.radius(i):
-            return i
-        if i < H.top:
-            au = H.parent[(au, i)]
-            av = H.parent[(av, i)]
-    raise GraphError(f"no approximate level for pair ({u},{v})")
-
-
 def approximate_edge(H: NetHierarchy, spanner: SpannerGraph, u: int, v: int):
     """Cross edge between the lowest-level distinct ancestors of u, v.
 
@@ -200,45 +161,6 @@ def approximate_edge(H: NetHierarchy, spanner: SpannerGraph, u: int, v: int):
             au = H.parent[(au, i)]
             av = H.parent[(av, i)]
     raise GraphError(f"no approximate edge for pair ({u},{v})")
-
-
-def region_net_points(
-    H: NetHierarchy, s: int, t: int, eps: float, which: str
-) -> list:
-    """Net points whose covering balls can reach region A or B of (s, t).
-
-    At the approximate level h of the pair, returns every level-h net
-    point w within 2|st| of s's ancestor whose covering ball intersects
-    the requested waist region (tested via the ellipse sum and the
-    projection band, each widened by the ball radius).  The ball radius
-    is the level's covering radius 2^{h+1}-2, the farthest any point
-    sits from its level-h ancestor; at level 0 this is 0 and the test
-    is exact, so a two-point instance yields empty regions.  An empty
-    list means the approximate region is empty.
-    """
-    if s == t:
-        raise GraphError("s and t must differ")
-    if which not in ("A", "B"):
-        raise GeomError("which must be 'A' or 'B'")
-    c = H.points.coords
-    ps, pt = c[s], c[t]
-    D = float(np.linalg.norm(pt - ps))
-    h = _approx_level(H, s, t, eps)
-    rho = 2.0 ** (h + 1) - 2.0
-    anc_s = H.ancestor(s, h)
-    members = H.levels[h]
-    pts = c[members]
-    near = np.linalg.norm(pts - c[anc_s], axis=1) <= 2.0 * D * (1.0 + GEOM_RTOL)
-    ds = np.linalg.norm(pts - ps, axis=1)
-    dt = np.linalg.norm(pts - pt, axis=1)
-    in_ellipse = ds + dt <= (1.0 + eps) * D + 2.0 * rho
-    st = pt - ps
-    f = (pts - ps) @ st / (D * D)
-    widen = rho / D
-    lo, hi = (A_LO, A_HI) if which == "A" else (B_LO, B_HI)
-    in_band = (f >= lo - widen - BAND_TOL) & (f <= hi + widen + BAND_TOL)
-    keep = near & in_ellipse & in_band
-    return sorted(int(w) for w in members[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +186,6 @@ class ClusterGraph:
         self.rep = rep  # original point -> representative
         self.radius = radius
 
-    def covers(self, u: int) -> bool:
-        return self.rep[u] in self.membership
-
     def add_bridge(self, s: int, t: int, w: float) -> None:
         """Register a new source-graph edge (s, t) of weight w as
         inter-cluster edges between every pair of containing clusters."""
@@ -279,27 +198,6 @@ class ClusterGraph:
                 cand = d1 + w + d2
                 if cand < self.inter.get(key, math.inf):
                     self.inter[key] = cand
-
-
-def _truncated_dijkstra(adj, src: int, limit: float) -> dict:
-    dist = {src: 0.0}
-    heap = [(0.0, src)]
-    done = set()
-    out = {}
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > limit:
-            break
-        if u in done:
-            continue
-        done.add(u)
-        out[u] = d
-        for v, w in adj.get(u, ()):
-            nd = d + w
-            if nd <= limit and nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return out
 
 
 class _UnionFind:
@@ -351,13 +249,13 @@ def build_cluster_graph(
                 uf.union(u, v)
         rep = [uf.find(x) for x in range(G_below.n)]
     # quotient adjacency (identity when not contracting)
-    adj: dict = {}
+    adj = [[] for _ in range(G_below.n)]
     for u, v, w in G_below.edges:
         ru, rv = rep[u], rep[v]
         if ru == rv:
             continue
-        adj.setdefault(ru, []).append((rv, w))
-        adj.setdefault(rv, []).append((ru, w))
+        adj[ru].append((rv, w))
+        adj[rv].append((ru, w))
     nodes = sorted(set(rep))
     radius = eps * scale
     centers: list = []
@@ -367,7 +265,7 @@ def build_cluster_graph(
         if nearest[u] <= radius * (1.0 + GEOM_RTOL):
             continue
         centers.append(u)
-        ball = _truncated_dijkstra(adj, u, radius * (1.0 + GEOM_RTOL))
+        ball = bounded_dijkstra(adj, u, radius * (1.0 + GEOM_RTOL))
         for v, d in ball.items():
             membership[v].append((u, d))
             if d < nearest[v]:
@@ -375,7 +273,7 @@ def build_cluster_graph(
     inter: dict = {}
     cset = set(centers)
     for cpt in centers:
-        ball = _truncated_dijkstra(adj, cpt, scale * (1.0 + GEOM_RTOL))
+        ball = bounded_dijkstra(adj, cpt, scale * (1.0 + GEOM_RTOL))
         for v, d in ball.items():
             if v != cpt and v in cset:
                 key = (cpt, v) if cpt < v else (v, cpt)

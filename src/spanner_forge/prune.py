@@ -12,7 +12,6 @@ sparsity and weight reductions.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -20,18 +19,13 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .geom import PointSet, Region, region_codes
-from .graph import GraphError, SpannerGraph, path_greedy
-from .nets import (
-    DEFAULT_HOP_CAP,
-    NetHierarchy,
-    build_cluster_graph,
-    build_hierarchy,
-    build_net_tree_spanner,
-    cluster_dist,
-    region_net_points,
-)
+from .graph import GraphError, SpannerGraph, bounded_dijkstra, path_greedy
+from .nets import DEFAULT_HOP_CAP, build_cluster_graph, cluster_dist
 
 _RTOL = 1e-12
+
+# Ratio of the geometric length buckets (weights in [BETA^j, BETA^{j+1})).
+BETA = 1.01
 
 
 class PruneError(GraphError):
@@ -58,17 +52,9 @@ def _product_minus_one(terms) -> float:
 
 
 def delta_growth(kappa: float, delta: float) -> float:
-    """One-iteration stretch-bound update (exact candidate mode):
+    """One-iteration stretch-bound update:
     (1+delta)(1+kappa*delta)(1+kappa^2*delta) - 1."""
     return _product_minus_one([delta, kappa * delta, kappa * kappa * delta])
-
-
-def delta_growth_fast(kappa: float, delta: float, eps: float) -> float:
-    """Stretch-bound update for the net-backed (fast) candidate mode,
-    with the extra (1+5*eps)(1+eps) factors of the approximate tests."""
-    return _product_minus_one(
-        [delta, kappa * delta, 5.0 * eps, kappa * kappa * delta, eps]
-    )
 
 
 @dataclass
@@ -79,7 +65,8 @@ class PruneParams:
     ("theoretical", kappa = 1e4 by default) and desk-scale ones
     ("practical", kappa_eff = 10).  The proven stretch/size guarantees
     attach only to the theoretical constants; practical mode makes the
-    pruning observable on small instances.
+    pruning observable on small instances.  Length buckets have the
+    fixed ratio :data:`BETA`.
     """
 
     eps: float
@@ -87,9 +74,7 @@ class PruneParams:
     alpha: float | None = None  # defaults to eps^(-2 d) when the dimension is known
     kappa: float = 1.0e4
     kappa_eff: float = 10.0
-    beta: float = 1.01
     iterations: int = 1
-    candidate_mode: str = "exact"  # "exact" | "fast"
     constant_mode: str = "practical"  # "practical" | "theoretical"
     alpha_log_const: float = 4.0
     logstar_const: float = 1.0
@@ -100,14 +85,10 @@ class PruneParams:
             raise PruneError("eps must be positive")
         if self.delta is not None and self.delta < self.eps * (1.0 - _RTOL):
             raise PruneError("delta must be at least eps")
-        if self.beta != 1.01:
-            raise PruneError("length buckets are pinned to ratio 1.01")
         if self.kappa < 2 or self.kappa_eff < 2:
             raise PruneError("kappa must be at least 2")
         if self.iterations < 1:
             raise PruneError("iteration count must be at least 1")
-        if self.candidate_mode not in ("exact", "fast"):
-            raise PruneError(f"unknown candidate mode {self.candidate_mode!r}")
         if self.constant_mode not in ("practical", "theoretical"):
             raise PruneError(f"unknown constant mode {self.constant_mode!r}")
 
@@ -156,7 +137,7 @@ class PruneParams:
                 key, val = (p.strip() for p in line.split("=", 1))
                 if key not in kinds:
                     raise PruneError(f"{path}: line {lineno}: unknown key {key!r}")
-                if key in ("candidate_mode", "constant_mode"):
+                if key == "constant_mode":
                     raw[key] = val
                 elif key in ("iterations", "hop_cap"):
                     raw[key] = int(val)
@@ -171,7 +152,7 @@ class PruneParams:
 class PhaseReport:
     """Observable outcome of one pruning phase.
 
-    ``levels`` maps a length bucket j (weights in [1.01^j, 1.01^{j+1}))
+    ``levels`` maps a length bucket j (weights in [BETA^j, BETA^{j+1}))
     to its old-edge counts; ``measured_delta`` is the largest relative
     detour observed for an edge handled in this phase.
     """
@@ -196,41 +177,20 @@ class PhaseReport:
         return self.type2_total == self.type2_kept + self.type2_dropped
 
 
-def classify_edges(
-    X: PointSet,
-    E: SpannerGraph,
-    eps: float,
-    mode: str = "exact",
-    net: NetHierarchy | None = None,
-):
+def classify_edges(X: PointSet, E: SpannerGraph, eps: float):
     """Partition the edges of E into type-1 and type-2 sets.
 
     An edge is type-2 when both waist regions of its ellipse contain
-    input points, type-1 otherwise.  Fast mode tests emptiness of the
-    net-point approximations instead (widened bands), so the two modes
-    can disagree on edges whose witnesses hug a region boundary.
+    input points, type-1 otherwise.
     """
     type1, type2 = set(), set()
     coords = X.coords
-    if mode == "exact":
-        for u, v, _ in E.edges:
-            codes = region_codes(coords[u], coords[v], coords, eps)
-            if (codes == Region.IN_A.value).any() and (codes == Region.IN_B.value).any():
-                type2.add((u, v))
-            else:
-                type1.add((u, v))
-    elif mode == "fast":
-        if net is None:
-            net = build_hierarchy(X)
-        for u, v, _ in E.edges:
-            if region_net_points(net, u, v, eps, "A") and region_net_points(
-                net, u, v, eps, "B"
-            ):
-                type2.add((u, v))
-            else:
-                type1.add((u, v))
-    else:
-        raise PruneError(f"unknown classification mode {mode!r}")
+    for u, v, _ in E.edges:
+        codes = region_codes(coords[u], coords[v], coords, eps)
+        if (codes == Region.IN_A.value).any() and (codes == Region.IN_B.value).any():
+            type2.add((u, v))
+        else:
+            type1.add((u, v))
     return type1, type2
 
 
@@ -274,37 +234,10 @@ def _exact_candidates(coords, live_edges, weights, min_len, factor):
     return cand
 
 
-def _fast_candidates(coords, live_edges, weights, min_len, factor, cross):
-    """Like :func:`_exact_candidates` but pairs come from cross edges."""
-    xs, ys, ws = cross
-    sel = ws >= min_len * (1.0 - _RTOL)
-    xs, ys, ws = xs[sel], ys[sel], ws[sel]
-    cand: dict = {}
-    if len(ws) == 0:
-        return cand
-    cx = coords[xs]
-    cy = coords[ys]
-    for (s, t) in live_edges:
-        w = weights[(s, t)]
-        budget = factor * w * (1.0 + _RTOL)
-        ps, pt = coords[s], coords[t]
-        dxs = np.linalg.norm(cx - ps, axis=1)
-        dxt = np.linalg.norm(cx - pt, axis=1)
-        dys = np.linalg.norm(cy - ps, axis=1)
-        dyt = np.linalg.norm(cy - pt, axis=1)
-        ok = (dxs + ws + dyt <= budget) | (dys + ws + dxt <= budget)
-        for k in np.nonzero(ok)[0]:
-            a, b = int(xs[k]), int(ys[k])
-            key = (a, b) if a < b else (b, a)
-            cand.setdefault(key, set()).add((s, t))
-    return cand
-
-
 def phase1(
     X: PointSet,
     E: SpannerGraph,
     params: PruneParams,
-    net: NetHierarchy | None = None,
     classification=None,
 ):
     """Substitute-edge pruning of type-1 edges.
@@ -318,26 +251,16 @@ def phase1(
     """
     eps = params.eps
     if classification is None:
-        classification = classify_edges(X, E, eps, params.candidate_mode, net)
+        classification = classify_edges(X, E, eps)
     type1, _ = classification
-    cross = None
-    if params.candidate_mode == "fast":
-        if net is None:
-            net = build_hierarchy(X)
-        G_net = build_net_tree_spanner(net, eps)
-        xs = np.array([e[0] for e in G_net.edges], dtype=np.int64)
-        ys = np.array([e[1] for e in G_net.edges], dtype=np.int64)
-        ws = np.array([e[2] for e in G_net.edges], dtype=np.float64)
-        cross = (xs, ys, ws)
-    factor = 1.0 + (5.0 * eps if params.candidate_mode == "fast" else eps)
+    factor = 1.0 + eps
     kappa = params.kappa_used
     alpha = params.alpha_value(X.dim)
-    beta = params.beta
     coords = X.coords
     weights = {(u, v): w for u, v, w in E.edges}
     buckets: dict = {}
     for (u, v), w in weights.items():
-        buckets.setdefault(_bucket(w, beta), []).append((u, v))
+        buckets.setdefault(_bucket(w, BETA), []).append((u, v))
     report = PhaseReport(phase=1)
     for j, lst in buckets.items():
         t1 = sum(1 for p in lst if p in type1)
@@ -352,11 +275,8 @@ def phase1(
             live_j = [p for p in buckets[j] if p in live]
             if not live_j or len(live_j) < thr:
                 continue
-            min_len = beta**j / 25.0
-            if params.candidate_mode == "fast":
-                cand = _fast_candidates(coords, live_j, weights, min_len, factor, cross)
-            else:
-                cand = _exact_candidates(coords, live_j, weights, min_len, factor)
+            min_len = BETA**j / 25.0
+            cand = _exact_candidates(coords, live_j, weights, min_len, factor)
             if not cand:
                 continue
             while True:
@@ -410,28 +330,6 @@ def phase1(
     return E1, report
 
 
-def _dijkstra_adj(adj: dict, s: int, t: int, cutoff: float) -> float:
-    limit = cutoff * (1.0 + _RTOL)
-    dist = {s: 0.0}
-    heap = [(0.0, s)]
-    done = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > limit:
-            break
-        if u in done:
-            continue
-        if u == t:
-            return d
-        done.add(u)
-        for v, w in adj.get(u, ()):
-            nd = d + w
-            if nd <= limit and nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return math.inf
-
-
 def _exact_helper(coords, u: int, v: int, eps: float):
     codes = region_codes(coords[u], coords[v], coords, eps)
     a_pts = np.nonzero(codes == Region.IN_A.value)[0]
@@ -452,36 +350,12 @@ def _exact_helper(coords, u: int, v: int, eps: float):
     return min(cands)
 
 
-def _net_helper(net, coords, u: int, v: int, eps: float):
-    a_pts = region_net_points(net, u, v, eps, "A")
-    b_pts = region_net_points(net, u, v, eps, "B")
-    if not a_pts or not b_pts:
-        raise InternalInconsistency(
-            f"kept type-2 edge ({u},{v}) has an empty net witness region"
-        )
-    best, key = -1.0, None
-    for a in a_pts:
-        d = np.linalg.norm(coords[b_pts] - coords[a], axis=1)
-        for k, b in enumerate(b_pts):
-            if a == b:
-                continue
-            cand = (a, b) if a < b else (b, a)
-            if key is None or d[k] > best * (1.0 + _RTOL):
-                best, key = float(d[k]), cand
-            elif d[k] >= best * (1.0 - _RTOL) and cand < key:
-                key = cand
-    if key is None:
-        raise InternalInconsistency(f"no helper pair for edge ({u},{v})")
-    return key
-
-
 def phase2(
     X: PointSet,
     E1: SpannerGraph,
     params: PruneParams,
     classification,
     dist_backend: str = "exact",
-    net: NetHierarchy | None = None,
 ):
     """Helper-edge pruning of type-2 edges.
 
@@ -507,34 +381,28 @@ def phase2(
     )
     kept_edges = {p: w for p, w in weights.items() if p not in type2 or p in new_pairs}
     report = PhaseReport(phase=2, type2_total=len(type2_old))
-    helper_source = params.candidate_mode
-    if helper_source == "fast" and net is None:
-        net = build_hierarchy(X)
     added_pairs = set(new_pairs)
 
     def add_edge(adjacency, a, b, w):
-        adjacency.setdefault(a, []).append((b, w))
-        adjacency.setdefault(b, []).append((a, w))
+        adjacency[a].append((b, w))
+        adjacency[b].append((a, w))
 
     if dist_backend == "exact":
-        adj: dict = {}
+        adj = [[] for _ in range(X.n)]
         for (a, b), w in kept_edges.items():
             add_edge(adj, a, b, w)
         thr_mult = 1.0 + kappa * kappa * delta
         for w, u, v in type2_old:
-            cutoff = thr_mult * w
-            d = _dijkstra_adj(adj, u, v, cutoff)
-            if d <= cutoff * (1.0 + _RTOL):
+            limit = thr_mult * w * (1.0 + _RTOL)
+            d = bounded_dijkstra(adj, u, limit, v).get(v, math.inf)
+            if d <= limit:
                 report.type2_dropped += 1
                 report.measured_delta = max(report.measured_delta, d / w - 1.0)
                 continue
             report.type2_kept += 1
             kept_edges[(u, v)] = w
             add_edge(adj, u, v, w)
-            if helper_source == "fast":
-                hk = _net_helper(net, coords, u, v, eps)
-            else:
-                hk = _exact_helper(coords, u, v, eps)
+            hk = _exact_helper(coords, u, v, eps)
             if hk not in kept_edges:
                 hw = float(np.linalg.norm(coords[hk[0]] - coords[hk[1]]))
                 kept_edges[hk] = hw
@@ -566,10 +434,7 @@ def phase2(
                 report.type2_kept += 1
                 kept_edges[(u, v)] = w
                 F.add_bridge(u, v, w)
-                if helper_source == "fast":
-                    hk = _net_helper(net, coords, u, v, eps)
-                else:
-                    hk = _exact_helper(coords, u, v, eps)
+                hk = _exact_helper(coords, u, v, eps)
                 if hk not in kept_edges:
                     hw = float(np.linalg.norm(coords[hk[0]] - coords[hk[1]]))
                     kept_edges[hk] = hw
@@ -589,17 +454,12 @@ def phase2(
 def update_params(params: PruneParams) -> PruneParams:
     """Parameter update after one pruning iteration.
 
-    The stretch bound grows by the documented three-factor product (a
-    five-factor product in fast candidate mode) and the sparsity bound
-    drops to max(alpha_log_const * ln(alpha), 4).
+    The stretch bound grows by the documented three-factor product and
+    the sparsity bound drops to max(alpha_log_const * ln(alpha), 4).
     """
     if params.alpha is None:
         raise PruneError("alpha must be resolved before updating")
-    kappa = params.kappa_used
-    if params.candidate_mode == "fast":
-        nd = delta_growth_fast(kappa, params.delta_value, params.eps)
-    else:
-        nd = delta_growth(kappa, params.delta_value)
+    nd = delta_growth(params.kappa_used, params.delta_value)
     na = max(params.alpha_log_const * math.log(params.alpha), 4.0)
     return replace(params, delta=nd, alpha=na)
 
@@ -610,13 +470,14 @@ def greedy_prune(
     k: int,
     params: PruneParams | None = None,
     seed_spanner: SpannerGraph | None = None,
-    dist_backend: str = "auto",
+    dist_backend: str = "exact",
 ):
     """Full pruning pipeline: k rounds of classify / phase1 / phase2.
 
-    The seed defaults to the path-greedy (1+eps)-spanner.  Returns the
-    final graph and the per-phase reports; the output is re-verified to
-    be connected.
+    The seed defaults to the path-greedy (1+eps)-spanner;
+    ``dist_backend`` is phase 2's "exact" or "clusters" backend.  Returns
+    the final graph and the per-phase reports; the output is re-verified
+    to be connected.
     """
     if not X.is_normalized(rtol=1e-6):
         raise PruneError("point set must be normalized first")
@@ -630,19 +491,12 @@ def greedy_prune(
         params = replace(params, alpha=params.alpha_value(X.dim))
     params.check_parameter_gate(X.dim)
     E = seed_spanner if seed_spanner is not None else path_greedy(X, 1.0 + eps)
-    if dist_backend == "auto":
-        dist_backend = "exact" if X.n <= 2000 else "clusters"
-    net = None
-    if params.candidate_mode == "fast":
-        net = build_hierarchy(X)
     reports: list = []
     for it in range(1, k + 1):
-        classification = classify_edges(X, E, eps, params.candidate_mode, net)
-        E1, r1 = phase1(X, E, params, net=net, classification=classification)
+        classification = classify_edges(X, E, eps)
+        E1, r1 = phase1(X, E, params, classification=classification)
         r1.iteration = it
-        E2, r2 = phase2(
-            X, E1, params, classification, dist_backend=dist_backend, net=net
-        )
+        E2, r2 = phase2(X, E1, params, classification, dist_backend=dist_backend)
         r2.iteration = it
         reports.extend([r1, r2])
         E = E2

@@ -7,6 +7,8 @@ import pytest
 from spanner_forge.cli import (
     ExperimentConfig,
     ParseError,
+    _build_parser,
+    _prune_params_from_args,
     main,
     parse_pointset,
     write_pointset,
@@ -148,6 +150,20 @@ def test_experiment_config_round_trip():
     d = cfg.to_dict()
     assert d["command"] == "compare"
     assert d["builders"] == ["greedy"]
+
+
+def test_prune_flags_override_config_file(tmp_path):
+    cfg = tmp_path / "prune.cfg"
+    cfg.write_text("eps = 0.05\nkappa_eff = 20\nalpha_log_const = 3\nhop_cap = 7\n")
+    args = _build_parser().parse_args(
+        ["compare", "--in", "inst.txt", "--eps", "0.1", "--k", "2",
+         "--builders", "prune", "--config", str(cfg), "--kappa-eff", "5"]
+    )
+    p = _prune_params_from_args(args)
+    assert p.kappa_eff == 5.0  # flag beats file
+    assert p.eps == 0.1 and p.iterations == 2  # --eps and --k beat file
+    assert p.alpha_log_const == 3.0 and p.hop_cap == 7  # file-only keys survive
+    assert p.kappa == 1.0e4  # untouched default
 
 
 def test_missing_input_is_io_error(tmp_path):

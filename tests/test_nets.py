@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from spanner_forge.geom import PointSet, normalize, proj_fraction
+from spanner_forge.geom import PointSet
 from spanner_forge.graph import SpannerGraph, path_greedy, shortest_dist, verify_stretch
-from spanner_forge.instances import gen_motivating
 from spanner_forge.nets import (
     NetHierarchy,
     approximate_edge,
@@ -14,7 +13,6 @@ from spanner_forge.nets import (
     build_net_tree_spanner,
     cluster_dist,
     cross_radius_const,
-    region_net_points,
 )
 
 from conftest import random_points
@@ -119,43 +117,6 @@ def test_approximate_edge_displacement_bound():
         assert np.linalg.norm(X.coords[a] - X.coords[u]) <= eps * d + 1e-12
         assert np.linalg.norm(X.coords[b] - X.coords[v]) <= eps * d + 1e-12
         checked += 1
-
-
-def test_region_net_points_two_point_instance():
-    X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    H = build_hierarchy(X)
-    assert region_net_points(H, 0, 1, 0.2, "A") == []
-    assert region_net_points(H, 0, 1, 0.2, "B") == []
-
-
-def test_region_net_points_motivating_instance():
-    inst = gen_motivating(0.01, mid_x=(3.75, 6.25))
-    X = normalize(inst.points)
-    H = build_hierarchy(X)
-    xs = inst.meta["x_indices"]
-    ys = inst.meta["y_indices"]
-    a = region_net_points(H, xs[0], ys[0], 0.01, "A")
-    b = region_net_points(H, xs[0], ys[0], 0.01, "B")
-    assert a and b  # the middle points make both regions reachable
-
-
-def test_region_net_points_widened_band():
-    eps = 0.2
-    X = random_points(300, 2, 24)
-    H = build_hierarchy(X)
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        s, t = (int(z) for z in rng.integers(0, X.n, 2))
-        if s == t:
-            continue
-        d = X.dist(s, t)
-        for which, lo, hi in (("A", 3 / 8 - 1 / 50, 3 / 8 + 1 / 50), ("B", 5 / 8 - 1 / 50, 5 / 8 + 1 / 50)):
-            for w in region_net_points(H, s, t, eps, which):
-                f = proj_fraction(X.coords[s], X.coords[t], X.coords[w])
-                # the net point's ball radius is at most eps*|st| at the
-                # approximate level, so its own fraction sits in the
-                # eps-widened band
-                assert lo - eps - 1e-9 <= f <= hi + eps + 1e-9
 
 
 def test_cluster_graph_empty_edges():
@@ -296,29 +257,6 @@ def test_dump_levels_format():
     assert lines[0].startswith("0: ")
     assert len(lines) == len(H.levels)
     assert lines[0].split(": ")[1] == "0 1 2"
-
-
-def test_region_net_points_contains_exact_witnesses():
-    # every input point inside region A/B has its ancestor in the
-    # returned net-point list: emptiness of the approximation implies
-    # emptiness of the true region
-    from spanner_forge.geom import Region, region_codes
-    from spanner_forge.nets import _approx_level
-
-    eps = 0.15
-    X = random_points(250, 2, 40)
-    H = build_hierarchy(X)
-    rng = np.random.default_rng(41)
-    for _ in range(60):
-        s, t = (int(z) for z in rng.integers(0, X.n, 2))
-        if s == t:
-            continue
-        codes = region_codes(X.coords[s], X.coords[t], X.coords, eps)
-        h = _approx_level(H, s, t, eps)
-        for which, val in (("A", Region.IN_A.value), ("B", Region.IN_B.value)):
-            listed = set(region_net_points(H, s, t, eps, which))
-            for x in np.nonzero(codes == val)[0]:
-                assert H.ancestor(int(x), h) in listed
 
 
 def test_cluster_dist_matches_bounded_hop_enumeration():

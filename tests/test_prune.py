@@ -5,7 +5,7 @@ import pytest
 
 from spanner_forge.geom import PointSet, normalize
 from spanner_forge.graph import SpannerGraph, path_greedy, shortest_dist, verify_stretch
-from spanner_forge.instances import gen_motivating, gen_sparsity_lb
+from spanner_forge.instances import gen_lightness_lb_x, gen_motivating, gen_sparsity_lb
 from spanner_forge.prune import (
     InternalInconsistency,
     PhaseReport,
@@ -13,7 +13,6 @@ from spanner_forge.prune import (
     PruneError,
     classify_edges,
     delta_growth,
-    delta_growth_fast,
     greedy_prune,
     log_star,
     phase1,
@@ -51,8 +50,6 @@ def test_log_star():
 
 def test_params_validation():
     with pytest.raises(PruneError):
-        PruneParams(eps=0.1, beta=1.02)
-    with pytest.raises(PruneError):
         PruneParams(eps=0.1, delta=0.05)
     with pytest.raises(PruneError):
         PruneParams(eps=0.1, kappa=1.0)
@@ -75,13 +72,13 @@ def test_params_theoretical_gate_warns():
 def test_params_config_file(tmp_path):
     path = tmp_path / "prune.cfg"
     path.write_text(
-        "eps = 0.05\nkappa = 5000\ncandidate_mode = fast\niterations = 2\n"
+        "eps = 0.05\nkappa = 5000\nconstant_mode = theoretical\niterations = 2\n"
         "# comment\nalpha = none\n"
     )
     p = PruneParams.from_config_file(path)
     assert p.eps == 0.05
     assert p.kappa == 5000
-    assert p.candidate_mode == "fast"
+    assert p.constant_mode == "theoretical"
     assert p.iterations == 2
     assert p.alpha is None
 
@@ -105,16 +102,6 @@ def test_classify_motivating_band_interior_middles():
     Ed = biclique_seed(Xd, md)
     t1d, t2d = classify_edges(Xd, Ed, 0.01)
     assert (md["x_indices"][0], md["y_indices"][0]) in t1d
-
-
-def test_classify_fast_contains_exact_type2():
-    X = random_points(120, 2, 30)
-    G = path_greedy(X, 1.15)
-    t1e, t2e = classify_edges(X, G, 0.15, "exact")
-    t1f, t2f = classify_edges(X, G, 0.15, "fast")
-    # approximate regions contain the exact ones
-    assert t2e <= t2f
-    assert t1e | t2e == t1f | t2f == G.edge_set()
 
 
 def test_phase1_no_type1_noop():
@@ -221,10 +208,6 @@ def test_update_params_values_and_property():
     p2 = update_params(p)
     assert p2.delta == pytest.approx(delta_growth(10.0, 0.02))
     assert p2.alpha == pytest.approx(max(4.0 * math.log(1e6), 4.0))
-    pf = PruneParams(eps=0.01, delta=0.02, alpha=16.0, candidate_mode="fast")
-    pf2 = update_params(pf)
-    assert pf2.delta == pytest.approx(delta_growth_fast(10.0, 0.02, 0.01))
-    assert pf2.alpha == pytest.approx(max(4.0 * math.log(16.0), 4.0))
 
 
 def test_greedy_prune_zero_iterations_returns_seed():
@@ -272,6 +255,19 @@ def test_greedy_prune_sparsity_lb_desk_eps():
     print(f"sparsity-lb eps=0.02 ratio |E_out|/|E_greedy| = {len(out.edges)}/{len(seed.edges)}")
 
 
+def test_greedy_prune_clusters_backend():
+    # the relaxed arc gives the cluster-graph backend type-2 edges to
+    # decide; random instances give it none
+    eps = 0.025
+    X = normalize(gen_lightness_lb_x(eps, 2).points)
+    out, reports = greedy_prune(X, eps, 1, dist_backend="clusters")
+    assert reports[1].type2_total > 0
+    assert all(r.reconciles() for r in reports)
+    assert out.is_connected()
+    ms, _ = verify_stretch(out, X)
+    assert ms <= 1 + delta_growth(10.0, eps) + 1e-9
+
+
 def test_greedy_prune_requires_normalized():
     X = PointSet(np.array([[0.0, 0.0], [3.0, 0.0], [7.0, 0.0]]))
     with pytest.raises(PruneError):
@@ -300,17 +296,6 @@ def test_level_buckets_partition_old_edges():
     for _, _, w in E.edges:
         j = _bucket(w, beta)
         assert beta**j <= w < beta ** (j + 1)
-
-
-def test_phase1_fast_mode_stretch_bound():
-    X, meta = motivating_normalized()
-    E = biclique_seed(X, meta)
-    params = PruneParams(eps=0.01, candidate_mode="fast")
-    E1, rep = phase1(X, E, params)
-    assert rep.reconciles()
-    bound = (1.0 + params.kappa_used * params.delta_value) * (1.0 + 5 * 0.01)
-    for u, v, w in E.edges:
-        assert shortest_dist(E1, u, v, cutoff=bound * w * 2) <= bound * w * (1 + 1e-9)
 
 
 def test_phase1_candidate_map_matches_brute_force():
