@@ -341,22 +341,31 @@ def _sorted_pairs(X: PointSet):
     return iu[order], iv[order], w[order]
 
 
+# Incremental exact APSP restricted to the rows and columns the new edge shortens.
 def _path_greedy_matrix(X: PointSet, t: float) -> list:
     n = X.n
     iu, iv, w = _sorted_pairs(X)
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    buf = np.empty((n, n))
     edges = []
-    for k in range(len(w)):
-        u, v, wk = int(iu[k]), int(iv[k]), float(w[k])
-        if dist[u, v] <= t * wk * (1.0 + GREEDY_RTOL):
-            continue
-        edges.append((u, v, wk))
-        np.add.outer(dist[:, u], dist[v, :], out=buf)
-        buf += wk
-        np.minimum(dist, buf, out=dist)
-        np.minimum(dist, buf.T, out=dist)
+    # chunked tolist() avoids both numpy scalar indexing and n^2 Python objects
+    chunk = 1024
+    for lo in range(0, len(w), chunk):
+        for u, v, wk in zip(*(a[lo : lo + chunk].tolist() for a in (iu, iv, w))):
+            if dist[u, v] <= t * wk * (1.0 + GREEDY_RTOL):
+                continue
+            edges.append((u, v, wk))
+            # a -> u -> v -> b improves dist[a, b] only for a in A, b in B;
+            # A and B are disjoint (a vertex in both would give 2 wk < 0).
+            # dist stays exactly symmetric, so rows stand in for columns.
+            du, dv = dist[u], dist[v]
+            A = (du + wk < dv).nonzero()[0]
+            B = (dv + wk < du).nonzero()[0]
+            via = np.add.outer(du[A], dv[B])
+            via += wk
+            np.minimum(dist[A[:, None], B], via, out=via)
+            dist[A[:, None], B] = via
+            dist[B[:, None], A] = via.T
     return edges
 
 
@@ -381,8 +390,9 @@ def path_greedy(X: PointSet, t: float, mode: str = "auto") -> SpannerGraph:
 
     Processes pairs by increasing distance (ties lexicographic) and adds
     an edge iff the current graph distance exceeds t times the pair
-    distance.  ``mode`` is "matrix" (incremental exact APSP, fast for
-    n up to a few thousand), "dijkstra", or "auto".
+    distance.  ``mode`` is "matrix" (incremental exact APSP restricted
+    to the rows and columns the new edge shortens, fast for n up to a
+    few thousand), "dijkstra", or "auto".
     """
     if t < 1.0:
         raise GraphError("stretch factor must be >= 1")

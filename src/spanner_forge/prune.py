@@ -13,6 +13,7 @@ sparsity and weight reductions.
 from __future__ import annotations
 
 import math
+import typing
 import warnings
 from dataclasses import dataclass, field, fields, replace
 
@@ -125,7 +126,7 @@ class PruneParams:
     @classmethod
     def from_config_file(cls, path) -> "PruneParams":
         """Parse a key=value text file into parameters."""
-        kinds = {f.name: f.type for f in fields(cls)}
+        kinds = typing.get_type_hints(cls)
         raw: dict = {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -137,14 +138,12 @@ class PruneParams:
                 key, val = (p.strip() for p in line.split("=", 1))
                 if key not in kinds:
                     raise PruneError(f"{path}: line {lineno}: unknown key {key!r}")
-                if key == "constant_mode":
-                    raw[key] = val
-                elif key in ("iterations", "hop_cap"):
-                    raw[key] = int(val)
-                elif val.lower() == "none":
+                # an optional field's annotation is "<type> | None"
+                kind, *rest = typing.get_args(kinds[key]) or (kinds[key],)
+                if rest and val.lower() == "none":
                     raw[key] = None
                 else:
-                    raw[key] = float(val)
+                    raw[key] = kind(val)
         return cls(**raw)
 
 
@@ -483,6 +482,8 @@ def greedy_prune(
         raise PruneError("point set must be normalized first")
     if k < 0:
         raise PruneError("iteration count must be nonnegative")
+    if dist_backend not in ("exact", "clusters"):
+        raise PruneError(f"unknown distance backend {dist_backend!r}")
     if params is None:
         params = PruneParams(eps=eps, iterations=max(k, 1))
     if abs(params.eps - eps) > _RTOL * eps:

@@ -6,6 +6,7 @@ import pytest
 
 from spanner_forge.geom import PointSet, normalize
 from spanner_forge.graph import (
+    GREEDY_RTOL,
     Disconnected,
     GraphError,
     SpannerGraph,
@@ -18,6 +19,14 @@ from spanner_forge.graph import (
     shortest_dist,
     verify_stretch,
     write_edge_list,
+    _sorted_pairs,
+)
+from spanner_forge.instances import (
+    gen_lightness_lb,
+    gen_motivating,
+    gen_random,
+    gen_sparsity_lb,
+    gen_sparsity_lb_x,
 )
 
 from conftest import random_points
@@ -217,6 +226,54 @@ def test_path_greedy_modes_agree_and_deterministic():
     g2 = path_greedy(X, 1.25, mode="dijkstra")
     g3 = path_greedy(X, 1.25, mode="matrix")
     assert g1.edge_set() == g2.edge_set() == g3.edge_set()
+
+
+def full_update_greedy(X, t):
+    """Path greedy with a full n x n distance update per accepted edge."""
+    n = X.n
+    iu, iv, w = _sorted_pairs(X)
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    buf = np.empty((n, n))
+    edges = []
+    for k in range(len(w)):
+        u, v, wk = int(iu[k]), int(iv[k]), float(w[k])
+        if dist[u, v] <= t * wk * (1.0 + GREEDY_RTOL):
+            continue
+        edges.append((u, v, wk))
+        np.add.outer(dist[:, u], dist[v, :], out=buf)
+        buf += wk
+        np.minimum(dist, buf, out=dist)
+        np.minimum(dist, buf.T, out=dist)
+    return edges
+
+
+def _int_grid(side, d):
+    return PointSet(np.array(list(itertools.product(range(side), repeat=d)), dtype=float))
+
+
+@pytest.mark.parametrize(
+    "make, t",
+    [
+        (lambda: normalize(gen_lightness_lb(0.02).points), 1.02),
+        (lambda: normalize(gen_sparsity_lb(1e-4).points), 1.0 + 1e-4),
+        (lambda: normalize(gen_sparsity_lb_x(1e-4, 2).points), 1.0 + 1e-4),
+        (lambda: normalize(gen_motivating(0.01).points), 1.01),
+        (lambda: normalize(gen_random(150, 2, "clustered", 0).points), 1.1),
+        (lambda: _int_grid(15, 2), 1.0),
+        (lambda: _int_grid(15, 2), 1.1),
+        (lambda: _int_grid(15, 2), 1.5),
+        (lambda: _int_grid(6, 3), 1.1),
+        (lambda: PointSet(np.arange(60.0)[:, None]), 1.0),
+    ],
+    ids=[
+        "lightness-lb", "sparsity-lb", "sparsity-lb-x", "motivating", "clustered",
+        "grid2-1.0", "grid2-1.1", "grid2-1.5", "grid3-1.1", "line-1.0",
+    ],
+)
+def test_path_greedy_matrix_matches_full_update(make, t):
+    X = make()
+    assert path_greedy(X, t, mode="matrix").edges == full_update_greedy(X, t)
 
 
 def test_brute_force_collinear():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -81,6 +82,37 @@ def test_params_config_file(tmp_path):
     assert p.constant_mode == "theoretical"
     assert p.iterations == 2
     assert p.alpha is None
+
+
+def test_params_config_file_round_trip(tmp_path):
+    p = PruneParams(
+        eps=0.05,
+        delta=0.07,
+        kappa=5000.0,
+        kappa_eff=12.5,
+        iterations=3,
+        constant_mode="theoretical",
+        alpha_log_const=2.5,
+        logstar_const=0.75,
+        hop_cap=7,
+    )
+    path = tmp_path / "prune.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in p.to_dict().items()))
+    q = PruneParams.from_config_file(path)
+    assert q == p
+    assert type(q.iterations) is int and type(q.hop_cap) is int
+    assert q.alpha is None
+
+    # a field the parser has never heard of is read by its annotated type
+    @dataclasses.dataclass
+    class Extended(PruneParams):
+        label: str = "a"
+        rounds: int = 1
+        scale: float | None = 1.0
+
+    e = Extended(eps=0.05, label="b", rounds=4, scale=None)
+    path.write_text("".join(f"{k} = {v}\n" for k, v in e.to_dict().items()))
+    assert Extended.from_config_file(path) == e
 
 
 def test_classify_two_point_instance():
@@ -216,6 +248,17 @@ def test_greedy_prune_zero_iterations_returns_seed():
     out, reports = greedy_prune(X, 0.1, 0, seed_spanner=seed)
     assert out.edge_set() == seed.edge_set()
     assert reports == []
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_greedy_prune_rejects_unknown_backend_up_front(k, monkeypatch):
+    def no_seed(*args, **kwargs):
+        raise AssertionError("seed built before the backend was checked")
+
+    monkeypatch.setattr("spanner_forge.prune.path_greedy", no_seed)
+    X = random_points(40, 2, 34)
+    with pytest.raises(PruneError, match="bogus"):
+        greedy_prune(X, 0.1, k, dist_backend="bogus")
 
 
 def test_greedy_prune_deterministic():
