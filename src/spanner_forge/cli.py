@@ -186,7 +186,7 @@ def _build_spanner(name: str, X: PointSet, args, witness_pairs=None) -> SpannerG
         return build_net_tree_spanner(build_hierarchy(X), args.eps)
     if name == "prune":
         params = _prune_params_from_args(args)
-        out, _ = greedy_prune(X, args.eps, args.k or 1, params=params)
+        out, _ = greedy_prune(X, args.eps, args.k, params=params)
         return out
     if name == "witness":
         if witness_pairs is None:

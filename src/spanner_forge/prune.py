@@ -12,6 +12,7 @@ sparsity and weight reductions.
 
 from __future__ import annotations
 
+import heapq
 import math
 import typing
 import warnings
@@ -154,12 +155,16 @@ class PhaseReport:
     ``levels`` maps a length bucket j (weights in [BETA^j, BETA^{j+1}))
     to its old-edge counts; ``measured_delta`` is the largest relative
     detour observed for an edge handled in this phase.
+    ``genuine_substitutes`` counts the phase-1 substitutions whose cover
+    held an edge other than the substitute pair itself; the rest of
+    ``substitutes_added`` only protect an existing edge.
     """
 
     phase: int
     iteration: int = 0
     levels: dict = field(default_factory=dict)
     substitutes_added: int = 0
+    genuine_substitutes: int = 0
     type1_pruned: int = 0
     type2_total: int = 0
     type2_kept: int = 0
@@ -172,6 +177,8 @@ class PhaseReport:
             for info in self.levels.values():
                 if info["type1"] != info["pruned"] + info["kept"]:
                     return False
+            if self.genuine_substitutes > min(self.substitutes_added, self.type1_pruned):
+                return False
             return self.type1_pruned == sum(i["pruned"] for i in self.levels.values())
         return self.type2_total == self.type2_kept + self.type2_dropped
 
@@ -180,11 +187,22 @@ def classify_edges(X: PointSet, E: SpannerGraph, eps: float):
     """Partition the edges of E into type-1 and type-2 sets.
 
     An edge is type-2 when both waist regions of its ellipse contain
-    input points, type-1 otherwise.
+    input points, type-1 otherwise.  A type-2 edge needs its two
+    endpoints and one point in each waist region inside the ellipse, so
+    an edge with fewer than four points within a slightly widened
+    ellipse (read from the pairwise distance matrix) is type-1 without
+    calling :func:`region_codes`.
     """
     type1, type2 = set(), set()
     coords = X.coords
+    dist = _pairwise_distances(coords)
     for u, v, _ in E.edges:
+        # the 1e-9 slack exceeds region_codes' own BAND_TOL, so every
+        # point it counts as inside the ellipse passes this filter
+        limit = (1.0 + eps) * dist[u, v] * (1.0 + 1e-9)
+        if np.count_nonzero(dist[u] + dist[v] <= limit) < 4:
+            type1.add((u, v))
+            continue
         codes = region_codes(coords[u], coords[v], coords, eps)
         if (codes == Region.IN_A.value).any() and (codes == Region.IN_B.value).any():
             type2.add((u, v))
@@ -202,33 +220,45 @@ def _bucket(w: float, beta: float) -> int:
     return j
 
 
-def _exact_candidates(coords, live_edges, weights, min_len, factor):
+def _pairwise_distances(coords) -> np.ndarray:
+    """n x n Euclidean distances; row i is ``norm(coords - coords[i])``.
+
+    Built row by row so every entry is bit for bit the row reduction
+    the pruning code computed per edge, and no n x n x d temporary is
+    allocated.
+    """
+    return np.stack([np.linalg.norm(coords - p, axis=1) for p in coords])
+
+
+def _exact_candidates(dist, live_edges, weights, min_len, factor):
     """Map (x, y) pairs to the live same-bucket edges they could replace.
 
     A pair qualifies for edge (s, t) when |sx|+|xy|+|yt| (either
-    orientation) stays within factor*|st| and |xy| >= min_len.
+    orientation) stays within factor*|st| and |xy| >= min_len.  All
+    lengths are looked up in ``dist``, the matrix of
+    :func:`_pairwise_distances`.
     """
     cand: dict = {}
     for (s, t) in live_edges:
         w = weights[(s, t)]
         budget = factor * w * (1.0 + _RTOL)
-        ps, pt = coords[s], coords[t]
-        ds = np.linalg.norm(coords - ps, axis=1)
-        dt = np.linalg.norm(coords - pt, axis=1)
+        ds = dist[s]
+        dt = dist[t]
         inside = np.nonzero(ds + dt <= budget)[0]
         if len(inside) < 2:
             continue
-        sub = coords[inside]
-        pd = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=2)
+        pd = dist[inside][:, inside]
         dsi = ds[inside]
         dti = dt[inside]
         ok = (pd >= min_len * (1.0 - _RTOL)) & (
             (dsi[:, None] + pd + dti[None, :] <= budget)
             | (dti[:, None] + pd + dsi[None, :] <= budget)
         )
-        ii, jj = np.nonzero(np.triu(ok | ok.T, k=1))
-        for a, b in zip(inside[ii], inside[jj]):
-            key = (int(a), int(b)) if a < b else (int(b), int(a))
+        ok |= ok.T
+        ii, jj = np.nonzero(ok)
+        upper = ii < jj
+        # inside is sorted, so each key comes out as (smaller, larger)
+        for key in zip(inside[ii[upper]].tolist(), inside[jj[upper]].tolist()):
             cand.setdefault(key, set()).add((s, t))
     return cand
 
@@ -247,6 +277,13 @@ def phase1(
     its covered edges are deleted.  New edges are never pruned.
     Returns the surviving graph (new pairs recorded in its meta) and a
     report.
+
+    Distances come from one :func:`_pairwise_distances` matrix.  Since
+    ``live`` only shrinks and candidate pairs depend on geometry alone,
+    no cover ever grows.  So the best pair is taken from a heap of
+    cover sizes refreshed only when they reach the top, and a bucket
+    whose cover loop last stopped with a best cover below the current
+    threshold is skipped without rebuilding its candidates.
     """
     eps = params.eps
     if classification is None:
@@ -256,6 +293,7 @@ def phase1(
     kappa = params.kappa_used
     alpha = params.alpha_value(X.dim)
     coords = X.coords
+    dist = _pairwise_distances(coords)
     weights = {(u, v): w for u, v, w in E.edges}
     buckets: dict = {}
     for (u, v), w in weights.items():
@@ -267,34 +305,40 @@ def phase1(
     live = set(type1)  # old type-1 edges still present and prunable
     new_pairs: set = set()
     pruned: set = set()
+    best_left: dict = {}  # bucket -> best cover size when its loop last stopped
     n_sub = max(1, math.ceil(math.log2(max(alpha, 2.0))))
     for i in range(1, n_sub + 1):
         thr = alpha / (2.0**i * kappa)
         for j in sorted(buckets):
+            if best_left.get(j, math.inf) < thr:
+                continue
             live_j = [p for p in buckets[j] if p in live]
             if not live_j or len(live_j) < thr:
                 continue
             min_len = BETA**j / 25.0
-            cand = _exact_candidates(coords, live_j, weights, min_len, factor)
-            if not cand:
-                continue
-            while True:
-                best_key, best_cov = None, None
-                for key in cand:
-                    cov = cand[key] & live
-                    if not cov:
-                        continue
-                    if (
-                        best_cov is None
-                        or len(cov) > len(best_cov)
-                        or (len(cov) == len(best_cov) and key < best_key)
-                    ):
-                        best_key, best_cov = key, cov
-                if best_cov is None or len(best_cov) < thr:
+            cand = _exact_candidates(dist, live_j, weights, min_len, factor)
+            # Max-heap of (cover size, pair), smallest pair first on ties.
+            # Covers only shrink, so a stored size is an upper bound: the
+            # top is the best pair once its size is current.
+            heap = [(-len(cov), key) for key, cov in cand.items()]
+            heapq.heapify(heap)
+            while heap:
+                neg_size, best_key = heap[0]
+                best_cov = cand[best_key] & live
+                if len(best_cov) != -neg_size:
+                    if best_cov:
+                        heapq.heapreplace(heap, (-len(best_cov), best_key))
+                    else:
+                        heapq.heappop(heap)
+                    continue
+                if len(best_cov) < thr:
                     break
+                heapq.heappop(heap)  # its whole cover is about to leave live
                 new_pairs.add(best_key)
                 live.discard(best_key)  # a coinciding old edge is now protected
                 report.substitutes_added += 1
+                if any(p != best_key for p in best_cov):
+                    report.genuine_substitutes += 1
                 px, py = coords[best_key[0]], coords[best_key[1]]
                 wxy = float(np.linalg.norm(px - py))
                 for (s, t) in best_cov:
@@ -319,6 +363,7 @@ def phase1(
                     report.measured_delta = max(
                         report.measured_delta, detour / weights[(s, t)] - 1.0
                     )
+            best_left[j] = -heap[0][0] if heap else 0
     survivors = [(u, v, w) for (u, v), w in weights.items() if (u, v) not in pruned]
     present = {(u, v) for u, v, _ in survivors}
     for (a, b) in sorted(new_pairs):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,11 @@ from spanner_forge.geom import PointSet, normalize
 
 def random_points(n, d, seed):
     return normalize(np.random.default_rng(seed).random((n, d)))
+
+
+def int_grid(side, d):
+    """The side^d integer grid; its minimum distance is already 1."""
+    return PointSet(np.array(list(itertools.product(range(side), repeat=d)), dtype=float))
 
 
 def lemma_sequence(rng, eps, n_edges=None):

@@ -170,3 +170,18 @@ def test_missing_input_is_io_error(tmp_path):
     assert main(["build", "--builder", "greedy", "--eps", "0.1",
                  "--in", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "o.edges")]) == 2
+
+
+def test_compare_prune_k0_returns_greedy_seed(tmp_path):
+    # --k 0 runs no pruning round: the prune row is the greedy seed
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "60", "--seed", "4",
+          "--out", inst])
+    rep = str(tmp_path / "cmp.json")
+    main(["compare", "--in", inst, "--eps", "0.1", "--k", "0",
+          "--builders", "greedy,prune", "--out", rep])
+    data = json.load(open(rep))
+    rows = {r["builder"]: r for r in data["rows"]}
+    assert data["config"]["k"] == 0
+    assert rows["prune"]["edge_count"] == rows["greedy"]["edge_count"]
+    assert rows["prune"]["weight"] == rows["greedy"]["weight"]

@@ -29,7 +29,7 @@ from spanner_forge.instances import (
     gen_sparsity_lb_x,
 )
 
-from conftest import random_points
+from conftest import int_grid, random_points
 
 
 def floyd_warshall(n, edges):
@@ -248,10 +248,6 @@ def full_update_greedy(X, t):
     return edges
 
 
-def _int_grid(side, d):
-    return PointSet(np.array(list(itertools.product(range(side), repeat=d)), dtype=float))
-
-
 @pytest.mark.parametrize(
     "make, t",
     [
@@ -260,10 +256,10 @@ def _int_grid(side, d):
         (lambda: normalize(gen_sparsity_lb_x(1e-4, 2).points), 1.0 + 1e-4),
         (lambda: normalize(gen_motivating(0.01).points), 1.01),
         (lambda: normalize(gen_random(150, 2, "clustered", 0).points), 1.1),
-        (lambda: _int_grid(15, 2), 1.0),
-        (lambda: _int_grid(15, 2), 1.1),
-        (lambda: _int_grid(15, 2), 1.5),
-        (lambda: _int_grid(6, 3), 1.1),
+        (lambda: int_grid(15, 2), 1.0),
+        (lambda: int_grid(15, 2), 1.1),
+        (lambda: int_grid(15, 2), 1.5),
+        (lambda: int_grid(6, 3), 1.1),
         (lambda: PointSet(np.arange(60.0)[:, None]), 1.0),
     ],
     ids=[
