@@ -27,7 +27,6 @@ from .graph import (
 from .nets import (
     ClusterGraph,
     NetHierarchy,
-    approximate_edge,
     build_cluster_graph,
     build_hierarchy,
     build_net_tree_spanner,

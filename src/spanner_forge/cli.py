@@ -157,11 +157,9 @@ def _meta_path(instance_path: str) -> str:
     return instance_path + ".meta.json"
 
 
-# PruneParams fields settable by a flag of the same name; eps and
-# iterations come from --eps and --k.
-_PRUNE_FLAGS = tuple(
-    f.name for f in fields(PruneParams) if f.name not in ("eps", "iterations")
-)
+# PruneParams fields settable by a flag of the same name; eps comes
+# from --eps, and --k sets the number of rounds.
+_PRUNE_FLAGS = tuple(f.name for f in fields(PruneParams) if f.name != "eps")
 
 
 def _prune_params_from_args(args) -> PruneParams:
@@ -174,8 +172,6 @@ def _prune_params_from_args(args) -> PruneParams:
         val = getattr(args, name, None)
         if val is not None:
             base[name] = val
-    if getattr(args, "k", None):
-        base["iterations"] = max(1, args.k)
     return PruneParams(**base)
 
 
@@ -393,7 +389,6 @@ def _add_prune_flags(p) -> None:
     )
     p.add_argument("--alpha-log-const", dest="alpha_log_const", type=float)
     p.add_argument("--logstar-const", dest="logstar_const", type=float)
-    p.add_argument("--hop-cap", dest="hop_cap", type=int)
 
 
 def _build_parser() -> argparse.ArgumentParser:

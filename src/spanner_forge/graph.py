@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +24,6 @@ from .geom import GEOM_RTOL, PointSet
 # the hard instances produce by construction) deterministic without
 # affecting decisions whose true margin is meaningful.
 GREEDY_RTOL = 1e-12
-
-# Above this point count the matrix-based greedy would need too much
-# memory; fall back to per-pair Dijkstra.
-MATRIX_GREEDY_LIMIT = 4000
 
 VERIFY_N_MAX = 5000
 
@@ -124,13 +119,6 @@ class SpannerGraph:
             self._csr = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
         return self._csr
 
-    def validate_weights(self, X: PointSet, rtol: float = GEOM_RTOL) -> None:
-        c = X.coords
-        for u, v, w in self.edges:
-            d = float(np.linalg.norm(c[u] - c[v]))
-            if abs(w - d) > rtol * max(1.0, d):
-                raise GraphError(f"edge ({u},{v}) weight {w} != distance {d}")
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
@@ -215,55 +203,18 @@ def shortest_dist(G: SpannerGraph, s: int, t: int, cutoff: float | None = None) 
     return bounded_dijkstra(G.adjacency, s, limit, t).get(t, math.inf)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SPANNER_FORGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def _stretch_chunk(G: SpannerGraph, X: PointSet, sources: np.ndarray):
-    """Max stretch over pairs (s, t), s in sources, t > s.
-
-    Returns (max_stretch, witness_pair, unreachable_pair_or_None); the
-    witness is the lexicographically first argmax within the chunk.
-    """
-    gd = _csgraph_dijkstra(G.as_csr(), directed=False, indices=sources)
-    c = X.coords
-    best = -1.0
-    witness = None
-    for row_i, s in enumerate(sources):
-        if s >= X.n - 1:
-            continue
-        eu = np.linalg.norm(c[s + 1 :] - c[s], axis=1)
-        gr = gd[row_i, s + 1 :]
-        if np.isinf(gr).any():
-            t = int(np.argmax(np.isinf(gr))) + s + 1
-            return math.nan, None, (int(s), t)
-        ratio = gr / eu
-        j = int(np.argmax(ratio))
-        if ratio[j] > best:
-            best = float(ratio[j])
-            witness = (int(s), int(j + s + 1))
-    return best, witness, None
-
-
 def verify_stretch(
     G: SpannerGraph,
     X: PointSet,
-    workers: int | None = None,
     n_max: int = VERIFY_N_MAX,
     force: bool = False,
 ):
     """Exact maximum stretch of G over X, with an argmax witness pair.
 
-    Runs one single-source computation per vertex; refuses n > n_max
-    unless ``force``.  Ties break to the lexicographically smallest
-    pair.  Raises :class:`Disconnected` (carrying an unreachable pair)
-    when G is not connected.
+    Runs one single-source computation per vertex, 64 sources per scipy
+    call; refuses n > n_max unless ``force``.  Ties break to the
+    lexicographically smallest pair.  Raises :class:`Disconnected`
+    (carrying the first unreachable pair) when G is not connected.
     """
     if G.n != X.n:
         raise GraphError("graph and point set sizes differ")
@@ -273,24 +224,23 @@ def verify_stretch(
         )
     if X.n < 2:
         return 1.0, (0, 0)
-    workers = workers or _worker_count()
-    chunk = 64
-    chunks = [
-        np.arange(lo, min(lo + chunk, X.n - 1), dtype=np.int64)
-        for lo in range(0, X.n - 1, chunk)
-    ]
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ch: _stretch_chunk(G, X, ch), chunks))
-    else:
-        results = [_stretch_chunk(G, X, ch) for ch in chunks]
+    c = X.coords
+    csr = G.as_csr()
     best = -1.0
     witness = None
-    for mx, wit, bad in results:  # fixed chunk order keeps the reduction deterministic
-        if bad is not None:
-            raise Disconnected(bad)
-        if wit is not None and mx > best:
-            best, witness = mx, wit
+    chunk = 64
+    for lo in range(0, X.n - 1, chunk):
+        sources = np.arange(lo, min(lo + chunk, X.n - 1))
+        gd = _csgraph_dijkstra(csr, directed=False, indices=sources)
+        for row, s in zip(gd, sources.tolist()):
+            eu = np.linalg.norm(c[s + 1 :] - c[s], axis=1)
+            gr = row[s + 1 :]
+            if np.isinf(gr).any():
+                raise Disconnected((s, int(np.argmax(np.isinf(gr))) + s + 1))
+            ratio = gr / eu
+            j = int(np.argmax(ratio))
+            if ratio[j] > best:
+                best, witness = float(ratio[j]), (s, j + s + 1)
     return best, witness
 
 
@@ -315,9 +265,9 @@ def emst_weight(X: PointSet) -> float:
     return total
 
 
-def metrics(G: SpannerGraph, X: PointSet, workers: int | None = None, force: bool = False) -> MetricsReport:
+def metrics(G: SpannerGraph, X: PointSet, force: bool = False) -> MetricsReport:
     """Sparsity, lightness, weight and exact max stretch of G over X."""
-    ms, wit = verify_stretch(G, X, workers=workers, force=force)
+    ms, wit = verify_stretch(G, X, force=force)
     w = G.weight()
     mst = emst_weight(X)
     return MetricsReport(
@@ -369,44 +319,33 @@ def _path_greedy_matrix(X: PointSet, t: float) -> list:
     return edges
 
 
-def _path_greedy_dijkstra(X: PointSet, t: float) -> list:
-    n = X.n
-    iu, iv, w = _sorted_pairs(X)
-    adj = [[] for _ in range(n)]
-    edges = []
-    for k in range(len(w)):
-        u, v, wk = int(iu[k]), int(iv[k]), float(w[k])
-        limit = t * wk * (1.0 + GREEDY_RTOL)
-        if v in bounded_dijkstra(adj, u, limit, v):
-            continue
-        edges.append((u, v, wk))
-        adj[u].append((v, wk))
-        adj[v].append((u, wk))
-    return edges
-
-
-def path_greedy(X: PointSet, t: float, mode: str = "auto") -> SpannerGraph:
+def path_greedy(X: PointSet, t: float) -> SpannerGraph:
     """Path-greedy t-spanner.
 
     Processes pairs by increasing distance (ties lexicographic) and adds
     an edge iff the current graph distance exceeds t times the pair
-    distance.  ``mode`` is "matrix" (incremental exact APSP restricted
-    to the rows and columns the new edge shortens, fast for n up to a
-    few thousand), "dijkstra", or "auto".
+    distance.  Graph distances live in an n x n matrix, and each new
+    edge updates only the rows and columns it shortens.
+
+    The sorted pairs and the matrix peak at about max(28, 16 + 8 d) * n^2
+    bytes in dimension d: the RSS growth measured on uniform points was
+    28, 32, 40 and 48 n^2 bytes for d = 1..4 (n = 2000; d = 2 and 3 also
+    at n = 3000 and 4000).  Raises :class:`TooLarge` before allocating
+    when that exceeds the machine's physical memory.
     """
-    if t < 1.0:
-        raise GraphError("stretch factor must be >= 1")
+    if not (math.isfinite(t) and t >= 1.0):
+        raise GraphError(f"stretch factor must be finite and >= 1, got {t}")
+    meta = {"t": t, "builder": "path_greedy"}
     if X.n < 2:
-        return SpannerGraph(X.n, [], meta={"t": t})
-    if mode == "auto":
-        mode = "matrix" if X.n <= MATRIX_GREEDY_LIMIT else "dijkstra"
-    if mode == "matrix":
-        edges = _path_greedy_matrix(X, t)
-    elif mode == "dijkstra":
-        edges = _path_greedy_dijkstra(X, t)
-    else:
-        raise GraphError(f"unknown greedy mode {mode!r}")
-    return SpannerGraph(X.n, edges, meta={"t": t, "builder": "path_greedy"})
+        return SpannerGraph(X.n, [], meta=meta)
+    need = max(28, 16 + 8 * X.dim) * X.n * X.n
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise TooLarge(
+            f"n={X.n} needs about {need / 2**30:.1f} GiB for greedy, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+    return SpannerGraph(X.n, _path_greedy_matrix(X, t), meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Hierarchical nets and cluster graphs.
 
 A geometric net hierarchy with parent links, the cross-edge spanner it
-induces, approximate-edge lookup, and the bounded-hop cluster-graph
-distance oracle behind the "clusters" phase-2 backend of the pruning
-pipeline.
+induces, and the bounded-hop cluster-graph distance oracle behind the
+"clusters" phase-2 backend of the pruning pipeline.
 """
 
 from __future__ import annotations
@@ -37,39 +36,8 @@ class NetHierarchy:
         self.parent = parent
         self.spread = spread
 
-    @property
-    def top(self) -> int:
-        return len(self.levels) - 1
-
     def radius(self, i: int) -> float:
         return float(2.0**i)
-
-    def check_invariants(self, rtol: float = GEOM_RTOL) -> None:
-        """Separation and covering at every level (O(n^2) per level)."""
-        c = self.points.coords
-        for i, members in enumerate(self.levels):
-            r = self.radius(i)
-            pts = c[members]
-            if len(members) > 1:
-                d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-                np.fill_diagonal(d, np.inf)
-                if d.min() <= r * (1.0 - rtol):
-                    raise GeomError(f"separation violated at level {i}")
-            if i > 0:
-                prev = c[self.levels[i - 1]]
-                d = np.linalg.norm(prev[:, None, :] - pts[None, :, :], axis=2)
-                if d.min(axis=1).max() > r * (1.0 + rtol):
-                    raise GeomError(f"covering violated at level {i}")
-        if len(self.levels[-1]) != 1:
-            raise GeomError("top level must be a single point")
-
-
-def dump_levels(H: NetHierarchy) -> str:
-    """Debug dump of the hierarchy, one "level: indices" line per level."""
-    return "\n".join(
-        f"{i}: {' '.join(str(int(u)) for u in members)}"
-        for i, members in enumerate(H.levels)
-    )
 
 
 def build_hierarchy(X: PointSet) -> NetHierarchy:
@@ -113,18 +81,15 @@ def build_hierarchy(X: PointSet) -> NetHierarchy:
     return NetHierarchy(X, levels, parent, spread)
 
 
-def build_net_tree_spanner(
-    H: NetHierarchy, eps: float, radius_const: float | None = None
-) -> SpannerGraph:
+def build_net_tree_spanner(H: NetHierarchy, eps: float) -> SpannerGraph:
     """Union over levels of all cross edges, deduplicated.
 
     A cross edge at level i joins two level-i net points at distance at
-    most (4/eps + 32) * 2^i (the multiplier can be overridden for
-    experiments).
+    most (4/eps + 32) * 2^i.
     """
     if not 0.0 < eps < 1.0:
         raise GeomError("eps must lie in (0, 1)")
-    R = radius_const if radius_const is not None else cross_radius_const(eps)
+    R = cross_radius_const(eps)
     c = H.points.coords
     pairs = set()
     for i, members in enumerate(H.levels):
@@ -140,27 +105,6 @@ def build_net_tree_spanner(
     return SpannerGraph.from_pairs(
         H.points, sorted(pairs), meta={"builder": "net_tree", "eps": eps, "radius_const": R}
     )
-
-
-def approximate_edge(H: NetHierarchy, spanner: SpannerGraph, u: int, v: int):
-    """Cross edge between the lowest-level distinct ancestors of u, v.
-
-    Returns (u', v', level).  Both returned endpoints lie within
-    eps*|uv| of the respective query points.
-    """
-    if u == v:
-        raise GraphError("u and v must differ")
-    edge_set = spanner.edge_set()
-    au, av = u, v
-    for i in range(H.top + 1):
-        if au != av:
-            key = (au, av) if au < av else (av, au)
-            if key in edge_set:
-                return au, av, i
-        if i < H.top:
-            au = H.parent[(au, i)]
-            av = H.parent[(av, i)]
-    raise GraphError(f"no approximate edge for pair ({u},{v})")
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ import heapq
 import math
 import typing
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
 
 from .geom import PointSet, Region, region_codes
 from .graph import GraphError, SpannerGraph, bounded_dijkstra, path_greedy
-from .nets import DEFAULT_HOP_CAP, build_cluster_graph, cluster_dist
+from .nets import build_cluster_graph, cluster_dist
 
 _RTOL = 1e-12
 
@@ -69,6 +69,10 @@ class PruneParams:
     attach only to the theoretical constants; practical mode makes the
     pruning observable on small instances.  Length buckets have the
     fixed ratio :data:`BETA`.
+
+    The number of rounds is ``greedy_prune``'s ``k``.  The keyword
+    ``iterations`` is still accepted so that existing callers keep
+    working, but it is not a field and nothing reads it.
     """
 
     eps: float
@@ -76,21 +80,24 @@ class PruneParams:
     alpha: float | None = None  # defaults to eps^(-2 d) when the dimension is known
     kappa: float = 1.0e4
     kappa_eff: float = 10.0
-    iterations: int = 1
     constant_mode: str = "practical"  # "practical" | "theoretical"
     alpha_log_const: float = 4.0
     logstar_const: float = 1.0
-    hop_cap: int = DEFAULT_HOP_CAP
+    iterations: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, iterations):
+        if iterations is not None:
+            warnings.warn(
+                "PruneParams(iterations=...) is ignored; greedy_prune's k sets the rounds",
+                DeprecationWarning,
+                stacklevel=3,
+            )
         if not 0.0 < self.eps:
             raise PruneError("eps must be positive")
         if self.delta is not None and self.delta < self.eps * (1.0 - _RTOL):
             raise PruneError("delta must be at least eps")
         if self.kappa < 2 or self.kappa_eff < 2:
             raise PruneError("kappa must be at least 2")
-        if self.iterations < 1:
-            raise PruneError("iteration count must be at least 1")
         if self.constant_mode not in ("practical", "theoretical"):
             raise PruneError(f"unknown constant mode {self.constant_mode!r}")
 
@@ -128,6 +135,7 @@ class PruneParams:
     def from_config_file(cls, path) -> "PruneParams":
         """Parse a key=value text file into parameters."""
         kinds = typing.get_type_hints(cls)
+        names = {f.name for f in fields(cls)}
         raw: dict = {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -137,7 +145,7 @@ class PruneParams:
                 if "=" not in line:
                     raise PruneError(f"{path}: line {lineno}: expected key=value")
                 key, val = (p.strip() for p in line.split("=", 1))
-                if key not in kinds:
+                if key not in names:
                     raise PruneError(f"{path}: line {lineno}: unknown key {key!r}")
                 # an optional field's annotation is "<type> | None"
                 kind, *rest = typing.get_args(kinds[key]) or (kinds[key],)
@@ -470,7 +478,7 @@ def phase2(
             )
             slack = eps * eps * scale
             for w, u, v in sorted(by_scale[i]):
-                d = cluster_dist(F, u, v, hop_cap=params.hop_cap)
+                d = cluster_dist(F, u, v)
                 if d + slack <= thr_mult * w * (1.0 + _RTOL):
                     report.type2_dropped += 1
                     report.measured_delta = max(report.measured_delta, d / w - 1.0)
@@ -530,7 +538,7 @@ def greedy_prune(
     if dist_backend not in ("exact", "clusters"):
         raise PruneError(f"unknown distance backend {dist_backend!r}")
     if params is None:
-        params = PruneParams(eps=eps, iterations=max(k, 1))
+        params = PruneParams(eps=eps)
     if abs(params.eps - eps) > _RTOL * eps:
         raise PruneError("params.eps disagrees with eps argument")
     if params.alpha is None:

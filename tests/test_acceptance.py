@@ -35,7 +35,6 @@ from spanner_forge.instances import (
     gen_sparsity_lb_x,
 )
 from spanner_forge.nets import (
-    approximate_edge,
     build_cluster_graph,
     build_hierarchy,
     build_net_tree_spanner,
@@ -43,7 +42,7 @@ from spanner_forge.nets import (
 )
 from spanner_forge.prune import PruneParams, delta_growth, greedy_prune
 
-from conftest import lemma_sequence, random_points
+from conftest import approximate_edge, check_invariants, lemma_sequence, random_points
 
 ARTIFACTS = os.path.join(os.path.dirname(__file__), "artifacts")
 
@@ -348,7 +347,7 @@ def test_criterion8_net_structures():
     X = random_points(1000, 2, seed=3000)
     H = build_hierarchy(X)
     try:
-        H.check_invariants()
+        check_invariants(H)
         details.append("hierarchy(n=1000) invariants hold")
     except Exception as exc:  # pragma: no cover
         ok = False

@@ -121,17 +121,6 @@ def test_sweep_lightness_slope_and_csv_schema(tmp_path):
     assert os.path.exists(gp)
 
 
-def test_env_thread_cap(tmp_path, monkeypatch):
-    inst = str(tmp_path / "r.txt")
-    main(["generate", "--family", "random", "--n", "150", "--seed", "9",
-          "--out", inst])
-    edges = str(tmp_path / "g.edges")
-    main(["build", "--builder", "greedy", "--eps", "0.25", "--in", inst,
-          "--out", edges])
-    monkeypatch.setenv("SPANNER_FORGE_THREADS", "3")
-    assert main(["verify", "--in", inst, "--edges", edges, "--t", "1.25"]) == 0
-
-
 def test_verify_refuses_above_cap(tmp_path):
     inst = str(tmp_path / "r.txt")
     main(["generate", "--family", "random", "--n", "30", "--seed", "1",
@@ -154,16 +143,26 @@ def test_experiment_config_round_trip():
 
 def test_prune_flags_override_config_file(tmp_path):
     cfg = tmp_path / "prune.cfg"
-    cfg.write_text("eps = 0.05\nkappa_eff = 20\nalpha_log_const = 3\nhop_cap = 7\n")
+    cfg.write_text("eps = 0.05\nkappa_eff = 20\nalpha_log_const = 3\n")
     args = _build_parser().parse_args(
         ["compare", "--in", "inst.txt", "--eps", "0.1", "--k", "2",
          "--builders", "prune", "--config", str(cfg), "--kappa-eff", "5"]
     )
     p = _prune_params_from_args(args)
     assert p.kappa_eff == 5.0  # flag beats file
-    assert p.eps == 0.1 and p.iterations == 2  # --eps and --k beat file
-    assert p.alpha_log_const == 3.0 and p.hop_cap == 7  # file-only keys survive
+    assert p.eps == 0.1  # --eps beats file
+    assert p.alpha_log_const == 3.0  # file-only keys survive
     assert p.kappa == 1.0e4  # untouched default
+
+
+def test_build_rejects_non_finite_eps(tmp_path):
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "30", "--seed", "1",
+          "--out", inst])
+    for eps in ("nan", "inf"):
+        assert main(["build", "--builder", "greedy", "--eps", eps, "--in", inst,
+                     "--out", str(tmp_path / "g.edges")]) == 2
+    assert not os.path.exists(tmp_path / "g.edges")
 
 
 def test_missing_input_is_io_error(tmp_path):

@@ -11,6 +11,7 @@ from spanner_forge.graph import (
     GraphError,
     SpannerGraph,
     TooLarge,
+    bounded_dijkstra,
     brute_force_optimal,
     emst_weight,
     metrics,
@@ -29,7 +30,7 @@ from spanner_forge.instances import (
     gen_sparsity_lb_x,
 )
 
-from conftest import int_grid, random_points
+from conftest import int_grid, random_points, validate_weights
 
 
 def floyd_warshall(n, edges):
@@ -220,12 +221,55 @@ def test_metrics_greedy_random():
     assert rep.lightness >= 1.0
 
 
+def dijkstra_greedy(X, t):
+    """Path greedy with one bounded Dijkstra per pair on the growing graph."""
+    iu, iv, w = _sorted_pairs(X)
+    adj = [[] for _ in range(X.n)]
+    edges = []
+    for k in range(len(w)):
+        u, v, wk = int(iu[k]), int(iv[k]), float(w[k])
+        if v in bounded_dijkstra(adj, u, t * wk * (1.0 + GREEDY_RTOL), v):
+            continue
+        edges.append((u, v, wk))
+        adj[u].append((v, wk))
+        adj[v].append((u, wk))
+    return edges
+
+
 def test_path_greedy_modes_agree_and_deterministic():
     X = random_points(40, 2, 15)
-    g1 = path_greedy(X, 1.25, mode="matrix")
-    g2 = path_greedy(X, 1.25, mode="dijkstra")
-    g3 = path_greedy(X, 1.25, mode="matrix")
-    assert g1.edge_set() == g2.edge_set() == g3.edge_set()
+    g1 = path_greedy(X, 1.25)
+    g2 = path_greedy(X, 1.25)
+    assert g1.edges == dijkstra_greedy(X, 1.25) == g2.edges
+
+
+def line(n):
+    return PointSet(np.arange(float(n)).reshape(n, 1))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_path_greedy_rejects_non_finite_stretch(t):
+    with pytest.raises(GraphError):
+        path_greedy(line(30), t)
+
+
+def test_path_greedy_meta_same_for_tiny_inputs():
+    want = {"t": 1.5, "builder": "path_greedy"}
+    assert path_greedy(line(1), 1.5).meta == path_greedy(line(2), 1.5).meta == want
+
+
+def test_path_greedy_refuses_matrix_beyond_physical_memory(monkeypatch):
+    # 4 pages of 4 KiB: a 20-point line needs 28 * 20^2 = 11200 bytes and
+    # fits; a 30-point line needs 25200 and does not
+    pages = {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr("os.sysconf", lambda name: pages[name])
+    assert len(path_greedy(line(20), 1.1).edges) == 19
+    monkeypatch.setattr(
+        "spanner_forge.graph._sorted_pairs",
+        lambda X: pytest.fail("allocated before the memory check"),
+    )
+    with pytest.raises(TooLarge):
+        path_greedy(line(30), 1.1)
 
 
 def full_update_greedy(X, t):
@@ -269,7 +313,7 @@ def full_update_greedy(X, t):
 )
 def test_path_greedy_matrix_matches_full_update(make, t):
     X = make()
-    assert path_greedy(X, t, mode="matrix").edges == full_update_greedy(X, t)
+    assert path_greedy(X, t).edges == full_update_greedy(X, t)
 
 
 def test_brute_force_collinear():
@@ -367,13 +411,4 @@ def test_spanner_graph_invariants():
         SpannerGraph(2, [(0, 5, 1.0)])
     X = square_corners()
     G = SpannerGraph.from_pairs(X, [(0, 1)])
-    G.validate_weights(X)
-
-
-def test_verify_stretch_worker_count_invariant(monkeypatch):
-    X = random_points(180, 2, 19)
-    G = path_greedy(X, 1.4)
-    base = verify_stretch(G, X, workers=1)
-    assert verify_stretch(G, X, workers=4) == base
-    monkeypatch.setenv("SPANNER_FORGE_THREADS", "3")
-    assert verify_stretch(G, X) == base
+    validate_weights(G, X)

@@ -6,8 +6,6 @@ import pytest
 from spanner_forge.geom import PointSet
 from spanner_forge.graph import SpannerGraph, path_greedy, shortest_dist, verify_stretch
 from spanner_forge.nets import (
-    NetHierarchy,
-    approximate_edge,
     build_cluster_graph,
     build_hierarchy,
     build_net_tree_spanner,
@@ -15,22 +13,7 @@ from spanner_forge.nets import (
     cross_radius_const,
 )
 
-from conftest import random_points
-
-
-def brute_check_hierarchy(H: NetHierarchy):
-    c = H.points.coords
-    for i, members in enumerate(H.levels):
-        r = 2.0**i
-        pts = c[members]
-        if len(members) > 1:
-            d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-            np.fill_diagonal(d, np.inf)
-            assert d.min() > r * (1 - 1e-9), f"separation fails at level {i}"
-        if i > 0:
-            prev = c[H.levels[i - 1]]
-            d = np.linalg.norm(prev[:, None, :] - pts[None, :, :], axis=2)
-            assert d.min(axis=1).max() <= r * (1 + 1e-9), f"covering fails at level {i}"
+from conftest import approximate_edge, check_invariants, random_points
 
 
 def test_hierarchy_two_points():
@@ -55,8 +38,7 @@ def test_hierarchy_collinear():
 def test_hierarchy_random_invariants():
     X = random_points(500, 2, 20)
     H = build_hierarchy(X)
-    H.check_invariants()
-    brute_check_hierarchy(H)
+    check_invariants(H)
     assert len(H.levels[-1]) == 1
     assert len(H.levels) <= math.ceil(math.log2(H.spread)) + 2
 
@@ -245,18 +227,6 @@ def test_cluster_graph_rejects_long_edges():
     G = SpannerGraph.from_pairs(X, pairs)
     with pytest.raises(Exception):
         build_cluster_graph(G, 0, 0.25)
-
-
-def test_dump_levels_format():
-    from spanner_forge.nets import dump_levels
-
-    X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [40.0, 0.0]]))
-    H = build_hierarchy(X)
-    text = dump_levels(H)
-    lines = text.splitlines()
-    assert lines[0].startswith("0: ")
-    assert len(lines) == len(H.levels)
-    assert lines[0].split(": ")[1] == "0 1 2"
 
 
 def test_cluster_dist_matches_bounded_hop_enumeration():

@@ -61,8 +61,6 @@ def test_params_validation():
         PruneParams(eps=0.1, delta=0.05)
     with pytest.raises(PruneError):
         PruneParams(eps=0.1, kappa=1.0)
-    with pytest.raises(PruneError):
-        PruneParams(eps=0.1, iterations=0)
     p = PruneParams(eps=0.1)
     assert p.kappa_used == 10.0
     assert PruneParams(eps=0.1, constant_mode="theoretical").kappa_used == 1e4
@@ -80,14 +78,13 @@ def test_params_theoretical_gate_warns():
 def test_params_config_file(tmp_path):
     path = tmp_path / "prune.cfg"
     path.write_text(
-        "eps = 0.05\nkappa = 5000\nconstant_mode = theoretical\niterations = 2\n"
+        "eps = 0.05\nkappa = 5000\nconstant_mode = theoretical\n"
         "# comment\nalpha = none\n"
     )
     p = PruneParams.from_config_file(path)
     assert p.eps == 0.05
     assert p.kappa == 5000
     assert p.constant_mode == "theoretical"
-    assert p.iterations == 2
     assert p.alpha is None
 
 
@@ -97,17 +94,14 @@ def test_params_config_file_round_trip(tmp_path):
         delta=0.07,
         kappa=5000.0,
         kappa_eff=12.5,
-        iterations=3,
         constant_mode="theoretical",
         alpha_log_const=2.5,
         logstar_const=0.75,
-        hop_cap=7,
     )
     path = tmp_path / "prune.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in p.to_dict().items()))
     q = PruneParams.from_config_file(path)
     assert q == p
-    assert type(q.iterations) is int and type(q.hop_cap) is int
     assert q.alpha is None
 
     # a field the parser has never heard of is read by its annotated type
@@ -119,7 +113,24 @@ def test_params_config_file_round_trip(tmp_path):
 
     e = Extended(eps=0.05, label="b", rounds=4, scale=None)
     path.write_text("".join(f"{k} = {v}\n" for k, v in e.to_dict().items()))
-    assert Extended.from_config_file(path) == e
+    f = Extended.from_config_file(path)
+    assert f == e and type(f.rounds) is int
+
+
+def test_params_iterations_keyword_is_ignored():
+    # greedy_prune's k sets the rounds; the keyword only warns
+    with pytest.warns(DeprecationWarning):
+        p = PruneParams(eps=0.1, iterations=3)
+    assert p == PruneParams(eps=0.1)
+    assert "iterations" not in p.to_dict()
+
+
+@pytest.mark.parametrize("key", ["iterations", "hop_cap"])
+def test_params_config_file_rejects_removed_keys(tmp_path, key):
+    path = tmp_path / "prune.cfg"
+    path.write_text(f"eps = 0.05\n{key} = 3\n")
+    with pytest.raises(PruneError, match="unknown key"):
+        PruneParams.from_config_file(path)
 
 
 def test_classify_two_point_instance():
