@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -163,16 +164,11 @@ _PRUNE_FLAGS = tuple(f.name for f in fields(PruneParams) if f.name != "eps")
 
 
 def _prune_params_from_args(args) -> PruneParams:
+    flags = {k: getattr(args, k) for k in _PRUNE_FLAGS if getattr(args, k, None) is not None}
+    flags["eps"] = args.eps
     if getattr(args, "config", None):
-        base = PruneParams.from_config_file(args.config).to_dict()
-    else:
-        base = {}
-    base["eps"] = args.eps
-    for name in _PRUNE_FLAGS:
-        val = getattr(args, name, None)
-        if val is not None:
-            base[name] = val
-    return PruneParams(**base)
+        return PruneParams.from_config_file(args.config, **flags)
+    return PruneParams(**flags)
 
 
 def _build_spanner(name: str, X: PointSet, args, witness_pairs=None) -> SpannerGraph:
@@ -380,15 +376,10 @@ def _config_of(args) -> ExperimentConfig:
 
 def _add_prune_flags(p) -> None:
     p.add_argument("--config", help="key=value file with pruning parameters")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--kappa-eff", dest="kappa_eff", type=float)
-    p.add_argument(
-        "--constant-mode", dest="constant_mode", choices=["practical", "theoretical"]
-    )
-    p.add_argument("--alpha-log-const", dest="alpha_log_const", type=float)
-    p.add_argument("--logstar-const", dest="logstar_const", type=float)
+    for name in _PRUNE_FLAGS:
+        convert = functools.partial(PruneParams.convert, name)
+        convert.__name__ = name  # argparse names it in "invalid <name> value"
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=convert)
 
 
 def _build_parser() -> argparse.ArgumentParser:

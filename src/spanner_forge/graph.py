@@ -26,6 +26,8 @@ from .geom import GEOM_RTOL, PointSet
 GREEDY_RTOL = 1e-12
 
 VERIFY_N_MAX = 5000
+# Largest point count brute_force_optimal accepts.
+ORACLE_N_MAX = 10
 
 
 class GraphError(ValueError):
@@ -365,7 +367,6 @@ def brute_force_optimal(
     X: PointSet,
     eps: float,
     objective: str = "min_edges",
-    limit_n: int = 10,
 ) -> SpannerGraph:
     """Exact optimal (1+eps)-spanner for tiny point sets.
 
@@ -375,11 +376,11 @@ def brute_force_optimal(
     distance matrix incrementally and exclude branches recheck
     feasibility of what remains.  ``objective`` is "min_edges" or
     "min_weight"; ties break toward the lexicographically smallest edge
-    set.  Raises TooLarge above ``limit_n`` points.
+    set.  Raises TooLarge above :data:`ORACLE_N_MAX` points.
     """
     n = X.n
-    if n > limit_n:
-        raise TooLarge(f"n={n} exceeds oracle limit {limit_n}")
+    if n > ORACLE_N_MAX:
+        raise TooLarge(f"n={n} exceeds oracle limit {ORACLE_N_MAX}")
     if objective not in ("min_edges", "min_weight"):
         raise GraphError(f"unknown objective {objective!r}")
     t = 1.0 + eps

@@ -182,12 +182,10 @@ def solve_arc_angle(eps: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _arc_points(eps: float, beta: float, alpha: float, fill_spacing=None):
+def _arc_points(eps: float, beta: float, alpha: float):
     """Equally spaced angles on [0, alpha+beta] with anchors landing
     exactly and the third segment an exact rotated copy of the first."""
-    h_target = fill_spacing if fill_spacing is not None else min(
-        eps**1.5, (beta - alpha) / 64.0
-    )
+    h_target = min(eps**1.5, (beta - alpha) / 64.0)
     m1 = max(1, math.ceil(alpha / h_target))
     h1 = alpha / m1
     m2 = max(1, math.ceil((beta - alpha) / h_target))
@@ -199,7 +197,7 @@ def _arc_points(eps: float, beta: float, alpha: float, fill_spacing=None):
     return np.array(thetas), anchors, (m1, m2)
 
 
-def gen_lightness_lb(eps: float, fill_spacing: float | None = None) -> GeneratedInstance:
+def gen_lightness_lb(eps: float) -> GeneratedInstance:
     """Circular-arc instance separating greedy from the lightest spanner.
 
     Points equally spaced on a unit-radius arc of angle alpha+beta with
@@ -212,7 +210,7 @@ def gen_lightness_lb(eps: float, fill_spacing: float | None = None) -> Generated
         raise ConstructionDegenerate("eps must lie in (0, 0.05]")
     beta = solve_arc_angle(eps)
     alpha = beta / 10.0
-    thetas, anchors, (m1, m2) = _arc_points(eps, beta, alpha, fill_spacing)
+    thetas, anchors, (m1, m2) = _arc_points(eps, beta, alpha)
     pts = np.column_stack([np.cos(thetas), np.sin(thetas)])
     n = len(thetas)
     witness = [(i, i + 1) for i in range(n - 1)]
@@ -234,7 +232,7 @@ def gen_lightness_lb(eps: float, fill_spacing: float | None = None) -> Generated
     return GeneratedInstance(PointSet(pts), witness, meta)
 
 
-def gen_lightness_lb_x(eps: float, x: float, fill_spacing: float | None = None) -> GeneratedInstance:
+def gen_lightness_lb_x(eps: float, x: float) -> GeneratedInstance:
     """Relaxed-stretch arc instance with a chord hierarchy witness.
 
     The arc uses x*eps in place of eps (angle beta_x), so the greedy
@@ -249,7 +247,7 @@ def gen_lightness_lb_x(eps: float, x: float, fill_spacing: float | None = None) 
         raise ConstructionDegenerate("x*eps too large for the construction")
     beta = solve_arc_angle(x * eps)
     alpha = beta / 10.0
-    thetas, anchors, (m1, m2) = _arc_points(eps, beta, alpha, fill_spacing)
+    thetas, anchors, (m1, m2) = _arc_points(eps, beta, alpha)
     pts = np.column_stack([np.cos(thetas), np.sin(thetas)])
     n = len(thetas)
     span = alpha + beta

@@ -167,26 +167,24 @@ def build_cluster_graph(
     i: int,
     eps: float,
     contract: bool = False,
-    n: int | None = None,
 ) -> ClusterGraph:
     """Cluster graph at scale 2^i over a graph of shorter edges.
 
     Greedy cover by radius eps*2^i balls in the graph metric, scanning
     points in index order; inter edges join centers at graph distance at
     most 2^i, plus bridges through existing edges between clusters.
-    With ``contract``, edges of weight at most 2^i * eps^2 / n are
-    collapsed first and the cover is built on the quotient, whose
-    source distances undercut the uncontracted ones by at most
-    2^i * eps^2 along any simple path.
+    With ``contract``, edges of weight at most 2^i * eps^2 / n (n the
+    graph's point count) are collapsed first and the cover is built on
+    the quotient, whose source distances undercut the uncontracted ones
+    by at most 2^i * eps^2 along any simple path.
     """
     scale = 2.0**i
     for _, _, w in G_below.edges:
         if w >= scale * (1.0 + GEOM_RTOL):
             raise GraphError(f"edge of weight {w} >= scale {scale}")
-    npts = n if n is not None else G_below.n
     rep = list(range(G_below.n))
     if contract:
-        thr = scale * eps * eps / npts
+        thr = scale * eps * eps / G_below.n
         uf = _UnionFind(G_below.n)
         for u, v, w in G_below.edges:
             if w <= thr * (1.0 + GEOM_RTOL):

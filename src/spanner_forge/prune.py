@@ -28,6 +28,13 @@ _RTOL = 1e-12
 
 # Ratio of the geometric length buckets (weights in [BETA^j, BETA^{j+1})).
 BETA = 1.01
+# Sparsity update after a round: alpha -> max(ALPHA_LOG_CONST * ln(alpha), 4).
+ALPHA_LOG_CONST = 4.0
+# Small-eps gate of the theoretical constants:
+# eps * 2^(LOGSTAR_CONST * log*(d/eps)) < kappa^-5.
+LOGSTAR_CONST = 1.0
+# kappa when PruneParams leaves it unset, per constant mode.
+DEFAULT_KAPPA = {"practical": 10.0, "theoretical": 1.0e4}
 
 
 class PruneError(GraphError):
@@ -63,12 +70,15 @@ def delta_growth(kappa: float, delta: float) -> float:
 class PruneParams:
     """All knobs of the pruning pipeline.
 
-    ``constant_mode`` chooses between the analysis constants
-    ("theoretical", kappa = 1e4 by default) and desk-scale ones
-    ("practical", kappa_eff = 10).  The proven stretch/size guarantees
-    attach only to the theoretical constants; practical mode makes the
-    pruning observable on small instances.  Length buckets have the
-    fixed ratio :data:`BETA`.
+    ``kappa`` is the one constant of the construction: phase 1 prunes at
+    thresholds alpha/(2^i kappa) and phase 2 accepts detours up to
+    (1 + kappa^2 delta).  Left unset it resolves by ``constant_mode``:
+    the analysis constant 1e4 in "theoretical" mode, to which the proven
+    stretch/size guarantees attach, and 10 in "practical" mode, which
+    makes the pruning observable on small instances.  The update
+    constant :data:`ALPHA_LOG_CONST`, the gate constant
+    :data:`LOGSTAR_CONST` and the bucket ratio :data:`BETA` are fixed.
+    Every value must be finite; ``alpha`` must be positive.
 
     The number of rounds is ``greedy_prune``'s ``k``.  The keyword
     ``iterations`` is still accepted so that existing callers keep
@@ -78,11 +88,8 @@ class PruneParams:
     eps: float
     delta: float | None = None  # defaults to eps
     alpha: float | None = None  # defaults to eps^(-2 d) when the dimension is known
-    kappa: float = 1.0e4
-    kappa_eff: float = 10.0
+    kappa: float | None = None  # defaults to DEFAULT_KAPPA[constant_mode]
     constant_mode: str = "practical"  # "practical" | "theoretical"
-    alpha_log_const: float = 4.0
-    logstar_const: float = 1.0
     iterations: InitVar[int | None] = None
 
     def __post_init__(self, iterations):
@@ -92,18 +99,22 @@ class PruneParams:
                 DeprecationWarning,
                 stacklevel=3,
             )
+        if self.constant_mode not in DEFAULT_KAPPA:
+            raise PruneError(f"unknown constant mode {self.constant_mode!r}")
+        if self.kappa is None:
+            self.kappa = DEFAULT_KAPPA[self.constant_mode]
+        for name in ("eps", "delta", "alpha", "kappa"):
+            val = getattr(self, name)
+            if val is not None and not math.isfinite(val):
+                raise PruneError(f"{name} must be finite, got {val}")
         if not 0.0 < self.eps:
             raise PruneError("eps must be positive")
         if self.delta is not None and self.delta < self.eps * (1.0 - _RTOL):
             raise PruneError("delta must be at least eps")
-        if self.kappa < 2 or self.kappa_eff < 2:
+        if self.alpha is not None and not 0.0 < self.alpha:
+            raise PruneError("alpha must be positive")
+        if self.kappa < 2:
             raise PruneError("kappa must be at least 2")
-        if self.constant_mode not in ("practical", "theoretical"):
-            raise PruneError(f"unknown constant mode {self.constant_mode!r}")
-
-    @property
-    def kappa_used(self) -> float:
-        return self.kappa_eff if self.constant_mode == "practical" else self.kappa
 
     @property
     def delta_value(self) -> float:
@@ -118,7 +129,7 @@ class PruneParams:
         """Sanity gate for theoretical constants; warns when violated."""
         if self.constant_mode != "theoretical":
             return True
-        lhs = self.eps * 2.0 ** (self.logstar_const * log_star(dim / self.eps))
+        lhs = self.eps * 2.0 ** (LOGSTAR_CONST * log_star(dim / self.eps))
         ok = lhs < self.kappa ** (-5.0)
         if not ok:
             warnings.warn(
@@ -132,9 +143,20 @@ class PruneParams:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
-    def from_config_file(cls, path) -> "PruneParams":
-        """Parse a key=value text file into parameters."""
-        kinds = typing.get_type_hints(cls)
+    def convert(cls, name: str, text: str):
+        """Parse a value of field ``name`` by its annotated type; "none"
+        clears an optional field."""
+        hint = typing.get_type_hints(cls)[name]
+        # an optional field's annotation is "<type> | None"
+        kind, *rest = typing.get_args(hint) or (hint,)
+        if rest and text.lower() == "none":
+            return None
+        return kind(text)
+
+    @classmethod
+    def from_config_file(cls, path, **overrides) -> "PruneParams":
+        """Parse a key=value text file into parameters; keyword
+        ``overrides`` beat the file's values."""
         names = {f.name for f in fields(cls)}
         raw: dict = {}
         with open(path, "r", encoding="utf-8") as fh:
@@ -147,13 +169,8 @@ class PruneParams:
                 key, val = (p.strip() for p in line.split("=", 1))
                 if key not in names:
                     raise PruneError(f"{path}: line {lineno}: unknown key {key!r}")
-                # an optional field's annotation is "<type> | None"
-                kind, *rest = typing.get_args(kinds[key]) or (kinds[key],)
-                if rest and val.lower() == "none":
-                    raw[key] = None
-                else:
-                    raw[key] = kind(val)
-        return cls(**raw)
+                raw[key] = cls.convert(key, val)
+        return cls(**{**raw, **overrides})
 
 
 @dataclass
@@ -298,7 +315,7 @@ def phase1(
         classification = classify_edges(X, E, eps)
     type1, _ = classification
     factor = 1.0 + eps
-    kappa = params.kappa_used
+    kappa = params.kappa
     alpha = params.alpha_value(X.dim)
     coords = X.coords
     dist = _pairwise_distances(coords)
@@ -415,14 +432,18 @@ def phase2(
     increasing weight (ties lexicographic): an edge is dropped when its
     endpoints are already connected within (1+kappa^2 delta) times its
     length, otherwise it is kept and one helper edge joining its two
-    waist regions is added.  ``dist_backend`` is "exact" (Dijkstra on
-    the growing graph) or "clusters" (bounded-hop cluster-graph queries
-    with the widened acceptance threshold).
+    waist regions is added.  ``dist_backend`` chooses the distance
+    query: "exact" runs Dijkstra on the growing graph; "clusters" asks a
+    bounded-hop cluster graph at scale 2^i, i = floor(log2 w), rebuilt
+    from the shorter kept edges whenever i changes (the scan is sorted
+    by weight, so each scale is one run), and accepts a detour d when
+    d + eps^2 2^i is within (1+eps)(1+kappa^2 delta) times the length.
     """
+    if dist_backend not in ("exact", "clusters"):
+        raise PruneError(f"unknown distance backend {dist_backend!r}")
+    exact = dist_backend == "exact"
     eps = params.eps
     _, type2 = classification
-    kappa = params.kappa_used
-    delta = params.delta_value
     coords = X.coords
     new_pairs = set(map(tuple, E1.meta.get("new_pairs", [])))
     weights = {(u, v): w for u, v, w in E1.edges}
@@ -434,67 +455,47 @@ def phase2(
     kept_edges = {p: w for p, w in weights.items() if p not in type2 or p in new_pairs}
     report = PhaseReport(phase=2, type2_total=len(type2_old))
     added_pairs = set(new_pairs)
+    thr_mult = 1.0 + params.kappa * params.kappa * params.delta_value
+    if not exact:
+        thr_mult = (1.0 + eps) * thr_mult
+    adj = F = None  # the exact backend's adjacency, the clusters backend's graph
+    if exact:
+        adj = SpannerGraph(X.n, [(a, b, w) for (a, b), w in kept_edges.items()]).adjacency
 
-    def add_edge(adjacency, a, b, w):
-        adjacency[a].append((b, w))
-        adjacency[b].append((a, w))
+    def keep(a, b, w):
+        # a kept edge joins the output and the distance query's graph
+        kept_edges[(a, b)] = w
+        if exact:
+            adj[a].append((b, w))
+            adj[b].append((a, w))
+        else:
+            F.add_bridge(a, b, w)
 
-    if dist_backend == "exact":
-        adj = [[] for _ in range(X.n)]
-        for (a, b), w in kept_edges.items():
-            add_edge(adj, a, b, w)
-        thr_mult = 1.0 + kappa * kappa * delta
-        for w, u, v in type2_old:
-            limit = thr_mult * w * (1.0 + _RTOL)
-            d = bounded_dijkstra(adj, u, limit, v).get(v, math.inf)
-            if d <= limit:
-                report.type2_dropped += 1
-                report.measured_delta = max(report.measured_delta, d / w - 1.0)
-                continue
-            report.type2_kept += 1
-            kept_edges[(u, v)] = w
-            add_edge(adj, u, v, w)
-            hk = _exact_helper(coords, u, v, eps)
-            if hk not in kept_edges:
-                hw = float(np.linalg.norm(coords[hk[0]] - coords[hk[1]]))
-                kept_edges[hk] = hw
-                add_edge(adj, hk[0], hk[1], hw)
-                report.helpers_added += 1
-                added_pairs.add(hk)
-    elif dist_backend == "clusters":
-        thr_mult = (1.0 + eps) * (1.0 + kappa * kappa * delta)
-        by_scale: dict = {}
-        for w, u, v in type2_old:
-            by_scale.setdefault(int(math.floor(math.log2(w))), []).append((w, u, v))
-        for i in sorted(by_scale):
-            scale = 2.0**i
-            below = [
-                (a, b, w)
-                for (a, b), w in kept_edges.items()
-                if w < scale * (1.0 - _RTOL)
-            ]
-            F = build_cluster_graph(
-                SpannerGraph(X.n, below), i, eps, contract=True, n=X.n
-            )
-            slack = eps * eps * scale
-            for w, u, v in sorted(by_scale[i]):
-                d = cluster_dist(F, u, v)
-                if d + slack <= thr_mult * w * (1.0 + _RTOL):
-                    report.type2_dropped += 1
-                    report.measured_delta = max(report.measured_delta, d / w - 1.0)
-                    continue
-                report.type2_kept += 1
-                kept_edges[(u, v)] = w
-                F.add_bridge(u, v, w)
-                hk = _exact_helper(coords, u, v, eps)
-                if hk not in kept_edges:
-                    hw = float(np.linalg.norm(coords[hk[0]] - coords[hk[1]]))
-                    kept_edges[hk] = hw
-                    F.add_bridge(hk[0], hk[1], hw)
-                    report.helpers_added += 1
-                    added_pairs.add(hk)
-    else:
-        raise PruneError(f"unknown distance backend {dist_backend!r}")
+    for w, u, v in type2_old:
+        limit = thr_mult * w * (1.0 + _RTOL)
+        if exact:
+            d, slack = bounded_dijkstra(adj, u, limit, v).get(v, math.inf), 0.0
+        else:
+            i = int(math.floor(math.log2(w)))
+            if F is None or F.level != i:
+                below = [
+                    (a, b, wab)
+                    for (a, b), wab in kept_edges.items()
+                    if wab < 2.0**i * (1.0 - _RTOL)
+                ]
+                F = build_cluster_graph(SpannerGraph(X.n, below), i, eps, contract=True)
+            d, slack = cluster_dist(F, u, v), eps * eps * 2.0**i
+        if d + slack <= limit:
+            report.type2_dropped += 1
+            report.measured_delta = max(report.measured_delta, d / w - 1.0)
+            continue
+        report.type2_kept += 1
+        keep(u, v, w)
+        hk = _exact_helper(coords, u, v, eps)
+        if hk not in kept_edges:
+            keep(*hk, float(np.linalg.norm(coords[hk[0]] - coords[hk[1]])))
+            report.helpers_added += 1
+            added_pairs.add(hk)
     E2 = SpannerGraph(
         X.n,
         [(u, v, w) for (u, v), w in kept_edges.items()],
@@ -507,12 +508,12 @@ def update_params(params: PruneParams) -> PruneParams:
     """Parameter update after one pruning iteration.
 
     The stretch bound grows by the documented three-factor product and
-    the sparsity bound drops to max(alpha_log_const * ln(alpha), 4).
+    the sparsity bound drops to max(ALPHA_LOG_CONST * ln(alpha), 4).
     """
     if params.alpha is None:
         raise PruneError("alpha must be resolved before updating")
-    nd = delta_growth(params.kappa_used, params.delta_value)
-    na = max(params.alpha_log_const * math.log(params.alpha), 4.0)
+    nd = delta_growth(params.kappa, params.delta_value)
+    na = max(ALPHA_LOG_CONST * math.log(params.alpha), 4.0)
     return replace(params, delta=nd, alpha=na)
 
 

@@ -226,7 +226,7 @@ def test_criterion5_prune_validity():
             params = PruneParams(eps=eps, constant_mode="practical")
             out, reports = greedy_prune(X, eps, k, params=params, seed_spanner=seed)
             ms, _ = verify_stretch(out, X)
-            bound = 1 + (params.kappa_eff + 1) ** (2 * k) * eps
+            bound = 1 + (params.kappa + 1) ** (2 * k) * eps
             good = ms <= bound + 1e-9 and all(r.reconciles() for r in reports)
             details.append(f"{name} k={k}: stretch={ms:.3f}<={bound:.3f} ok={good}")
             ok &= good
@@ -245,7 +245,7 @@ def test_criterion6_prune_effectiveness_documented():
     target_met = ratio <= 0.25 and ms <= 1 + 10 * eps + 1e-9
     # fallback demanded by the criterion: criterion-5 validity plus a
     # written report of the shortfall
-    bound5 = 1 + (params.kappa_eff + 1) ** 2 * eps
+    bound5 = 1 + (params.kappa + 1) ** 2 * eps
     valid = ms <= bound5 + 1e-9 and all(r.reconciles() for r in reports)
     os.makedirs(ARTIFACTS, exist_ok=True)
     path = os.path.join(ARTIFACTS, "criterion6_report.json")
@@ -401,7 +401,7 @@ def test_criterion9_cluster_oracle_sandwich():
         below = [(u, v, w) for u, v, w in S.edges if w < scale]
         GB = SpannerGraph(X.n, below)
         F = build_cluster_graph(GB, i, eps)
-        Fc = build_cluster_graph(GB, i, eps, contract=True, n=X.n)
+        Fc = build_cluster_graph(GB, i, eps, contract=True)
         slack = scale * eps * eps
         pairs = 0
         for _ in range(3000):

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spanner_forge.cli import (
     write_report,
 )
 from spanner_forge.geom import PointSet
+from spanner_forge.prune import PruneParams, delta_growth
 
 from conftest import random_points
 
@@ -143,16 +145,80 @@ def test_experiment_config_round_trip():
 
 def test_prune_flags_override_config_file(tmp_path):
     cfg = tmp_path / "prune.cfg"
-    cfg.write_text("eps = 0.05\nkappa_eff = 20\nalpha_log_const = 3\n")
+    cfg.write_text("eps = 0.05\nconstant_mode = theoretical\nkappa = 20\n")
     args = _build_parser().parse_args(
         ["compare", "--in", "inst.txt", "--eps", "0.1", "--k", "2",
-         "--builders", "prune", "--config", str(cfg), "--kappa-eff", "5"]
+         "--builders", "prune", "--config", str(cfg), "--constant-mode", "practical"]
     )
     p = _prune_params_from_args(args)
-    assert p.kappa_eff == 5.0  # flag beats file
+    assert p.constant_mode == "practical"  # flag beats file
     assert p.eps == 0.1  # --eps beats file
-    assert p.alpha_log_const == 3.0  # file-only keys survive
-    assert p.kappa == 1.0e4  # untouched default
+    assert p.kappa == 20.0  # file-only keys survive
+    assert p.delta is None  # untouched default
+
+
+def test_prune_mode_flag_resolves_default_kappa(tmp_path):
+    # the file's mode must not fix kappa before the flag's mode applies
+    cfg = tmp_path / "prune.cfg"
+    cfg.write_text("constant_mode = theoretical\n")
+    base = ["compare", "--in", "inst.txt", "--eps", "0.1", "--builders", "prune",
+            "--config", str(cfg)]
+    ap = _build_parser()
+    assert _prune_params_from_args(ap.parse_args(base)).kappa == 1e4
+    flagged = ap.parse_args(base + ["--constant-mode", "practical"])
+    assert _prune_params_from_args(flagged).kappa == 10.0
+    # the report records typed flag values
+    assert flagged.constant_mode == "practical"
+    assert ap.parse_args(base + ["--kappa", "20"]).kappa == 20.0
+
+
+def test_prune_flags_are_params_fields():
+    args = _build_parser().parse_args(
+        ["build", "--builder", "prune", "--eps", "0.1", "--in", "i", "--out", "o"]
+    )
+    other = {"command", "func", "builder", "eps", "x", "k", "infile", "witness",
+             "out", "config"}
+    assert set(vars(args)) - other == {f.name for f in fields(PruneParams)} - {"eps"}
+
+
+@pytest.mark.parametrize("flag", ["--kappa-eff", "--alpha-log-const", "--logstar-const"])
+def test_removed_prune_flags_exit_2(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--in", "inst.txt", "--eps", "0.1", "--builders", "prune",
+              flag, "5"])
+    assert exc.value.code == 2
+
+
+def test_kappa_flag_reaches_pipeline(tmp_path, monkeypatch):
+    # practical mode used to replace an explicit kappa by its own 10
+    seen = []
+
+    def spy(kappa, delta):
+        seen.append(kappa)
+        return delta_growth(kappa, delta)
+
+    monkeypatch.setattr("spanner_forge.prune.delta_growth", spy)
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", inst])
+    assert main(["build", "--builder", "prune", "--eps", "0.1", "--k", "1",
+                 "--kappa", "20", "--in", inst, "--out", str(tmp_path / "p.edges")]) == 0
+    assert seen == [20.0]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--alpha", "0"], ["--delta", "nan"], ["--constant-mode", "bogus"]]
+)
+def test_bad_prune_values_exit_2_before_building(tmp_path, monkeypatch, flags):
+    def no_seed(*args, **kwargs):
+        raise AssertionError("seed built before the parameters were checked")
+
+    monkeypatch.setattr("spanner_forge.prune.path_greedy", no_seed)
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", inst])
+    out = tmp_path / "p.edges"
+    assert main(["build", "--builder", "prune", "--eps", "0.1", "--in", inst,
+                 "--out", str(out)] + flags) == 2
+    assert not out.exists()
 
 
 def test_build_rejects_non_finite_eps(tmp_path):

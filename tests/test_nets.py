@@ -205,7 +205,7 @@ def test_contracted_cluster_graph_deviation():
     below = [(u, v, w) for u, v, w in G.edges if w < 2.0**i]
     GB = SpannerGraph(X.n, below)
     F = build_cluster_graph(GB, i, eps, contract=False)
-    Fc = build_cluster_graph(GB, i, eps, contract=True, n=X.n)
+    Fc = build_cluster_graph(GB, i, eps, contract=True)
     thr = 2.0**i * eps * eps / X.n
     assert thr > 1.0  # short edges really are contracted
     assert any(r != u for u, r in enumerate(Fc.rep))

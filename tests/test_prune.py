@@ -62,9 +62,36 @@ def test_params_validation():
     with pytest.raises(PruneError):
         PruneParams(eps=0.1, kappa=1.0)
     p = PruneParams(eps=0.1)
-    assert p.kappa_used == 10.0
-    assert PruneParams(eps=0.1, constant_mode="theoretical").kappa_used == 1e4
+    assert p.kappa == 10.0
+    assert PruneParams(eps=0.1, constant_mode="theoretical").kappa == 1e4
+    # an explicit kappa is used in either mode
+    assert PruneParams(eps=0.1, kappa=20).kappa == 20.0
+    assert PruneParams(eps=0.1, kappa=20, constant_mode="theoretical").kappa == 20.0
     assert p.alpha_value(2) == pytest.approx(0.1**-4)
+    with pytest.raises(PruneError, match="constant mode"):
+        PruneParams(eps=0.1, constant_mode="bogus")
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        {"eps": math.inf},
+        {"delta": math.nan},
+        {"delta": math.inf},
+        {"alpha": math.nan},
+        {"alpha": math.inf},
+        {"alpha": 0.0},
+        {"alpha": -1.0},
+        {"kappa": math.nan},
+        {"kappa": math.inf},
+    ],
+    ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+)
+def test_params_reject_non_finite_and_non_positive(kw):
+    # a NaN delta or kappa would make phase 2 keep every type-2 edge
+    # and be carried into the next round by update_params
+    with pytest.raises(PruneError):
+        PruneParams(**{"eps": 0.1, **kw})
 
 
 def test_params_theoretical_gate_warns():
@@ -93,10 +120,7 @@ def test_params_config_file_round_trip(tmp_path):
         eps=0.05,
         delta=0.07,
         kappa=5000.0,
-        kappa_eff=12.5,
         constant_mode="theoretical",
-        alpha_log_const=2.5,
-        logstar_const=0.75,
     )
     path = tmp_path / "prune.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in p.to_dict().items()))
@@ -125,7 +149,9 @@ def test_params_iterations_keyword_is_ignored():
     assert "iterations" not in p.to_dict()
 
 
-@pytest.mark.parametrize("key", ["iterations", "hop_cap"])
+@pytest.mark.parametrize(
+    "key", ["iterations", "hop_cap", "kappa_eff", "alpha_log_const", "logstar_const"]
+)
 def test_params_config_file_rejects_removed_keys(tmp_path, key):
     path = tmp_path / "prune.cfg"
     path.write_text(f"eps = 0.05\n{key} = 3\n")
@@ -176,7 +202,7 @@ def test_phase1_prunes_biclique():
     assert rep.reconciles()
     # phase-1 stretch: every original endpoint pair stays within
     # (1+kappa*delta) of its length in E1
-    bound = 1.0 + params.kappa_used * params.delta_value
+    bound = 1.0 + params.kappa * params.delta_value
     for u, v, w in E.edges:
         assert shortest_dist(E1, u, v, cutoff=bound * w * 2) <= bound * w * (1 + 1e-9)
 
@@ -205,10 +231,11 @@ def test_phase2_noop_without_type2():
     assert rep.reconciles()
 
 
-def test_phase2_keep_drop_and_helper():
+@pytest.mark.parametrize("dist_backend", ["exact", "clusters"])
+def test_phase2_keep_drop_and_helper(dist_backend):
     # columns + bi-clique, middle points present but unconnected: the
     # first cross edge must be kept with helper (z, w); every later
-    # cross edge is dropped through it
+    # cross edge is dropped through it, with either distance backend
     X, meta = motivating_normalized(mid_x=(3.75, 6.25))
     xs, ys = meta["x_indices"], meta["y_indices"]
     zi, wi = meta["z_index"], meta["w_index"]
@@ -222,7 +249,7 @@ def test_phase2_keep_drop_and_helper():
     cls = classify_edges(X, E1, 0.01)
     _, type2 = cls
     assert {(a, b) for a in xs for b in ys} <= type2
-    E2, rep = phase2(X, E1, params, cls)
+    E2, rep = phase2(X, E1, params, cls, dist_backend=dist_backend)
     assert rep.type2_kept == 1
     assert rep.type2_dropped == len(xs) * len(ys) - 1
     assert rep.helpers_added == 1
@@ -233,6 +260,13 @@ def test_phase2_keep_drop_and_helper():
     w_len = X.dist(zi, wi)
     first_len = X.dist(xs[0], ys[0])
     assert w_len >= 0.2 * first_len
+
+
+def test_phase2_rejects_unknown_backend():
+    X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    E1 = SpannerGraph.from_pairs(X, [(0, 1)])
+    with pytest.raises(PruneError, match="bogus"):
+        phase2(X, E1, PruneParams(eps=0.1), (E1.edge_set(), set()), dist_backend="bogus")
 
 
 def test_phase2_inconsistent_classification_raises():
@@ -468,7 +502,7 @@ def _reference_phase1(X, E, params, classification):
     type1, _ = classification
     eps = params.eps
     factor = 1.0 + eps
-    kappa = params.kappa_used
+    kappa = params.kappa
     alpha = params.alpha_value(X.dim)
     coords = X.coords
     weights = {(u, v): w for u, v, w in E.edges}
