@@ -135,9 +135,9 @@ def write_report(report: dict, path) -> None:
     """Single-run reports are JSON; a list of row dicts becomes CSV."""
     path = str(path)
     if path.endswith(".csv"):
-        rows = report["rows"] if isinstance(report, dict) else report
+        rows = report.get("rows") if isinstance(report, dict) else report
         if not rows:
-            raise ValueError("no rows to write")
+            raise ValueError(f"{path}: a CSV report needs rows, this report has none")
         keys = list(rows[0].keys())
         with open(path, "w", newline="", encoding="ascii") as fh:
             w = csv.DictWriter(fh, fieldnames=keys)
@@ -163,9 +163,9 @@ def _meta_path(instance_path: str) -> str:
 _PRUNE_FLAGS = tuple(f.name for f in fields(PruneParams) if f.name != "eps")
 
 
-def _prune_params_from_args(args) -> PruneParams:
+def _prune_params_from_args(args, eps: float) -> PruneParams:
     flags = {k: getattr(args, k) for k in _PRUNE_FLAGS if getattr(args, k, None) is not None}
-    flags["eps"] = args.eps
+    flags["eps"] = eps
     if getattr(args, "config", None):
         return PruneParams.from_config_file(args.config, **flags)
     return PruneParams(**flags)
@@ -177,7 +177,7 @@ def _build_spanner(name: str, X: PointSet, args, witness_pairs=None) -> SpannerG
     if name == "net-tree":
         return build_net_tree_spanner(build_hierarchy(X), args.eps)
     if name == "prune":
-        params = _prune_params_from_args(args)
+        params = _prune_params_from_args(args, args.eps)
         out, _ = greedy_prune(X, args.eps, args.k, params=params)
         return out
     if name == "witness":
@@ -350,6 +350,16 @@ def _write_gnuplot(path, csv_path, ratio_kind) -> None:
 
 
 def _config_of(args) -> ExperimentConfig:
+    prune = {
+        k: getattr(args, k)
+        for k in _PRUNE_FLAGS + ("config",)
+        if getattr(args, k, None) is not None
+    }
+    if "prune" in (getattr(args, "builders", None) or []):
+        # the resolved fields do not depend on eps, so a sweep uses its first
+        eps = args.eps_list[0] if args.command == "sweep" else args.eps
+        prune.update(_prune_params_from_args(args, eps).to_dict())
+        del prune["eps"]
     return ExperimentConfig(
         command=args.command,
         instance=getattr(args, "infile", None),
@@ -366,11 +376,7 @@ def _config_of(args) -> ExperimentConfig:
         n_max=getattr(args, "n_max", VERIFY_N_MAX),
         force=getattr(args, "force", False),
         out=getattr(args, "out", None),
-        prune={
-            k: getattr(args, k)
-            for k in _PRUNE_FLAGS + ("config",)
-            if getattr(args, k, None) is not None
-        },
+        prune=prune,
     )
 
 

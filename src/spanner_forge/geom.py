@@ -67,7 +67,7 @@ class PointSet:
     back to input units.
     """
 
-    __slots__ = ("coords", "scale", "_min_dist", "_max_dist")
+    __slots__ = ("coords", "scale", "_min_dist", "_max_dist", "_dist")
 
     def __init__(self, coords, scale: float = 1.0):
         arr = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
@@ -85,6 +85,7 @@ class PointSet:
         self.scale = float(scale)
         self._min_dist = None
         self._max_dist = None
+        self._dist = None
 
     @property
     def n(self) -> int:
@@ -99,6 +100,18 @@ class PointSet:
 
     def dist(self, i: int, j: int) -> float:
         return float(np.linalg.norm(self.coords[i] - self.coords[j]))
+
+    def distances(self) -> np.ndarray:
+        """n x n Euclidean distances, built row by row on first use.
+
+        Row i is ``norm(coords - coords[i], axis=1)``.  The cached matrix
+        (8 n^2 bytes) is shared by every caller, so it is read-only.
+        """
+        if self._dist is None:
+            c = self.coords
+            self._dist = np.stack([np.linalg.norm(c - p, axis=1) for p in c])
+            self._dist.flags.writeable = False
+        return self._dist
 
     def _pairwise_extremes(self):
         if self._min_dist is None:

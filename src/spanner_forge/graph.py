@@ -384,8 +384,7 @@ def brute_force_optimal(
     if objective not in ("min_edges", "min_weight"):
         raise GraphError(f"unknown objective {objective!r}")
     t = 1.0 + eps
-    c = X.coords
-    wmat = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=2)
+    wmat = X.distances()
     target = t * wmat * (1.0 + GREEDY_RTOL)
     np.fill_diagonal(target, np.inf)
 
@@ -508,5 +507,7 @@ def read_edge_list(path, X: PointSet) -> SpannerGraph:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise GraphError(f"{path}: line {lineno}: bad index") from exc
+            if not (0 <= u < X.n and 0 <= v < X.n):
+                raise GraphError(f"{path}: line {lineno}: index out of range for n={X.n}")
             pairs.append((u, v))
     return SpannerGraph.from_pairs(X, pairs)

@@ -53,7 +53,7 @@ def build_hierarchy(X: PointSet) -> NetHierarchy:
         return NetHierarchy(X, [np.array([0])], {}, 1.0)
     if not X.is_normalized(rtol=1e-6):
         raise GeomError("hierarchy requires a normalized point set")
-    c = X.coords
+    D = X.distances()
     spread = X.spread()
     levels = [np.arange(X.n, dtype=np.int64)]
     parent: dict = {}
@@ -64,17 +64,14 @@ def build_hierarchy(X: PointSet) -> NetHierarchy:
         r = 2.0**level
         prev = levels[-1]
         chosen: list = []
-        for u in prev:
-            if not chosen:
-                chosen.append(int(u))
-                continue
-            d = np.linalg.norm(c[chosen] - c[u], axis=1)
-            if float(d.min()) > r:
-                chosen.append(int(u))
+        for u in prev.tolist():
+            if not chosen or float(D[u, chosen].min()) > r:
+                chosen.append(u)
         net = np.array(chosen, dtype=np.int64)
-        for u in prev:
-            d = np.linalg.norm(c[net] - c[u], axis=1)
-            parent[(int(u), level - 1)] = int(net[int(np.argmin(d))])
+        # net is ascending, so argmin's first minimum is the smallest index
+        closest = net[np.argmin(D[np.ix_(prev, net)], axis=1)]
+        for u, p in zip(prev.tolist(), closest.tolist()):
+            parent[(u, level - 1)] = p
         levels.append(net)
         if level > max_levels:  # pragma: no cover - safety net
             raise GeomError("hierarchy failed to converge")
@@ -90,14 +87,13 @@ def build_net_tree_spanner(H: NetHierarchy, eps: float) -> SpannerGraph:
     if not 0.0 < eps < 1.0:
         raise GeomError("eps must lie in (0, 1)")
     R = cross_radius_const(eps)
-    c = H.points.coords
+    D = H.points.distances()
     pairs = set()
     for i, members in enumerate(H.levels):
         if len(members) < 2:
             continue
         limit = R * H.radius(i)
-        pts = c[members]
-        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        d = D[np.ix_(members, members)]
         ii, jj = np.nonzero(np.triu(d <= limit, k=1))
         for a, b in zip(members[ii], members[jj]):
             u, v = (int(a), int(b)) if a < b else (int(b), int(a))

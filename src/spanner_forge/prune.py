@@ -215,12 +215,12 @@ def classify_edges(X: PointSet, E: SpannerGraph, eps: float):
     input points, type-1 otherwise.  A type-2 edge needs its two
     endpoints and one point in each waist region inside the ellipse, so
     an edge with fewer than four points within a slightly widened
-    ellipse (read from the pairwise distance matrix) is type-1 without
-    calling :func:`region_codes`.
+    ellipse (read from the shared matrix :meth:`PointSet.distances`) is
+    type-1 without calling :func:`region_codes`.
     """
     type1, type2 = set(), set()
     coords = X.coords
-    dist = _pairwise_distances(coords)
+    dist = X.distances()
     for u, v, _ in E.edges:
         # the 1e-9 slack exceeds region_codes' own BAND_TOL, so every
         # point it counts as inside the ellipse passes this filter
@@ -245,23 +245,13 @@ def _bucket(w: float, beta: float) -> int:
     return j
 
 
-def _pairwise_distances(coords) -> np.ndarray:
-    """n x n Euclidean distances; row i is ``norm(coords - coords[i])``.
-
-    Built row by row so every entry is bit for bit the row reduction
-    the pruning code computed per edge, and no n x n x d temporary is
-    allocated.
-    """
-    return np.stack([np.linalg.norm(coords - p, axis=1) for p in coords])
-
-
 def _exact_candidates(dist, live_edges, weights, min_len, factor):
     """Map (x, y) pairs to the live same-bucket edges they could replace.
 
     A pair qualifies for edge (s, t) when |sx|+|xy|+|yt| (either
     orientation) stays within factor*|st| and |xy| >= min_len.  All
     lengths are looked up in ``dist``, the matrix of
-    :func:`_pairwise_distances`.
+    :meth:`PointSet.distances`.
     """
     cand: dict = {}
     for (s, t) in live_edges:
@@ -303,7 +293,9 @@ def phase1(
     Returns the surviving graph (new pairs recorded in its meta) and a
     report.
 
-    Distances come from one :func:`_pairwise_distances` matrix.  Since
+    Candidate lengths come from the shared :meth:`PointSet.distances`
+    matrix, which ``classify_edges`` and later rounds reuse; the weights
+    of new pairs and the detours use per-pair norms.  Since
     ``live`` only shrinks and candidate pairs depend on geometry alone,
     no cover ever grows.  So the best pair is taken from a heap of
     cover sizes refreshed only when they reach the top, and a bucket
@@ -318,7 +310,7 @@ def phase1(
     kappa = params.kappa
     alpha = params.alpha_value(X.dim)
     coords = X.coords
-    dist = _pairwise_distances(coords)
+    dist = X.distances()
     weights = {(u, v): w for u, v, w in E.edges}
     buckets: dict = {}
     for (u, v), w in weights.items():
@@ -399,18 +391,18 @@ def phase1(
     return E1, report
 
 
-def _exact_helper(coords, u: int, v: int, eps: float):
-    codes = region_codes(coords[u], coords[v], coords, eps)
+def _exact_helper(X: PointSet, u: int, v: int, eps: float):
+    codes = region_codes(X.coords[u], X.coords[v], X.coords, eps)
     a_pts = np.nonzero(codes == Region.IN_A.value)[0]
     b_pts = np.nonzero(codes == Region.IN_B.value)[0]
     if len(a_pts) == 0 or len(b_pts) == 0:
         raise InternalInconsistency(
             f"kept type-2 edge ({u},{v}) has an empty witness region"
         )
-    pd = np.linalg.norm(coords[a_pts][:, None, :] - coords[b_pts][None, :, :], axis=2)
+    pd = X.distances()[np.ix_(a_pts, b_pts)]
     best = pd.max()
     # band geometry guarantees helpers at least a fifth of the edge
-    if best < 0.2 * float(np.linalg.norm(coords[u] - coords[v])):
+    if best < 0.2 * X.dist(u, v):
         raise InternalInconsistency(f"short helper candidate for edge ({u},{v})")
     cands = []
     ii, jj = np.nonzero(pd >= best * (1.0 - _RTOL))
@@ -444,7 +436,6 @@ def phase2(
     exact = dist_backend == "exact"
     eps = params.eps
     _, type2 = classification
-    coords = X.coords
     new_pairs = set(map(tuple, E1.meta.get("new_pairs", [])))
     weights = {(u, v): w for u, v, w in E1.edges}
     type2_old = sorted(
@@ -491,9 +482,9 @@ def phase2(
             continue
         report.type2_kept += 1
         keep(u, v, w)
-        hk = _exact_helper(coords, u, v, eps)
+        hk = _exact_helper(X, u, v, eps)
         if hk not in kept_edges:
-            keep(*hk, float(np.linalg.norm(coords[hk[0]] - coords[hk[1]])))
+            keep(*hk, X.dist(*hk))
             report.helpers_added += 1
             added_pairs.add(hk)
     E2 = SpannerGraph(

@@ -13,7 +13,6 @@ at the stated eps.
 
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -43,9 +42,6 @@ from spanner_forge.nets import (
 from spanner_forge.prune import PruneParams, delta_growth, greedy_prune
 
 from conftest import approximate_edge, check_invariants, lemma_sequence, random_points
-
-ARTIFACTS = os.path.join(os.path.dirname(__file__), "artifacts")
-
 
 def report(num, ok, detail):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -233,7 +229,7 @@ def test_criterion5_prune_validity():
     assert report(5, ok, "; ".join(details))
 
 
-def test_criterion6_prune_effectiveness_documented():
+def test_criterion6_prune_effectiveness_documented(tmp_path):
     eps = 0.01
     inst = gen_motivating(eps)
     X = normalize(inst.points)
@@ -247,8 +243,7 @@ def test_criterion6_prune_effectiveness_documented():
     # written report of the shortfall
     bound5 = 1 + (params.kappa + 1) ** 2 * eps
     valid = ms <= bound5 + 1e-9 and all(r.reconciles() for r in reports)
-    os.makedirs(ARTIFACTS, exist_ok=True)
-    path = os.path.join(ARTIFACTS, "criterion6_report.json")
+    path = tmp_path / "criterion6_report.json"
     with open(path, "w") as fh:
         json.dump(
             {
@@ -277,7 +272,7 @@ def test_criterion6_prune_effectiveness_documented():
         6,
         ok,
         f"ratio={ratio:.2f} (target 0.25), stretch={ms:.4f}; "
-        + ("target met" if target_met else f"shortfall documented in {os.path.relpath(path)}"),
+        + ("target met" if target_met else "shortfall") + f", report in {path}",
     )
 
 

@@ -136,6 +136,57 @@ def test_verify_refuses_above_cap(tmp_path):
                  "--n-max", "10", "--force"]) == 0
 
 
+def test_verify_csv_report_exits_2_without_writing(tmp_path):
+    # a verify report has no rows to put in a CSV file
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", inst])
+    edges = str(tmp_path / "g.edges")
+    main(["build", "--builder", "greedy", "--eps", "0.5", "--in", inst, "--out", edges])
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--in", inst, "--edges", edges, "--t", "1.5",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    with pytest.raises(ValueError, match="rows"):
+        write_report({"max_stretch": 1.0}, out)
+
+
+@pytest.mark.parametrize("line", ["0 30", "999 0"])
+def test_edge_index_out_of_range_exits_2(tmp_path, capsys, line):
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", inst])
+    edges = tmp_path / "bad.edges"
+    edges.write_text(f"0 1\n{line}\n")
+    assert main(["verify", "--in", inst, "--edges", str(edges), "--t", "1.5"]) == 2
+    assert "line 2" in capsys.readouterr().err
+    # a witness sidecar goes through the same reader
+    (tmp_path / "r.txt.witness").write_text(f"{line}\n")
+    assert main(["compare", "--in", inst, "--eps", "0.5", "--builders", "greedy"]) == 2
+
+
+def test_reports_record_resolved_prune_params(tmp_path):
+    cfg = tmp_path / "prune.cfg"
+    cfg.write_text("constant_mode = theoretical\n")
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", inst])
+    rep = tmp_path / "cmp.json"
+    main(["compare", "--in", inst, "--eps", "0.1", "--builders", "greedy,prune",
+          "--config", str(cfg), "--out", str(rep)])
+    assert json.loads(rep.read_text())["config"]["prune"] == {
+        "delta": None, "alpha": None, "kappa": 1e4, "constant_mode": "theoretical",
+        "config": str(cfg),
+    }
+    summary = tmp_path / "sweep.json"
+    main(["sweep", "--family", "random", "--n", "30", "--eps-list", "0.3,0.2",
+          "--builders", "greedy,prune", "--kappa", "20", "--summary-out", str(summary)])
+    assert json.loads(summary.read_text())["config"]["prune"] == {
+        "delta": None, "alpha": None, "kappa": 20.0, "constant_mode": "practical",
+    }
+    # without a prune builder a report records only the flags given
+    main(["compare", "--in", inst, "--eps", "0.1", "--builders", "greedy",
+          "--kappa", "20", "--out", str(rep)])
+    assert json.loads(rep.read_text())["config"]["prune"] == {"kappa": 20.0}
+
+
 def test_experiment_config_round_trip():
     cfg = ExperimentConfig(command="compare", eps=0.02, builders=["greedy"])
     d = cfg.to_dict()
@@ -150,7 +201,7 @@ def test_prune_flags_override_config_file(tmp_path):
         ["compare", "--in", "inst.txt", "--eps", "0.1", "--k", "2",
          "--builders", "prune", "--config", str(cfg), "--constant-mode", "practical"]
     )
-    p = _prune_params_from_args(args)
+    p = _prune_params_from_args(args, args.eps)
     assert p.constant_mode == "practical"  # flag beats file
     assert p.eps == 0.1  # --eps beats file
     assert p.kappa == 20.0  # file-only keys survive
@@ -164,9 +215,9 @@ def test_prune_mode_flag_resolves_default_kappa(tmp_path):
     base = ["compare", "--in", "inst.txt", "--eps", "0.1", "--builders", "prune",
             "--config", str(cfg)]
     ap = _build_parser()
-    assert _prune_params_from_args(ap.parse_args(base)).kappa == 1e4
+    assert _prune_params_from_args(ap.parse_args(base), 0.1).kappa == 1e4
     flagged = ap.parse_args(base + ["--constant-mode", "practical"])
-    assert _prune_params_from_args(flagged).kappa == 10.0
+    assert _prune_params_from_args(flagged, 0.1).kappa == 10.0
     # the report records typed flag values
     assert flagged.constant_mode == "practical"
     assert ap.parse_args(base + ["--kappa", "20"]).kappa == 20.0

@@ -18,7 +18,7 @@ from spanner_forge.geom import (
     region_of,
 )
 
-from conftest import lemma_sequence
+from conftest import lemma_sequence, random_points
 
 
 def test_normalize_uniform_scaling():
@@ -49,6 +49,30 @@ def test_normalize_errors():
         normalize(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         PointSet(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+
+def test_distances_cached_and_read_only():
+    X = random_points(20, 2, 5)
+    D = X.distances()
+    assert X.distances() is D
+    with pytest.raises(ValueError):
+        D[0, 1] = 5.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_distances_match_row_and_block_norms(d):
+    # the builders that now read the matrix computed these expressions
+    X = random_points(40, d, 10 + d)
+    c = X.coords
+    D = X.distances()
+    for i in range(X.n):
+        assert np.array_equal(D[i], np.linalg.norm(c - c[i], axis=1))
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        a = np.sort(rng.choice(X.n, 12, replace=False))
+        b = np.sort(rng.choice(X.n, 9, replace=False))
+        block = np.linalg.norm(c[a][:, None] - c[b][None], axis=2)
+        assert np.array_equal(D[np.ix_(a, b)], block)
 
 
 def test_angle_between_basics():

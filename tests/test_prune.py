@@ -313,6 +313,22 @@ def test_greedy_prune_rejects_unknown_backend_up_front(k, monkeypatch):
         greedy_prune(X, 0.1, k, dist_backend="bogus")
 
 
+def test_greedy_prune_builds_distances_once(monkeypatch):
+    # classification and phase 1 of both rounds share one matrix
+    builds, reads = [], []
+    original = PointSet.distances
+
+    def spy(self):
+        (builds if self._dist is None else reads).append(self)
+        return original(self)
+
+    monkeypatch.setattr(PointSet, "distances", spy)
+    X = random_points(60, 2, 36)
+    greedy_prune(X, 0.1, 2)
+    assert builds == [X]
+    assert len(reads) >= 3
+
+
 def test_greedy_prune_deterministic():
     X = random_points(80, 2, 35)
     out1, _ = greedy_prune(X, 0.1, 1)
@@ -395,7 +411,7 @@ def test_level_buckets_partition_old_edges():
 
 def test_phase1_candidate_map_matches_brute_force():
     # independent recomputation of |P_{x,y}| from the definition
-    from spanner_forge.prune import _bucket, _exact_candidates, _pairwise_distances
+    from spanner_forge.prune import _bucket, _exact_candidates
 
     X = random_points(40, 2, 38)
     E = path_greedy(X, 1.3)
@@ -410,8 +426,7 @@ def test_phase1_candidate_map_matches_brute_force():
     j = max(buckets, key=lambda b: len(buckets[b]))
     live = buckets[j]
     min_len = beta**j / 25.0
-    dist = _pairwise_distances(X.coords)
-    cand = _exact_candidates(dist, live, weights, min_len, 1.0 + eps)
+    cand = _exact_candidates(X.distances(), live, weights, min_len, 1.0 + eps)
     c = X.coords
     for x in range(X.n):
         for y in range(x + 1, X.n):
