@@ -12,6 +12,7 @@ import heapq
 import math
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -50,6 +51,40 @@ class RefusedTooLarge(GraphError):
     pass
 
 
+def _columns(rows, dtypes) -> list:
+    """One array per dtype: item j of every row, converted as ``int`` or
+    ``float`` would.  The rows are listed only while this runs."""
+    rows = list(rows)
+    return [np.fromiter(map(itemgetter(j), rows), dt, len(rows)) for j, dt in enumerate(dtypes)]
+
+
+def _ordered_pairs(n: int, u: np.ndarray, v: np.ndarray):
+    """Endpoints of the edges u[k]-v[k] as (min, max) arrays.
+
+    Raises :class:`GraphError` for the first bad edge in input order,
+    checking each edge for a self-loop, then an endpoint outside
+    [0, n), then an earlier edge on the same pair.
+    """
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    loop = u == v
+    out = ~loop & ((lo < 0) | (hi >= n))
+    bad = loop | out
+    key = np.where(bad, -1, lo * n + hi)
+    # a stable sort puts each pair's first occurrence first
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    bad[order[1:]] |= (ks[1:] == ks[:-1]) & (ks[1:] >= 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        a, b = int(lo[k]), int(hi[k])
+        if loop[k]:
+            raise GraphError(f"self-loop at vertex {a}")
+        if out[k]:
+            raise GraphError(f"edge ({a},{b}) out of range for n={n}")
+        raise GraphError(f"parallel edge ({a},{b})")
+    return lo, hi
+
+
 class SpannerGraph:
     """Weighted undirected graph on point indices.
 
@@ -61,33 +96,25 @@ class SpannerGraph:
 
     def __init__(self, n: int, edges, meta: dict | None = None):
         self.n = int(n)
-        seen = set()
-        norm = []
-        for u, v, w in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"edge ({u},{v}) out of range for n={self.n}")
-            if (u, v) in seen:
-                raise GraphError(f"parallel edge ({u},{v})")
-            seen.add((u, v))
-            norm.append((u, v, float(w)))
-        self.edges = norm
+        u, v, w = _columns(edges, (np.int64, np.int64, np.float64))
+        u, v = _ordered_pairs(self.n, u, v)
+        self.edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
         self._adj = None
         self._csr = None
         self.meta = dict(meta) if meta else {}
 
     @classmethod
     def from_pairs(cls, X: PointSet, pairs, meta: dict | None = None) -> "SpannerGraph":
-        """Build a graph over X; weights are the Euclidean distances."""
-        c = X.coords
-        edges = [
-            (u, v, float(np.linalg.norm(c[u] - c[v]))) for u, v in pairs
-        ]
-        return cls(X.n, edges, meta=meta)
+        """Build a graph over X; weights are the Euclidean distances.
+
+        The pairs are checked before any coordinate is read.
+        """
+        u, v = _ordered_pairs(X.n, *_columns(pairs, (np.int64, np.int64)))
+        diff = X.coords[u] - X.coords[v]
+        # vecdot runs the dot kernel np.linalg.norm uses on one vector, so each
+        # weight equals float(norm(c[u] - c[v])) bit for bit; norm(axis=1) does not
+        w = np.sqrt(np.vecdot(diff, diff))
+        return cls(X.n, zip(u.tolist(), v.tolist(), w.tolist()), meta=meta)
 
     def edge_set(self) -> frozenset:
         return frozenset((u, v) for u, v, _ in self.edges)

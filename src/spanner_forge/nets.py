@@ -79,27 +79,26 @@ def build_hierarchy(X: PointSet) -> NetHierarchy:
 
 
 def build_net_tree_spanner(H: NetHierarchy, eps: float) -> SpannerGraph:
-    """Union over levels of all cross edges, deduplicated.
+    """Union over levels of all cross edges.
 
     A cross edge at level i joins two level-i net points at distance at
-    most (4/eps + 32) * 2^i.
+    most (4/eps + 32) * 2^i.  Each level ORs its members' block of the
+    distance matrix, compared with that limit, into one n x n mask; the
+    edges are the mask's upper triangle, in (u, v) order.
     """
     if not 0.0 < eps < 1.0:
         raise GeomError("eps must lie in (0, 1)")
     R = cross_radius_const(eps)
     D = H.points.distances()
-    pairs = set()
+    cross = np.zeros(D.shape, dtype=bool)
     for i, members in enumerate(H.levels):
-        if len(members) < 2:
-            continue
-        limit = R * H.radius(i)
-        d = D[np.ix_(members, members)]
-        ii, jj = np.nonzero(np.triu(d <= limit, k=1))
-        for a, b in zip(members[ii], members[jj]):
-            u, v = (int(a), int(b)) if a < b else (int(b), int(a))
-            pairs.add((u, v))
+        block = np.ix_(members, members)
+        cross[block] |= D[block] <= R * H.radius(i)
+    u, v = np.nonzero(np.triu(cross, k=1))
     return SpannerGraph.from_pairs(
-        H.points, sorted(pairs), meta={"builder": "net_tree", "eps": eps, "radius_const": R}
+        H.points,
+        zip(u.tolist(), v.tolist()),
+        meta={"builder": "net_tree", "eps": eps, "radius_const": R},
     )
 
 

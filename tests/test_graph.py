@@ -412,3 +412,77 @@ def test_spanner_graph_invariants():
     X = square_corners()
     G = SpannerGraph.from_pairs(X, [(0, 1)])
     validate_weights(G, X)
+
+
+def loop_spanner_edges(n, edges):
+    """SpannerGraph's edge check as one pass over the edges: the reference
+    for its array form."""
+    seen = set()
+    norm = []
+    for u, v, w in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if u > v:
+            u, v = v, u
+        if not (0 <= u < v < n):
+            raise GraphError(f"edge ({u},{v}) out of range for n={n}")
+        if (u, v) in seen:
+            raise GraphError(f"parallel edge ({u},{v})")
+        seen.add((u, v))
+        norm.append((u, v, float(w)))
+    return norm
+
+
+def test_spanner_graph_errors_match_loop():
+    # a self-loop, one outside [0, n) at each end, a self-loop outside it,
+    # and the same pair twice; every order names the loop's first bad edge
+    bad = [(0, 1, 1.0), (2, 2, 1.0), (5, 1, 1.0), (-1, 3, 1.0), (7, 7, 1.0), (1, 0, 2.0)]
+    for edges in itertools.permutations(bad):
+        with pytest.raises(GraphError) as want:
+            loop_spanner_edges(4, edges)
+        with pytest.raises(GraphError) as got:
+            SpannerGraph(4, edges)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "wrap", [list, iter, lambda e: (x for x in e)], ids=["list", "iter", "gen"]
+)
+@pytest.mark.parametrize(
+    "edges",
+    [[], [(2, 0, 1), (np.int64(1), 3, np.float32(0.5)), (3.0, 0, "2.5"), (True, 2, 1.5)]],
+    ids=["empty", "mixed"],
+)
+def test_spanner_graph_inputs_match_loop(edges, wrap):
+    got = SpannerGraph(4, wrap(edges)).edges
+    assert got == loop_spanner_edges(4, edges)
+    assert all(tuple(map(type, e)) == (int, int, float) for e in got)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_from_pairs_weights_equal_pair_norms(d):
+    X = random_points(150, d, 40 + d)
+    c = X.coords
+    pairs = list(itertools.combinations(range(X.n), 2))
+    G = SpannerGraph.from_pairs(X, pairs)
+    assert G.edges == [(u, v, float(np.linalg.norm(c[u] - c[v]))) for u, v in pairs]
+
+
+class CoordsUnread:
+    """A 30-point stand-in for a PointSet whose coordinates must not be read."""
+
+    n = 30
+
+    @property
+    def coords(self):
+        pytest.fail("coordinates read before the range check")
+
+
+@pytest.mark.parametrize("pair", [(0, 999), (-1, 2)])
+def test_from_pairs_range_checks_before_reading_coordinates(pair):
+    msg = f"edge ({min(pair)},{max(pair)}) out of range for n=30"
+    for X in (CoordsUnread(), random_points(30, 2, 3)):
+        with pytest.raises(GraphError) as err:
+            SpannerGraph.from_pairs(X, [(0, 1), pair])
+        assert str(err.value) == msg

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spanner_forge.geom import PointSet
+from spanner_forge.geom import PointSet, normalize
 from spanner_forge.graph import SpannerGraph, path_greedy, shortest_dist, verify_stretch
 from spanner_forge.nets import (
     build_cluster_graph,
@@ -13,7 +13,9 @@ from spanner_forge.nets import (
     cross_radius_const,
 )
 
-from conftest import approximate_edge, check_invariants, random_points
+from spanner_forge.instances import gen_random
+
+from conftest import approximate_edge, check_invariants, int_grid, random_points
 
 
 def test_hierarchy_two_points():
@@ -73,6 +75,44 @@ def test_net_tree_spanner_grid_edge_count():
     # record the observed constant; the bound is eps^(-O(d)) * n
     print(f"net-tree grid 10x10, eps=0.25: {len(G.edges)} edges, {per_point:.1f}/point")
     assert per_point <= X.n  # sanity: never beyond the complete graph
+
+
+def loop_net_tree_edges(H, eps):
+    """Net-tree edges from a set of per-level cross pairs, one norm per
+    pair: the reference for build_net_tree_spanner's mask."""
+    R = cross_radius_const(eps)
+    D = H.points.distances()
+    pairs = set()
+    for i, members in enumerate(H.levels):
+        if len(members) < 2:
+            continue
+        d = D[np.ix_(members, members)]
+        ii, jj = np.nonzero(np.triu(d <= R * H.radius(i), k=1))
+        for a, b in zip(members[ii], members[jj]):
+            u, v = (int(a), int(b)) if a < b else (int(b), int(a))
+            pairs.add((u, v))
+    c = H.points.coords
+    return [(u, v, float(np.linalg.norm(c[u] - c[v]))) for u, v in sorted(pairs)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda d=d, n=n: random_points(n, d, 60 + d) for n in (60, 250) for d in (1, 2, 3, 4)]
+    + [
+        lambda: normalize(gen_random(300, 2, "clustered", 7).points),
+        lambda: int_grid(8, 2),
+        lambda: PointSet(np.zeros((1, 2))),
+        lambda: PointSet(np.array([[0.0, 0.0], [1.0, 0.0]])),
+    ],
+    ids=[f"uniform-d{d}-n{n}" for n in (60, 250) for d in (1, 2, 3, 4)]
+    + ["clustered-d2-n300", "grid8x8", "n1", "n2"],
+)
+def test_net_tree_spanner_matches_loop(make):
+    H = build_hierarchy(make())
+    for eps in (0.1, 0.5):
+        got = build_net_tree_spanner(H, eps).edges
+        assert got == loop_net_tree_edges(H, eps)
+        assert all(tuple(map(type, e)) == (int, int, float) for e in got)
 
 
 def test_approximate_edge_direct_cross_edge():
