@@ -15,6 +15,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -25,7 +26,6 @@ import numpy as np
 from .geom import PointSet, normalize
 from .graph import (
     MetricsReport,
-    RefusedTooLarge,
     SpannerGraph,
     VERIFY_N_MAX,
     metrics,
@@ -232,11 +232,7 @@ def _cmd_build(args) -> int:
 def _cmd_verify(args) -> int:
     X = normalize(parse_pointset(args.infile))
     G = read_edge_list(args.edges, X)
-    try:
-        ms, wit = verify_stretch(G, X, n_max=args.n_max, force=args.force)
-    except RefusedTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ms, wit = verify_stretch(G, X, n_max=args.n_max, force=args.force)
     ok = ms <= args.t + 1e-9
     report = {
         "config": _config_of(args).to_dict(),
@@ -407,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="build a spanner over an instance")
     b.add_argument("--builder", required=True, choices=["greedy", "net-tree", "prune", "witness"])
     b.add_argument("--eps", type=float, required=True)
-    b.add_argument("--x", type=float)
     b.add_argument("--k", type=int, default=1)
     b.add_argument("--in", dest="infile", required=True)
     b.add_argument("--witness")
@@ -455,9 +450,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Stretch bounds, eps and x: refused before any work when NaN or +-inf.
+_FINITE_FLAGS = ("t", "eps", "x", "eps_list", "x_list")
+
+
+def _check_finite(args) -> None:
+    for name in _FINITE_FLAGS:
+        value = getattr(args, name, None)
+        values = value if isinstance(value, list) else [value]
+        if any(v is not None and not math.isfinite(v) for v in values):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_finite(args)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ from operator import itemgetter
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .geom import GEOM_RTOL, PointSet
@@ -44,10 +45,6 @@ class Disconnected(GraphError):
 
 
 class TooLarge(GraphError):
-    pass
-
-
-class RefusedTooLarge(GraphError):
     pass
 
 
@@ -135,35 +132,14 @@ class SpannerGraph:
 
     def as_csr(self) -> csr_matrix:
         if self._csr is None:
-            if self.edges:
-                us = np.fromiter((e[0] for e in self.edges), dtype=np.int64)
-                vs = np.fromiter((e[1] for e in self.edges), dtype=np.int64)
-                ws = np.fromiter((e[2] for e in self.edges), dtype=np.float64)
-                rows = np.concatenate([us, vs])
-                cols = np.concatenate([vs, us])
-                data = np.concatenate([ws, ws])
-            else:
-                rows = cols = np.zeros(0, dtype=np.int64)
-                data = np.zeros(0, dtype=np.float64)
-            self._csr = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            u, v, w = _columns(self.edges, (np.int64, np.int64, np.float64))
+            rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+            self._csr = csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(self.n, self.n))
         return self._csr
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = bytearray(self.n)
-        stack = [0]
-        seen[0] = 1
-        count = 1
-        adj = self.adjacency
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count == self.n
+        # scipy counts 0 components when n = 0
+        return self.n <= 1 or connected_components(self.as_csr(), directed=False)[0] == 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpannerGraph(n={self.n}, m={len(self.edges)})"
@@ -241,16 +217,15 @@ def verify_stretch(
     """Exact maximum stretch of G over X, with an argmax witness pair.
 
     Runs one single-source computation per vertex, 64 sources per scipy
-    call; refuses n > n_max unless ``force``.  Ties break to the
-    lexicographically smallest pair.  Raises :class:`Disconnected`
-    (carrying the first unreachable pair) when G is not connected.
+    call; raises :class:`TooLarge` for n > n_max unless ``force``.  Ties
+    break to the lexicographically smallest pair.  Raises
+    :class:`Disconnected` (carrying the first unreachable pair) when G is
+    not connected.
     """
     if G.n != X.n:
         raise GraphError("graph and point set sizes differ")
     if X.n > n_max and not force:
-        raise RefusedTooLarge(
-            f"n={X.n} exceeds verification cap {n_max}; pass force=True"
-        )
+        raise TooLarge(f"n={X.n} exceeds verification cap {n_max}; pass force=True")
     if X.n < 2:
         return 1.0, (0, 0)
     c = X.coords

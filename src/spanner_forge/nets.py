@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .geom import GEOM_RTOL, GeomError, PointSet
 from .graph import GraphError, SpannerGraph, bounded_dijkstra
@@ -139,24 +140,6 @@ class ClusterGraph:
                     self.inter[key] = cand
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.p = list(range(n))
-
-    def find(self, x):
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            self.p[rb] = ra
-
-
 def build_cluster_graph(
     G_below: SpannerGraph,
     i: int,
@@ -180,11 +163,11 @@ def build_cluster_graph(
     rep = list(range(G_below.n))
     if contract:
         thr = scale * eps * eps / G_below.n
-        uf = _UnionFind(G_below.n)
-        for u, v, w in G_below.edges:
-            if w <= thr * (1.0 + GEOM_RTOL):
-                uf.union(u, v)
-        rep = [uf.find(x) for x in range(G_below.n)]
+        short = [e for e in G_below.edges if e[2] <= thr * (1.0 + GEOM_RTOL)]
+        _, labels = connected_components(SpannerGraph(G_below.n, short).as_csr(), directed=False)
+        # a point's representative is the smallest index in its component
+        _, first = np.unique(labels, return_index=True)
+        rep = first[labels].tolist()
     # quotient adjacency (identity when not contracting)
     adj = [[] for _ in range(G_below.n)]
     for u, v, w in G_below.edges:

@@ -295,7 +295,7 @@ def phase1(
 
     Candidate lengths come from the shared :meth:`PointSet.distances`
     matrix, which ``classify_edges`` and later rounds reuse; the weights
-    of new pairs and the detours use per-pair norms.  Since
+    of new pairs and the detours use :meth:`PointSet.dist`.  Since
     ``live`` only shrinks and candidate pairs depend on geometry alone,
     no cover ever grows.  So the best pair is taken from a heap of
     cover sizes refreshed only when they reach the top, and a bucket
@@ -309,7 +309,6 @@ def phase1(
     factor = 1.0 + eps
     kappa = params.kappa
     alpha = params.alpha_value(X.dim)
-    coords = X.coords
     dist = X.distances()
     weights = {(u, v): w for u, v, w in E.edges}
     buckets: dict = {}
@@ -356,8 +355,8 @@ def phase1(
                 report.substitutes_added += 1
                 if any(p != best_key for p in best_cov):
                     report.genuine_substitutes += 1
-                px, py = coords[best_key[0]], coords[best_key[1]]
-                wxy = float(np.linalg.norm(px - py))
+                x, y = best_key
+                wxy = X.dist(x, y)
                 for (s, t) in best_cov:
                     if (s, t) == best_key:
                         continue
@@ -366,16 +365,9 @@ def phase1(
                     report.levels[j]["pruned"] += 1
                     report.levels[j]["kept"] -= 1
                     report.type1_pruned += 1
-                    detour = (
-                        np.linalg.norm(coords[s] - px)
-                        + wxy
-                        + np.linalg.norm(coords[t] - py)
-                    )
                     detour = min(
-                        detour,
-                        np.linalg.norm(coords[s] - py)
-                        + wxy
-                        + np.linalg.norm(coords[t] - px),
+                        X.dist(s, x) + wxy + X.dist(t, y),
+                        X.dist(s, y) + wxy + X.dist(t, x),
                     )
                     report.measured_delta = max(
                         report.measured_delta, detour / weights[(s, t)] - 1.0
@@ -385,7 +377,7 @@ def phase1(
     present = {(u, v) for u, v, _ in survivors}
     for (a, b) in sorted(new_pairs):
         if (a, b) not in present:
-            survivors.append((a, b, float(np.linalg.norm(coords[a] - coords[b]))))
+            survivors.append((a, b, X.dist(a, b)))
             present.add((a, b))
     E1 = SpannerGraph(X.n, survivors, meta={"new_pairs": sorted(new_pairs)})
     return E1, report

@@ -227,8 +227,8 @@ def test_prune_flags_are_params_fields():
     args = _build_parser().parse_args(
         ["build", "--builder", "prune", "--eps", "0.1", "--in", "i", "--out", "o"]
     )
-    other = {"command", "func", "builder", "eps", "x", "k", "infile", "witness",
-             "out", "config"}
+    other = {"command", "func", "builder", "eps", "k", "infile", "witness", "out",
+             "config"}
     assert set(vars(args)) - other == {f.name for f in fields(PruneParams)} - {"eps"}
 
 
@@ -280,6 +280,43 @@ def test_build_rejects_non_finite_eps(tmp_path):
         assert main(["build", "--builder", "greedy", "--eps", eps, "--in", inst,
                      "--out", str(tmp_path / "g.edges")]) == 2
     assert not os.path.exists(tmp_path / "g.edges")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--t", "nan"],
+        ["verify", "--t", "inf"],
+        ["compare", "--builders", "greedy", "--eps", "0.5", "--x", "nan"],
+        ["compare", "--builders", "greedy", "--eps=-inf"],
+        ["sweep", "--family", "random", "--n", "20", "--eps-list", "0.5,nan"],
+        ["sweep", "--family", "lightness-lb-x", "--eps-list", "0.05", "--x-list", "2,inf"],
+        ["generate", "--family", "sparsity-lb-x", "--eps", "0.05", "--x", "inf"],
+    ],
+    ids=["verify-t-nan", "verify-t-inf", "compare-x-nan", "compare-eps-neg-inf",
+         "sweep-eps-list-nan", "sweep-x-list-inf", "generate-x-inf"],
+)
+def test_non_finite_bound_exits_2_without_report(tmp_path, argv):
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "20", "--seed", "1", "--out", inst])
+    edges = str(tmp_path / "g.edges")
+    main(["build", "--builder", "greedy", "--eps", "0.5", "--in", inst, "--out", edges])
+    source = {"verify": ["--in", inst, "--edges", edges], "compare": ["--in", inst]}
+    out = tmp_path / "report.json"
+    assert main(argv + source.get(argv[0], []) + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_build_has_no_x_flag(tmp_path):
+    # builders take no x, and build writes no report to record it in
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "20", "--seed", "1", "--out", inst])
+    out = tmp_path / "g.edges"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--builder", "greedy", "--eps", "0.5", "--x", "7", "--in", inst,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_missing_input_is_io_error(tmp_path):

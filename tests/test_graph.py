@@ -111,6 +111,30 @@ def test_verify_stretch_disconnected():
     assert exc.value.pair == (0, 2)
 
 
+def test_verify_stretch_refuses_above_cap():
+    X = random_points(12, 2, 3)
+    G = path_greedy(X, 1.5)
+    with pytest.raises(TooLarge, match="cap 10"):
+        verify_stretch(G, X, n_max=10)
+    assert verify_stretch(G, X, n_max=10, force=True) == verify_stretch(G, X)
+
+
+@pytest.mark.parametrize(
+    "n, edges, connected",
+    [
+        (0, [], True),
+        (1, [], True),
+        (3, [(0, 1, 1.0)], False),  # vertex 2 is isolated
+        (4, [(0, 1, 1.0), (2, 3, 1.0)], False),
+        (4, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)], True),  # joined by a zero-weight edge
+        (2, [(0, 1, 0.0)], True),
+    ],
+    ids=["n0", "n1", "isolated", "two-components", "zero-weight-bridge", "zero-weight-only"],
+)
+def test_is_connected(n, edges, connected):
+    assert SpannerGraph(n, edges).is_connected() is connected
+
+
 def test_verify_stretch_matches_dijkstra_oracle():
     X = random_points(60, 3, 10)
     G = path_greedy(X, 1.4)

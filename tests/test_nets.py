@@ -261,6 +261,40 @@ def test_contracted_cluster_graph_deviation():
         assert d1 <= d2 + slack + 1e-9
 
 
+def union_find_reps(G, thr):
+    """Contraction representatives from a union-find that keeps the
+    smaller root: the reference for build_cluster_graph's components."""
+    p = list(range(G.n))
+
+    def find(x):
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    for u, v, w in G.edges:
+        if w <= thr * (1.0 + 1e-9):
+            ru, rv = find(u), find(v)
+            p[max(ru, rv)] = min(ru, rv)
+    return [find(x) for x in range(G.n)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_contraction_reps_match_union_find(seed):
+    X = normalize(gen_random(120, 2, "clustered", seed).points)
+    S = path_greedy(X, 1.3)
+    sizes = []
+    # above the spread every edge is below 2^i and the threshold keeps growing
+    for eps in (0.25, 0.5):
+        for i in range(1, int(math.log2(X.spread())) + 14):
+            GB = SpannerGraph(X.n, [e for e in S.edges if e[2] < 2.0**i])
+            F = build_cluster_graph(GB, i, eps, contract=True)
+            assert F.rep == union_find_reps(GB, 2.0**i * eps * eps / X.n)
+            assert all(type(r) is int for r in F.rep)
+            sizes.append(len(set(F.rep)))
+    assert min(sizes) == 1 and any(1 < k < X.n // 2 for k in sizes)
+
+
 def test_cluster_graph_rejects_long_edges():
     X = random_points(10, 2, 29)
     pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
