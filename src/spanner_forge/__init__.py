@@ -6,14 +6,7 @@ lightness, and generates the hard instances on which greedy is far from
 the per-instance optimum.
 """
 
-from .geom import (
-    PointSet,
-    Region,
-    angle_between,
-    low_angle_weight,
-    normalize,
-    region_of,
-)
+from .geom import PointSet, Region, normalize
 from .graph import (
     MetricsReport,
     SpannerGraph,
@@ -21,7 +14,6 @@ from .graph import (
     emst_weight,
     metrics,
     path_greedy,
-    shortest_dist,
     verify_stretch,
 )
 from .nets import (

@@ -79,11 +79,15 @@ class ExperimentConfig:
         return asdict(self)
 
 
+def _x_or_1(args) -> float:
+    return 1.0 if args.x is None else args.x
+
+
 _FAMILIES = {
     "sparsity-lb": lambda a: gen_sparsity_lb(a.eps),
-    "sparsity-lb-x": lambda a: gen_sparsity_lb_x(a.eps, a.x),
+    "sparsity-lb-x": lambda a: gen_sparsity_lb_x(a.eps, _x_or_1(a)),
     "lightness-lb": lambda a: gen_lightness_lb(a.eps),
-    "lightness-lb-x": lambda a: gen_lightness_lb_x(a.eps, a.x),
+    "lightness-lb-x": lambda a: gen_lightness_lb_x(a.eps, _x_or_1(a)),
     "motivating": lambda a: gen_motivating(a.eps),
     "random": lambda a: gen_random(a.n, a.d, a.distribution, a.seed),
 }
@@ -207,6 +211,10 @@ def _loglog_slope(inv_eps, values) -> float:
 
 
 def _cmd_generate(args) -> int:
+    if args.family.endswith("-x"):
+        args.x = _x_or_1(args)  # the config records the x the family used
+    elif args.x is not None:
+        raise ValueError(f"--x applies only to the *-x families, not {args.family}")
     inst: GeneratedInstance = _FAMILIES[args.family](args)
     if args.copies > 1:
         inst = tile_copies(inst, args.copies)
@@ -265,7 +273,7 @@ def _cmd_compare(args) -> int:
         if base is not None and base.edge_count:
             row["edge_ratio_vs_witness"] = row["edge_count"] / base.edge_count
             row["weight_ratio_vs_witness"] = row["weight"] / base.weight
-        bound = 1.0 + args.eps * (args.x or 1.0)
+        bound = 1.0 + args.eps * _x_or_1(args)
         row["ok"] = bool(row["max_stretch"] <= bound + 1e-9)
         failures += not row["ok"]
     report = {
@@ -299,7 +307,7 @@ def _cmd_sweep(args) -> int:
                 row = {"eps": eps, "x": x if x is not None else ""}
                 row.update(_metric_row(name, rep))
                 row["witness_pair"] = f"{rep.witness_pair[0]}-{rep.witness_pair[1]}"
-                bound = 1.0 + eps * (x or 1.0)
+                bound = 1.0 + eps * _x_or_1(sub)
                 row["ok"] = rep.max_stretch <= bound + 1e-9
                 failures += not row["ok"]
                 rows.append(row)
@@ -391,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="emit an instance file")
     g.add_argument("--family", required=True, choices=sorted(_FAMILIES))
     g.add_argument("--eps", type=float, default=0.01)
-    g.add_argument("--x", type=float, default=1.0)
+    g.add_argument("--x", type=float)
     g.add_argument("--n", type=int, default=100)
     g.add_argument("--d", type=int, default=2)
     g.add_argument("--seed", type=int, default=0)
@@ -450,16 +458,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Stretch bounds, eps and x: refused before any work when NaN or +-inf.
+# Stretch bounds, eps and x: refused before any work when NaN or +-inf,
+# and x also when not positive.
 _FINITE_FLAGS = ("t", "eps", "x", "eps_list", "x_list")
 
 
 def _check_finite(args) -> None:
     for name in _FINITE_FLAGS:
         value = getattr(args, name, None)
-        values = value if isinstance(value, list) else [value]
-        if any(v is not None and not math.isfinite(v) for v in values):
-            raise ValueError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        values = [v for v in (value if isinstance(value, list) else [value]) if v is not None]
+        flag = "--" + name.replace("_", "-")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{flag} must be finite, got {value}")
+        if name.startswith("x") and not all(v > 0 for v in values):
+            raise ValueError(f"{flag} must be positive, got {value}")
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,6 @@
 """Euclidean primitives.
 
-Distances, angles, projection fractions, the (1+eps)-ellipse around a
+Point sets, distances, normalization, the (1+eps)-ellipse around a
 segment, and the two waist bands inside it that drive edge
 classification in the pruning pipeline.  Everything here is pure and
 dimension-independent.
@@ -39,10 +39,6 @@ class DuplicatePoint(GeomError):
 
 
 class TooFewPoints(GeomError):
-    pass
-
-
-class ZeroVector(GeomError):
     pass
 
 
@@ -159,69 +155,15 @@ def normalize(raw) -> PointSet:
     return PointSet(ps.coords / d, scale=d)
 
 
-def angle_between(e1, e2) -> float:
-    """Undirected angle between two vectors, in [0, pi/2].
-
-    Computed as arccos(|e1.e2| / (|e1||e2|)); the absolute value folds
-    antiparallel onto parallel.
-    """
-    v1 = np.asarray(e1, dtype=np.float64)
-    v2 = np.asarray(e2, dtype=np.float64)
-    n1 = float(np.linalg.norm(v1))
-    n2 = float(np.linalg.norm(v2))
-    if n1 == 0.0 or n2 == 0.0:
-        raise ZeroVector("angle undefined for a zero vector")
-    c = abs(float(np.dot(v1, v2))) / (n1 * n2)
-    return math.acos(min(1.0, c))
-
-
-def proj_fraction(s, t, x) -> float:
-    """Signed fraction along st of the orthogonal projection of x.
-
-    0 at s, 1 at t; negative or > 1 when the foot of the projection
-    falls outside the segment.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    st = t - s
-    d2 = float(np.dot(st, st))
-    if d2 == 0.0:
-        raise DegenerateSegment("s and t coincide")
-    return float(np.dot(np.asarray(x, dtype=np.float64) - s, st)) / d2
-
-
-def region_of(s, t, x, eps: float) -> Region:
-    """Classify x against the (1+eps)-ellipse with foci s and t.
+def region_codes(s, t, coords: np.ndarray, eps: float) -> np.ndarray:
+    """Classify each row of ``coords`` against the (1+eps)-ellipse with
+    foci s and t.
 
     OUTSIDE when |sx|+|xt| > (1+eps)|st|; otherwise IN_A / IN_B when the
-    projection fraction of x lies in the band around 3/8 resp. 5/8
-    (closed intervals, tolerance 1e-12), else INSIDE_NEITHER.  Points
-    whose projection falls outside the segment are never IN_A / IN_B.
-    """
-    if not 0.0 < eps < 1.0:
-        raise GeomError("eps must lie in (0, 1)")
-    s = np.asarray(s, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    d = float(np.linalg.norm(t - s))
-    if d == 0.0:
-        raise DegenerateSegment("s and t coincide")
-    ds = float(np.linalg.norm(x - s))
-    dt = float(np.linalg.norm(x - t))
-    if ds + dt > (1.0 + eps) * d * (1.0 + BAND_TOL):
-        return Region.OUTSIDE
-    f = proj_fraction(s, t, x)
-    if A_LO - BAND_TOL <= f <= A_HI + BAND_TOL:
-        return Region.IN_A
-    if B_LO - BAND_TOL <= f <= B_HI + BAND_TOL:
-        return Region.IN_B
-    return Region.INSIDE_NEITHER
-
-
-def region_codes(s, t, coords: np.ndarray, eps: float) -> np.ndarray:
-    """Vectorized :func:`region_of` over the rows of ``coords``.
-
-    Returns an int8 array of Region values.
+    projection fraction of x along st lies in the band around 3/8 resp.
+    5/8 (closed intervals, tolerance BAND_TOL), else INSIDE_NEITHER.
+    Points whose projection falls outside the segment are never IN_A /
+    IN_B.  Returns an int8 array of Region values.
     """
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
@@ -241,25 +183,3 @@ def region_codes(s, t, coords: np.ndarray, eps: float) -> np.ndarray:
     out[in_a] = Region.IN_A.value
     out[in_b] = Region.IN_B.value
     return out
-
-
-def low_angle_weight(edges, a, b, theta: float) -> float:
-    """Total length of the edges making angle <= theta with segment ab.
-
-    ``edges`` is a sequence of (p, q) endpoint pairs; zero-length
-    entries contribute nothing.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ab = b - a
-    if float(np.dot(ab, ab)) == 0.0:
-        raise DegenerateSegment("a and b coincide")
-    total = 0.0
-    for p, q in edges:
-        e = np.asarray(q, dtype=np.float64) - np.asarray(p, dtype=np.float64)
-        ln = float(np.linalg.norm(e))
-        if ln == 0.0:
-            continue
-        if angle_between(e, ab) <= theta + BAND_TOL:
-            total += ln
-    return total

@@ -1,6 +1,6 @@
 """Spanner graphs over a point set.
 
-Exact shortest paths, exact all-pairs stretch verification, Euclidean
+Bounded Dijkstra, exact all-pairs stretch verification, Euclidean
 MST weight, summary metrics, the path-greedy builder, and an exact
 branch-and-bound oracle for the sparsest / lightest (1+eps)-spanner on
 tiny inputs.
@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .geom import GEOM_RTOL, PointSet
+from .geom import PointSet
 
 # Greedy skip guard: a pair is skipped when the current graph distance is
 # within this relative slack of t*|uv|.  Keeps knife-edge equalities (which
@@ -193,21 +193,6 @@ def bounded_dijkstra(adj, source: int, limit: float, target: int | None = None) 
     return settled
 
 
-def shortest_dist(G: SpannerGraph, s: int, t: int, cutoff: float | None = None) -> float:
-    """Exact shortest-path distance from s to t (Dijkstra).
-
-    Returns inf when t is unreachable; with ``cutoff`` the search stops
-    once every frontier label exceeds it, returning inf for
-    "unreachable within cutoff".
-    """
-    if not (0 <= s < G.n and 0 <= t < G.n):
-        raise GraphError("vertex index out of range")
-    if s == t:
-        return 0.0
-    limit = math.inf if cutoff is None else cutoff * (1.0 + GEOM_RTOL)
-    return bounded_dijkstra(G.adjacency, s, limit, t).get(t, math.inf)
-
-
 def verify_stretch(
     G: SpannerGraph,
     X: PointSet,
@@ -374,11 +359,14 @@ def brute_force_optimal(
 
     Branch-and-bound over all candidate pairs, seeded with the greedy
     solution as incumbent.  Edges whose removal alone breaks
-    feasibility are forced up front; include branches update the exact
-    distance matrix incrementally and exclude branches recheck
-    feasibility of what remains.  ``objective`` is "min_edges" or
-    "min_weight"; ties break toward the lexicographically smallest edge
-    set.  Raises TooLarge above :data:`ORACLE_N_MAX` points.
+    feasibility are forced up front.  A node carries the distances ``d``
+    of the chosen edges, updated incrementally on include, and ``da`` of
+    the available ones (chosen and undecided), recomputed on exclude,
+    which is also that branch's feasibility check.  ``objective`` is
+    "min_edges" or "min_weight"; ties break toward the lexicographically
+    smallest edge set.  ``meta`` counts the search ``nodes`` and its
+    ``feasibility_checks`` (Floyd-Warshall runs).  Raises TooLarge above
+    :data:`ORACLE_N_MAX` points.
     """
     n = X.n
     if n > ORACLE_N_MAX:
@@ -401,14 +389,18 @@ def brute_force_optimal(
     else:
         best_cost = float(sum(wmat[p] for p in best_set))
 
-    def feasible_mask(mask: np.ndarray) -> bool:
-        d = _apsp_small(n, wmat, mask)
-        return bool(np.all(d <= target))
+    nodes = checks = 0
+
+    def apsp(mask: np.ndarray) -> np.ndarray:
+        nonlocal checks
+        checks += 1
+        return _apsp_small(n, wmat, mask)
 
     full = np.zeros((n, n), dtype=bool)
     for u, v in pairs:
         full[u, v] = full[v, u] = True
-    if not feasible_mask(full):
+    da0 = apsp(full)
+    if not bool(np.all(da0 <= target)):
         raise GraphError("complete graph is not a (1+eps)-spanner (numerical)")
 
     # every feasible subset contains the edges whose lone removal breaks
@@ -417,7 +409,7 @@ def brute_force_optimal(
     free = []
     for u, v in pairs:
         full[u, v] = full[v, u] = False
-        if feasible_mask(full):
+        if bool(np.all(apsp(full) <= target)):
             free.append((u, v))
         else:
             forced.append((u, v))
@@ -436,22 +428,46 @@ def brute_force_optimal(
         np.minimum(d0, via.T, out=d0)
 
     min_free_w = min((wmat[p] for p in free), default=0.0)
+    fp, fq = np.array(free, dtype=np.int64).reshape(-1, 2).T
+    fw = wmat[fp, fq]
+    iu, iv = np.triu_indices(n, k=1)
+    # widened so that rounding can only weaken the bound
+    loose = target[iu, iv] * (1.0 + 1e-9)
 
-    def lower_bound(cost, d):
+    def lower_bound(cost, d, da, idx):
         # connectivity: each missing component costs at least one edge
-        finite = np.isfinite(d)
-        comps = len({int(row.argmax()) for row in finite})
-        need = comps - 1
-        if need == 0 and not bool(np.all(d <= target)):
-            need = 1
+        need = len(set(np.isfinite(d).argmax(axis=1).tolist())) - 1
+        # a pair ab that d leaves too long needs one of its candidates, the
+        # undecided edges pq with da[a,p] + |pq| + da[q,b] within its target;
+        # pairs whose candidate sets are disjoint need distinct edges
+        bad = (d[iu, iv] > target[iu, iv]).nonzero()[0]
+        a, b, lim = iu[bad], iv[bad], loose[bad, None]
+        dp, dq, w = da[:, fp[idx:]], da[:, fq[idx:]], fw[idx:]
+        cand = (dp[a] + w + dq[b] <= lim) | (dq[a] + w + dp[b] <= lim)
+        size = cand.sum(axis=1)
+        if size.min(initial=1) == 0:
+            return math.inf
+        # each candidate set as a Python int, bit k standing for free[idx + k]
+        rows = np.packbits(cand, axis=1, bitorder="little")
+        bits = [int.from_bytes(r, "little") for r in rows]
+        minw = np.where(cand, w, np.inf).min(axis=1, initial=np.inf)
+        used = packed = 0
+        wsum = 0.0
+        for i in np.argsort(size, kind="stable").tolist():
+            if not bits[i] & used:
+                used |= bits[i]
+                packed += 1
+                wsum += minw[i]
         if objective == "min_edges":
-            return cost + need
-        return cost + need * min_free_w
+            return cost + max(need, packed)
+        return cost + max(need * min_free_w, wsum)
 
-    def rec(idx: int, d: np.ndarray, avail_mask: np.ndarray, cost):
-        nonlocal best_cost, best_set
+    def rec(idx: int, d: np.ndarray, da: np.ndarray, avail_mask: np.ndarray, cost):
+        nonlocal best_cost, best_set, nodes
+        nodes += 1
         eps_cmp = 1e-12 * max(1.0, abs(best_cost))
-        if lower_bound(cost, d) > best_cost + eps_cmp:
+        # with no undecided edge left, an unmet pair makes the bound inf
+        if lower_bound(cost, d, da, idx) > best_cost + eps_cmp:
             return
         if bool(np.all(d <= target)):
             cset = sorted(chosen)
@@ -460,28 +476,27 @@ def brute_force_optimal(
             ):
                 best_cost, best_set = cost, cset
             return  # supersets only cost more
-        if idx == m:
-            return
         u, v = free[idx]
         step = 1 if objective == "min_edges" else float(wmat[u, v])
         # exclude first (steers toward sparse solutions); viable only if
         # what remains can still span
         avail_mask[u, v] = avail_mask[v, u] = False
-        can_exclude = feasible_mask(avail_mask)
-        if can_exclude:
-            rec(idx + 1, d, avail_mask, cost)
+        dx = apsp(avail_mask)
+        if bool(np.all(dx <= target)):
+            rec(idx + 1, d, dx, avail_mask, cost)
         avail_mask[u, v] = avail_mask[v, u] = True
+        # including leaves the available edges, and so da, unchanged
         via = np.add.outer(d[:, u], d[v, :]) + wmat[u, v]
         d2 = np.minimum(d, via)
         np.minimum(d2, via.T, out=d2)
         chosen.append((u, v))
-        rec(idx + 1, d2, avail_mask, cost + step)
+        rec(idx + 1, d2, da, avail_mask, cost + step)
         chosen.pop()
 
-    rec(0, d0, full.copy(), cost0)
-    return SpannerGraph.from_pairs(
-        X, best_set, meta={"builder": "oracle", "objective": objective, "eps": eps}
-    )
+    rec(0, d0, da0, full.copy(), cost0)
+    meta = {"builder": "oracle", "objective": objective, "eps": eps}
+    meta.update(nodes=nodes, feasibility_checks=checks)
+    return SpannerGraph.from_pairs(X, best_set, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,20 @@ import math
 
 import numpy as np
 
-from spanner_forge.geom import GEOM_RTOL, PointSet, normalize
+from spanner_forge.geom import (
+    A_HI,
+    A_LO,
+    B_HI,
+    B_LO,
+    BAND_TOL,
+    GEOM_RTOL,
+    DegenerateSegment,
+    GeomError,
+    PointSet,
+    Region,
+    normalize,
+)
+from spanner_forge.graph import GraphError, bounded_dijkstra
 
 
 def random_points(n, d, seed):
@@ -95,3 +108,107 @@ def lemma_sequence(rng, eps, n_edges=None):
         q = np.array([ts[i + 1], y0 + sgn * scale * h_raw[i]])
         edges.append((p, q))
     return edges, a, b
+
+
+# Geometry and graph helpers that only the tests use.
+
+
+class ZeroVector(GeomError):
+    pass
+
+
+def angle_between(e1, e2) -> float:
+    """Undirected angle between two vectors, in [0, pi/2].
+
+    Computed as arccos(|e1.e2| / (|e1||e2|)); the absolute value folds
+    antiparallel onto parallel.
+    """
+    v1 = np.asarray(e1, dtype=np.float64)
+    v2 = np.asarray(e2, dtype=np.float64)
+    n1 = float(np.linalg.norm(v1))
+    n2 = float(np.linalg.norm(v2))
+    if n1 == 0.0 or n2 == 0.0:
+        raise ZeroVector("angle undefined for a zero vector")
+    c = abs(float(np.dot(v1, v2))) / (n1 * n2)
+    return math.acos(min(1.0, c))
+
+
+def proj_fraction(s, t, x) -> float:
+    """Signed fraction along st of the orthogonal projection of x.
+
+    0 at s, 1 at t; negative or > 1 when the foot of the projection
+    falls outside the segment.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    st = t - s
+    d2 = float(np.dot(st, st))
+    if d2 == 0.0:
+        raise DegenerateSegment("s and t coincide")
+    return float(np.dot(np.asarray(x, dtype=np.float64) - s, st)) / d2
+
+
+def region_of(s, t, x, eps: float) -> Region:
+    """Scalar reference for ``geom.region_codes``: classify x against the
+    (1+eps)-ellipse with foci s and t.
+
+    OUTSIDE when |sx|+|xt| > (1+eps)|st|; otherwise IN_A / IN_B when the
+    projection fraction of x lies in the band around 3/8 resp. 5/8
+    (closed intervals, tolerance 1e-12), else INSIDE_NEITHER.  Points
+    whose projection falls outside the segment are never IN_A / IN_B.
+    """
+    if not 0.0 < eps < 1.0:
+        raise GeomError("eps must lie in (0, 1)")
+    s = np.asarray(s, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    d = float(np.linalg.norm(t - s))
+    if d == 0.0:
+        raise DegenerateSegment("s and t coincide")
+    ds = float(np.linalg.norm(x - s))
+    dt = float(np.linalg.norm(x - t))
+    if ds + dt > (1.0 + eps) * d * (1.0 + BAND_TOL):
+        return Region.OUTSIDE
+    f = proj_fraction(s, t, x)
+    if A_LO - BAND_TOL <= f <= A_HI + BAND_TOL:
+        return Region.IN_A
+    if B_LO - BAND_TOL <= f <= B_HI + BAND_TOL:
+        return Region.IN_B
+    return Region.INSIDE_NEITHER
+
+
+def low_angle_weight(edges, a, b, theta: float) -> float:
+    """Total length of the edges making angle <= theta with segment ab.
+
+    ``edges`` is a sequence of (p, q) endpoint pairs; zero-length
+    entries contribute nothing.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ab = b - a
+    if float(np.dot(ab, ab)) == 0.0:
+        raise DegenerateSegment("a and b coincide")
+    total = 0.0
+    for p, q in edges:
+        e = np.asarray(q, dtype=np.float64) - np.asarray(p, dtype=np.float64)
+        ln = float(np.linalg.norm(e))
+        if ln == 0.0:
+            continue
+        if angle_between(e, ab) <= theta + BAND_TOL:
+            total += ln
+    return total
+
+
+def shortest_dist(G, s: int, t: int, cutoff: float | None = None) -> float:
+    """Exact shortest-path distance from s to t (Dijkstra).
+
+    Returns inf when t is unreachable; with ``cutoff`` the search stops
+    once every frontier label exceeds it, returning inf for
+    "unreachable within cutoff".
+    """
+    if not (0 <= s < G.n and 0 <= t < G.n):
+        raise GraphError("vertex index out of range")
+    if s == t:
+        return 0.0
+    limit = math.inf if cutoff is None else cutoff * (1.0 + GEOM_RTOL)
+    return bounded_dijkstra(G.adjacency, s, limit, t).get(t, math.inf)

@@ -18,12 +18,11 @@ import time
 import numpy as np
 import pytest
 
-from spanner_forge.geom import PointSet, normalize, proj_fraction
+from spanner_forge.geom import normalize
 from spanner_forge.graph import (
     SpannerGraph,
     brute_force_optimal,
     path_greedy,
-    shortest_dist,
     verify_stretch,
 )
 from spanner_forge.instances import (
@@ -41,7 +40,14 @@ from spanner_forge.nets import (
 )
 from spanner_forge.prune import PruneParams, delta_growth, greedy_prune
 
-from conftest import approximate_edge, check_invariants, lemma_sequence, random_points
+from conftest import (
+    approximate_edge,
+    check_invariants,
+    lemma_sequence,
+    low_angle_weight,
+    random_points,
+    shortest_dist,
+)
 
 def report(num, ok, detail):
     print(f"[criterion {num}] {'PASS' if ok else 'FAIL'} - {detail}")
@@ -433,8 +439,6 @@ def test_criterion10_lemma_and_update_suite():
     for _ in range(1000):
         eps = float(rng.uniform(0.002, 0.4))
         edges, a, b = lemma_sequence(rng, eps)
-        from spanner_forge.geom import low_angle_weight
-
         if low_angle_weight(edges, a, b, 2 * math.sqrt(eps)) < 0.5:
             failures += 1
     ok = failures == 0

@@ -292,9 +292,13 @@ def test_build_rejects_non_finite_eps(tmp_path):
         ["sweep", "--family", "random", "--n", "20", "--eps-list", "0.5,nan"],
         ["sweep", "--family", "lightness-lb-x", "--eps-list", "0.05", "--x-list", "2,inf"],
         ["generate", "--family", "sparsity-lb-x", "--eps", "0.05", "--x", "inf"],
+        ["compare", "--builders", "greedy", "--eps", "0.5", "--x", "0"],
+        ["compare", "--builders", "greedy", "--eps", "0.5", "--x=-1"],
+        ["sweep", "--family", "random", "--n", "20", "--eps-list", "0.5", "--x-list", "0.5,0"],
     ],
     ids=["verify-t-nan", "verify-t-inf", "compare-x-nan", "compare-eps-neg-inf",
-         "sweep-eps-list-nan", "sweep-x-list-inf", "generate-x-inf"],
+         "sweep-eps-list-nan", "sweep-x-list-inf", "generate-x-inf",
+         "compare-x-0", "compare-x-neg", "sweep-x-list-0"],
 )
 def test_non_finite_bound_exits_2_without_report(tmp_path, argv):
     inst = str(tmp_path / "r.txt")
@@ -305,6 +309,34 @@ def test_non_finite_bound_exits_2_without_report(tmp_path, argv):
     out = tmp_path / "report.json"
     assert main(argv + source.get(argv[0], []) + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_compare_checks_rows_against_x_as_given(tmp_path):
+    # greedy's stretch at eps=0.5 (about 1.48) is within 1 + 0.5 * 1 but
+    # not within 1 + 0.5 * 0.5
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "20", "--seed", "1", "--out", inst])
+    out = tmp_path / "report.json"
+    base = ["compare", "--in", inst, "--builders", "greedy", "--eps", "0.5", "--out", str(out)]
+    assert main(base) == 0
+    stretch = json.load(open(out))["rows"][0]["max_stretch"]
+    assert 1.25 < stretch <= 1.5
+    assert main(base + ["--x", "0.5"]) == 1
+    data = json.load(open(out))
+    assert data["config"]["x"] == 0.5 and data["rows"][0]["ok"] is False
+
+
+def test_generate_x_only_for_x_families(tmp_path):
+    out = tmp_path / "s.txt"
+    argv = ["generate", "--family", "sparsity-lb", "--eps", "0.05", "--out", str(out)]
+    assert main(argv + ["--x", "123"]) == 2
+    assert not out.exists() and not os.path.exists(str(out) + ".meta.json")
+    assert main(argv) == 0
+    assert json.load(open(str(out) + ".meta.json"))["config"]["x"] is None
+    argv[2] = "sparsity-lb-x"
+    for extra, want in (([], 1.0), (["--x", "2"], 2.0)):
+        assert main(argv + extra) == 0
+        assert json.load(open(str(out) + ".meta.json"))["config"]["x"] == want
 
 
 def test_build_has_no_x_flag(tmp_path):

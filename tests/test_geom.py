@@ -9,16 +9,19 @@ from spanner_forge.geom import (
     PointSet,
     Region,
     TooFewPoints,
-    ZeroVector,
-    angle_between,
-    low_angle_weight,
     normalize,
-    proj_fraction,
     region_codes,
-    region_of,
 )
 
-from conftest import lemma_sequence, random_points
+from conftest import (
+    ZeroVector,
+    angle_between,
+    lemma_sequence,
+    low_angle_weight,
+    proj_fraction,
+    random_points,
+    region_of,
+)
 
 
 def test_normalize_uniform_scaling():

@@ -17,7 +17,6 @@ from spanner_forge.graph import (
     metrics,
     path_greedy,
     read_edge_list,
-    shortest_dist,
     verify_stretch,
     write_edge_list,
     _sorted_pairs,
@@ -30,7 +29,7 @@ from spanner_forge.instances import (
     gen_sparsity_lb_x,
 )
 
-from conftest import int_grid, random_points, validate_weights
+from conftest import int_grid, random_points, shortest_dist, validate_weights
 
 
 def floyd_warshall(n, edges):

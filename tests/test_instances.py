@@ -17,6 +17,8 @@ from spanner_forge.instances import (
     tile_copies,
 )
 
+from conftest import shortest_dist
+
 
 def witness_graph(inst):
     return SpannerGraph.from_pairs(inst.points, inst.witness_pairs)
@@ -187,8 +189,6 @@ def test_motivating_witness_cross_pairs_good_within_columns_bad():
     assert not inst.meta["witness_is_full_spanner"]
     assert ms > 1 + eps  # the star is not a (1+eps)-spanner
     # cross column pairs, the pairs the construction is about, are tight
-    from spanner_forge.graph import shortest_dist
-
     for i in inst.meta["x_indices"][:3]:
         for j in inst.meta["y_indices"][:3]:
             d = shortest_dist(W, i, j)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spanner_forge.geom import PointSet, normalize
-from spanner_forge.graph import SpannerGraph, path_greedy, shortest_dist, verify_stretch
+from spanner_forge.graph import SpannerGraph, path_greedy, verify_stretch
 from spanner_forge.nets import (
     build_cluster_graph,
     build_hierarchy,
@@ -15,7 +15,7 @@ from spanner_forge.nets import (
 
 from spanner_forge.instances import gen_random
 
-from conftest import approximate_edge, check_invariants, int_grid, random_points
+from conftest import approximate_edge, check_invariants, int_grid, random_points, shortest_dist
 
 
 def test_hierarchy_two_points():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spanner_forge.geom import PointSet, Region, normalize, region_codes
-from spanner_forge.graph import SpannerGraph, path_greedy, shortest_dist, verify_stretch
+from spanner_forge.graph import SpannerGraph, path_greedy, verify_stretch
 from spanner_forge.instances import (
     gen_lightness_lb_x,
     gen_motivating,
@@ -28,7 +28,7 @@ from spanner_forge.prune import (
     update_params,
 )
 
-from conftest import int_grid, random_points
+from conftest import int_grid, random_points, shortest_dist
 
 
 def motivating_normalized(eps=0.01, mid_x=(3.0, 7.0)):
