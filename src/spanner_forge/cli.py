@@ -79,15 +79,16 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _x_or_1(args) -> float:
-    return 1.0 if args.x is None else args.x
+def _with_x(gen):
+    """A *-x family: x is passed when given, else the generator's default."""
+    return lambda a: gen(a.eps) if a.x is None else gen(a.eps, a.x)
 
 
 _FAMILIES = {
     "sparsity-lb": lambda a: gen_sparsity_lb(a.eps),
-    "sparsity-lb-x": lambda a: gen_sparsity_lb_x(a.eps, _x_or_1(a)),
+    "sparsity-lb-x": _with_x(gen_sparsity_lb_x),
     "lightness-lb": lambda a: gen_lightness_lb(a.eps),
-    "lightness-lb-x": lambda a: gen_lightness_lb_x(a.eps, _x_or_1(a)),
+    "lightness-lb-x": _with_x(gen_lightness_lb_x),
     "motivating": lambda a: gen_motivating(a.eps),
     "random": lambda a: gen_random(a.n, a.d, a.distribution, a.seed),
 }
@@ -194,7 +195,8 @@ def _build_spanner(name: str, X: PointSet, args, witness_pairs=None) -> SpannerG
 def _load_witness(args, X: PointSet):
     path = getattr(args, "witness", None) or _witness_path(args.infile)
     if os.path.exists(path):
-        return [(u, v) for u, v, _ in read_edge_list(path, X).edges]
+        W = read_edge_list(path, X)
+        return np.column_stack((W.u, W.v))
     return None
 
 
@@ -211,11 +213,10 @@ def _loglog_slope(inv_eps, values) -> float:
 
 
 def _cmd_generate(args) -> int:
-    if args.family.endswith("-x"):
-        args.x = _x_or_1(args)  # the config records the x the family used
-    elif args.x is not None:
+    if args.x is not None and not args.family.endswith("-x"):
         raise ValueError(f"--x applies only to the *-x families, not {args.family}")
     inst: GeneratedInstance = _FAMILIES[args.family](args)
+    args.x = inst.meta.get("x")  # the config records the x the family used
     if args.copies > 1:
         inst = tile_copies(inst, args.copies)
     write_pointset(inst.points, args.out)
@@ -233,7 +234,7 @@ def _cmd_build(args) -> int:
     witness = _load_witness(args, X)
     G = _build_spanner(args.builder, X, args, witness)
     write_edge_list(G, args.out)
-    print(f"{args.builder}: {len(G.edges)} edges -> {args.out}")
+    print(f"{args.builder}: {len(G.u)} edges -> {args.out}")
     return 0
 
 
@@ -273,7 +274,7 @@ def _cmd_compare(args) -> int:
         if base is not None and base.edge_count:
             row["edge_ratio_vs_witness"] = row["edge_count"] / base.edge_count
             row["weight_ratio_vs_witness"] = row["weight"] / base.weight
-        bound = 1.0 + args.eps * _x_or_1(args)
+        bound = 1.0 + args.eps * (1.0 if args.x is None else args.x)
         row["ok"] = bool(row["max_stretch"] <= bound + 1e-9)
         failures += not row["ok"]
     report = {
@@ -300,6 +301,7 @@ def _cmd_sweep(args) -> int:
             sub.eps = eps
             sub.x = x
             inst = _FAMILIES[args.family](sub)
+            x = inst.meta.get("x", x)  # a *-x family's x, its default if none was given
             X = normalize(inst.points)
             for name in args.builders:
                 G = _build_spanner(name, X, sub, inst.witness_pairs)
@@ -307,7 +309,7 @@ def _cmd_sweep(args) -> int:
                 row = {"eps": eps, "x": x if x is not None else ""}
                 row.update(_metric_row(name, rep))
                 row["witness_pair"] = f"{rep.witness_pair[0]}-{rep.witness_pair[1]}"
-                bound = 1.0 + eps * _x_or_1(sub)
+                bound = 1.0 + eps * (1.0 if x is None else x)
                 row["ok"] = rep.max_stretch <= bound + 1e-9
                 failures += not row["ok"]
                 rows.append(row)

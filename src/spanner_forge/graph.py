@@ -48,13 +48,6 @@ class TooLarge(GraphError):
     pass
 
 
-def _columns(rows, dtypes) -> list:
-    """One array per dtype: item j of every row, converted as ``int`` or
-    ``float`` would.  The rows are listed only while this runs."""
-    rows = list(rows)
-    return [np.fromiter(map(itemgetter(j), rows), dt, len(rows)) for j, dt in enumerate(dtypes)]
-
-
 def _ordered_pairs(n: int, u: np.ndarray, v: np.ndarray):
     """Endpoints of the edges u[k]-v[k] as (min, max) arrays.
 
@@ -85,46 +78,65 @@ def _ordered_pairs(n: int, u: np.ndarray, v: np.ndarray):
 class SpannerGraph:
     """Weighted undirected graph on point indices.
 
-    Edges are stored as (u, v, w) with u < v, no parallel edges and no
-    self-loops.  Instances are treated as immutable once built.
+    The edges are three read-only columns in input order: ``u`` and
+    ``v`` (int64, u < v) and ``w`` (float64), with no parallel edges
+    and no self-loops.  ``edges`` lists them as (u, v, w) tuples, built
+    on first read.  Instances are treated as immutable once built.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_csr", "meta")
+    __slots__ = ("n", "u", "v", "w", "_edges", "_adj", "_csr", "meta")
 
     def __init__(self, n: int, edges, meta: dict | None = None):
-        self.n = int(n)
-        u, v, w = _columns(edges, (np.int64, np.int64, np.float64))
-        u, v = _ordered_pairs(self.n, u, v)
-        self.edges = list(zip(u.tolist(), v.tolist(), w.tolist()))
-        self._adj = None
-        self._csr = None
+        # item j of every row, converted as int or float would
+        rows = list(edges)
+        u, v, w = (np.fromiter(map(itemgetter(j), rows), dt, len(rows))
+                   for j, dt in enumerate((np.int64, np.int64, np.float64)))
+        self._store(int(n), *_ordered_pairs(int(n), u, v), w, meta)
+
+    def _store(self, n: int, u, v, w, meta) -> None:
+        """Keep columns already checked by :func:`_ordered_pairs`."""
+        for a in (u, v, w):
+            a.flags.writeable = False
+        self.n, self.u, self.v, self.w = n, u, v, w
+        self._edges = self._adj = self._csr = None
         self.meta = dict(meta) if meta else {}
 
     @classmethod
     def from_pairs(cls, X: PointSet, pairs, meta: dict | None = None) -> "SpannerGraph":
-        """Build a graph over X; weights are the Euclidean distances.
+        """Build a graph over X from a sequence of pairs or an (m, 2)
+        integer array; weights are the Euclidean distances.
 
         The pairs are checked before any coordinate is read.
         """
-        u, v = _ordered_pairs(X.n, *_columns(pairs, (np.int64, np.int64)))
+        p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        u, v = _ordered_pairs(X.n, p[:, 0], p[:, 1])
         diff = X.coords[u] - X.coords[v]
         # vecdot runs the dot kernel np.linalg.norm uses on one vector, so each
         # weight equals float(norm(c[u] - c[v])) bit for bit; norm(axis=1) does not
-        w = np.sqrt(np.vecdot(diff, diff))
-        return cls(X.n, zip(u.tolist(), v.tolist(), w.tolist()), meta=meta)
+        G = cls.__new__(cls)
+        G._store(X.n, u, v, np.sqrt(np.vecdot(diff, diff)), meta)
+        return G
+
+    @property
+    def edges(self) -> list:
+        """The edges as (u, v, w) tuples of Python numbers."""
+        if self._edges is None:
+            self._edges = list(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
+        return self._edges
 
     def edge_set(self) -> frozenset:
-        return frozenset((u, v) for u, v, _ in self.edges)
+        return frozenset(zip(self.u.tolist(), self.v.tolist()))
 
     def weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        # a sequential sum in edge order; np.sum adds pairwise
+        return float(sum(self.w.tolist()))
 
     @property
     def adjacency(self):
         """Per-vertex list of (neighbor, weight)."""
         if self._adj is None:
             adj = [[] for _ in range(self.n)]
-            for u, v, w in self.edges:
+            for u, v, w in zip(self.u.tolist(), self.v.tolist(), self.w.tolist()):
                 adj[u].append((v, w))
                 adj[v].append((u, w))
             self._adj = adj
@@ -132,9 +144,9 @@ class SpannerGraph:
 
     def as_csr(self) -> csr_matrix:
         if self._csr is None:
-            u, v, w = _columns(self.edges, (np.int64, np.int64, np.float64))
-            rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-            self._csr = csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(self.n, self.n))
+            rows, cols = np.concatenate([self.u, self.v]), np.concatenate([self.v, self.u])
+            data = np.concatenate([self.w, self.w])
+            self._csr = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
         return self._csr
 
     def is_connected(self) -> bool:
@@ -142,7 +154,7 @@ class SpannerGraph:
         return self.n <= 1 or connected_components(self.as_csr(), directed=False)[0] == 1
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"SpannerGraph(n={self.n}, m={len(self.edges)})"
+        return f"SpannerGraph(n={self.n}, m={len(self.u)})"
 
 
 @dataclass
@@ -260,8 +272,8 @@ def metrics(G: SpannerGraph, X: PointSet, force: bool = False) -> MetricsReport:
     w = G.weight()
     mst = emst_weight(X)
     return MetricsReport(
-        edge_count=len(G.edges),
-        sparsity=len(G.edges) / X.n,
+        edge_count=len(G.u),
+        sparsity=len(G.u) / X.n,
         weight=w,
         mst_weight=mst,
         lightness=w / mst if mst > 0 else math.inf,
@@ -382,12 +394,11 @@ def brute_force_optimal(
     # branch on long pairs first; excluding them early fails fast
     pairs.sort(key=lambda p: (-wmat[p], p))
 
-    greedy = path_greedy(X, t)
-    best_set = sorted(greedy.edge_set())
-    if objective == "min_edges":
-        best_cost = len(best_set)
-    else:
-        best_cost = float(sum(wmat[p] for p in best_set))
+    def cost_of(edges):
+        return len(edges) if objective == "min_edges" else float(sum(wmat[p] for p in edges))
+
+    best_set = sorted(path_greedy(X, t).edge_set())
+    best_cost = cost_of(best_set)
 
     nodes = checks = 0
 
@@ -396,36 +407,31 @@ def brute_force_optimal(
         checks += 1
         return _apsp_small(n, wmat, mask)
 
-    full = np.zeros((n, n), dtype=bool)
-    for u, v in pairs:
-        full[u, v] = full[v, u] = True
+    full = ~np.eye(n, dtype=bool)
     da0 = apsp(full)
     if not bool(np.all(da0 <= target)):
         raise GraphError("complete graph is not a (1+eps)-spanner (numerical)")
 
     # every feasible subset contains the edges whose lone removal breaks
-    # the complete graph
-    forced = []
-    free = []
-    for u, v in pairs:
-        full[u, v] = full[v, u] = False
-        if bool(np.all(apsp(full) <= target)):
-            free.append((u, v))
-        else:
-            forced.append((u, v))
-        full[u, v] = full[v, u] = True
-    m = len(free)
+    # the complete graph.  Removing uv changes only d(u,v), and by the
+    # triangle inequality its shortest detour has two hops.
+    via = wmat[:, :, None] + wmat[None, :, :]  # via[u, k, v] = |uk| + |kv|
+    ks = np.arange(n)
+    via[ks, ks, :] = via[:, ks, ks] = np.inf
+    detour = via.min(axis=1, initial=np.inf)
+    forced = [p for p in pairs if detour[p] > target[p]]
+    free = [p for p in pairs if detour[p] <= target[p]]
+
+    def with_edge(d, u, v):
+        # a -> u -> v -> b and a -> v -> u -> b may shorten d[a, b]
+        via = np.add.outer(d[:, u], d[v, :]) + wmat[u, v]
+        return np.minimum(np.minimum(d, via), via.T)
 
     d0 = np.full((n, n), np.inf)
     np.fill_diagonal(d0, 0.0)
-    chosen = list(forced)
-    cost0 = len(forced) if objective == "min_edges" else float(
-        sum(wmat[p] for p in forced)
-    )
     for u, v in forced:
-        via = np.add.outer(d0[:, u], d0[v, :]) + wmat[u, v]
-        np.minimum(d0, via, out=d0)
-        np.minimum(d0, via.T, out=d0)
+        d0 = with_edge(d0, u, v)
+    chosen = list(forced)
 
     min_free_w = min((wmat[p] for p in free), default=0.0)
     fp, fq = np.array(free, dtype=np.int64).reshape(-1, 2).T
@@ -477,7 +483,6 @@ def brute_force_optimal(
                 best_cost, best_set = cost, cset
             return  # supersets only cost more
         u, v = free[idx]
-        step = 1 if objective == "min_edges" else float(wmat[u, v])
         # exclude first (steers toward sparse solutions); viable only if
         # what remains can still span
         avail_mask[u, v] = avail_mask[v, u] = False
@@ -486,14 +491,11 @@ def brute_force_optimal(
             rec(idx + 1, d, dx, avail_mask, cost)
         avail_mask[u, v] = avail_mask[v, u] = True
         # including leaves the available edges, and so da, unchanged
-        via = np.add.outer(d[:, u], d[v, :]) + wmat[u, v]
-        d2 = np.minimum(d, via)
-        np.minimum(d2, via.T, out=d2)
         chosen.append((u, v))
-        rec(idx + 1, d2, da, avail_mask, cost + step)
+        rec(idx + 1, with_edge(d, u, v), da, avail_mask, cost + cost_of([(u, v)]))
         chosen.pop()
 
-    rec(0, d0, da0, full.copy(), cost0)
+    rec(0, d0, da0, full, cost_of(forced))
     meta = {"builder": "oracle", "objective": objective, "eps": eps}
     meta.update(nodes=nodes, feasibility_checks=checks)
     return SpannerGraph.from_pairs(X, best_set, meta=meta)
@@ -505,8 +507,8 @@ def brute_force_optimal(
 
 def write_edge_list(G: SpannerGraph, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        for u, v, _ in sorted(G.edges):
-            fh.write(f"{u} {v}\n")
+        order = np.lexsort((G.v, G.u))
+        fh.writelines(f"{u} {v}\n" for u, v in zip(G.u[order].tolist(), G.v[order].tolist()))
 
 
 def read_edge_list(path, X: PointSet) -> SpannerGraph:

@@ -99,7 +99,7 @@ def gen_sparsity_lb(eps: float) -> GeneratedInstance:
     return GeneratedInstance(PointSet(np.array(pts)), witness, meta)
 
 
-def gen_sparsity_lb_x(eps: float, x: float) -> GeneratedInstance:
+def gen_sparsity_lb_x(eps: float, x: float = 1.0) -> GeneratedInstance:
     """Relaxed-stretch variant: fools the greedy (1+x*eps)-spanner.
 
     Same rectangle, but the via points p, q hang below the half
@@ -232,7 +232,7 @@ def gen_lightness_lb(eps: float) -> GeneratedInstance:
     return GeneratedInstance(PointSet(pts), witness, meta)
 
 
-def gen_lightness_lb_x(eps: float, x: float) -> GeneratedInstance:
+def gen_lightness_lb_x(eps: float, x: float = 2.0) -> GeneratedInstance:
     """Relaxed-stretch arc instance with a chord hierarchy witness.
 
     The arc uses x*eps in place of eps (angle beta_x), so the greedy

@@ -1,8 +1,8 @@
 """Hierarchical nets and cluster graphs.
 
-A geometric net hierarchy with parent links, the cross-edge spanner it
-induces, and the bounded-hop cluster-graph distance oracle behind the
-"clusters" phase-2 backend of the pruning pipeline.
+A geometric net hierarchy, the cross-edge spanner it induces, and the
+bounded-hop cluster-graph distance oracle behind the "clusters" phase-2
+backend of the pruning pipeline.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .geom import GEOM_RTOL, GeomError, PointSet
@@ -24,17 +25,15 @@ DEFAULT_HOP_CAP = 20
 
 
 class NetHierarchy:
-    """Nested nets N_0 >= N_1 >= ... with parent links.
+    """Nested nets N_0 >= N_1 >= ...
 
     Level i is a (2^i)-net of level i-1; the top level is a single
-    point.  ``parent[(u, i)]`` is the closest level-(i+1) net point to
-    u (ties to the smallest index).
+    point.
     """
 
-    def __init__(self, X: PointSet, levels, parent, spread: float):
+    def __init__(self, X: PointSet, levels, spread: float):
         self.points = X
         self.levels = levels
-        self.parent = parent
         self.spread = spread
 
     def radius(self, i: int) -> float:
@@ -45,19 +44,17 @@ def build_hierarchy(X: PointSet) -> NetHierarchy:
     """Greedy nested nets over a normalized point set.
 
     Points are scanned in index order at every level, which makes the
-    construction deterministic; the parent of (u, i) is its closest
-    point of N_{i+1}, ties to the smallest index.
+    construction deterministic.
     """
     if X.n < 1:
         raise GeomError("empty point set")
     if X.n == 1:
-        return NetHierarchy(X, [np.array([0])], {}, 1.0)
+        return NetHierarchy(X, [np.array([0])], 1.0)
     if not X.is_normalized(rtol=1e-6):
         raise GeomError("hierarchy requires a normalized point set")
     D = X.distances()
     spread = X.spread()
     levels = [np.arange(X.n, dtype=np.int64)]
-    parent: dict = {}
     level = 0
     max_levels = math.ceil(math.log2(max(spread, 2.0))) + 2
     while len(levels[-1]) > 1:
@@ -68,15 +65,10 @@ def build_hierarchy(X: PointSet) -> NetHierarchy:
         for u in prev.tolist():
             if not chosen or float(D[u, chosen].min()) > r:
                 chosen.append(u)
-        net = np.array(chosen, dtype=np.int64)
-        # net is ascending, so argmin's first minimum is the smallest index
-        closest = net[np.argmin(D[np.ix_(prev, net)], axis=1)]
-        for u, p in zip(prev.tolist(), closest.tolist()):
-            parent[(u, level - 1)] = p
-        levels.append(net)
+        levels.append(np.array(chosen, dtype=np.int64))
         if level > max_levels:  # pragma: no cover - safety net
             raise GeomError("hierarchy failed to converge")
-    return NetHierarchy(X, levels, parent, spread)
+    return NetHierarchy(X, levels, spread)
 
 
 def build_net_tree_spanner(H: NetHierarchy, eps: float) -> SpannerGraph:
@@ -95,10 +87,9 @@ def build_net_tree_spanner(H: NetHierarchy, eps: float) -> SpannerGraph:
     for i, members in enumerate(H.levels):
         block = np.ix_(members, members)
         cross[block] |= D[block] <= R * H.radius(i)
-    u, v = np.nonzero(np.triu(cross, k=1))
     return SpannerGraph.from_pairs(
         H.points,
-        zip(u.tolist(), v.tolist()),
+        np.argwhere(np.triu(cross, k=1)),
         meta={"builder": "net_tree", "eps": eps, "radius_const": R},
     )
 
@@ -157,25 +148,26 @@ def build_cluster_graph(
     by at most 2^i * eps^2 along any simple path.
     """
     scale = 2.0**i
-    for _, _, w in G_below.edges:
-        if w >= scale * (1.0 + GEOM_RTOL):
-            raise GraphError(f"edge of weight {w} >= scale {scale}")
-    rep = list(range(G_below.n))
+    n, eu, ev, ew = G_below.n, G_below.u, G_below.v, G_below.w
+    too_long = np.flatnonzero(ew >= scale * (1.0 + GEOM_RTOL))
+    if len(too_long):
+        raise GraphError(f"edge of weight {float(ew[too_long[0]])} >= scale {scale}")
+    rep = np.arange(n)
     if contract:
-        thr = scale * eps * eps / G_below.n
-        short = [e for e in G_below.edges if e[2] <= thr * (1.0 + GEOM_RTOL)]
-        _, labels = connected_components(SpannerGraph(G_below.n, short).as_csr(), directed=False)
+        short = ew <= scale * eps * eps / n * (1.0 + GEOM_RTOL)
+        csr = csr_matrix((ew[short], (eu[short], ev[short])), shape=(n, n))
+        _, labels = connected_components(csr, directed=False)
         # a point's representative is the smallest index in its component
         _, first = np.unique(labels, return_index=True)
-        rep = first[labels].tolist()
+        rep = first[labels]
+    edges = list(zip(eu.tolist(), ev.tolist(), ew.tolist(), rep[eu].tolist(), rep[ev].tolist()))
+    rep = rep.tolist()
     # quotient adjacency (identity when not contracting)
-    adj = [[] for _ in range(G_below.n)]
-    for u, v, w in G_below.edges:
-        ru, rv = rep[u], rep[v]
-        if ru == rv:
-            continue
-        adj[ru].append((rv, w))
-        adj[rv].append((ru, w))
+    adj = [[] for _ in range(n)]
+    for _, _, w, ru, rv in edges:
+        if ru != rv:
+            adj[ru].append((rv, w))
+            adj[rv].append((ru, w))
     nodes = sorted(set(rep))
     radius = eps * scale
     centers: list = []
@@ -201,8 +193,8 @@ def build_cluster_graph(
                     inter[key] = d
     # bridge inter edges through existing edges between clusters
     F = ClusterGraph(i, eps, centers, membership, inter, rep, radius)
-    for u, v, w in G_below.edges:
-        if rep[u] != rep[v]:
+    for u, v, w, ru, rv in edges:
+        if ru != rv:
             F.add_bridge(u, v, w)
     return F
 

@@ -221,7 +221,7 @@ def classify_edges(X: PointSet, E: SpannerGraph, eps: float):
     type1, type2 = set(), set()
     coords = X.coords
     dist = X.distances()
-    for u, v, _ in E.edges:
+    for u, v in zip(E.u.tolist(), E.v.tolist()):
         # the 1e-9 slack exceeds region_codes' own BAND_TOL, so every
         # point it counts as inside the ellipse passes this filter
         limit = (1.0 + eps) * dist[u, v] * (1.0 + 1e-9)
@@ -310,7 +310,7 @@ def phase1(
     kappa = params.kappa
     alpha = params.alpha_value(X.dim)
     dist = X.distances()
-    weights = {(u, v): w for u, v, w in E.edges}
+    weights = dict(zip(zip(E.u.tolist(), E.v.tolist()), E.w.tolist()))
     buckets: dict = {}
     for (u, v), w in weights.items():
         buckets.setdefault(_bucket(w, BETA), []).append((u, v))
@@ -373,13 +373,11 @@ def phase1(
                         report.measured_delta, detour / weights[(s, t)] - 1.0
                     )
             best_left[j] = -heap[0][0] if heap else 0
-    survivors = [(u, v, w) for (u, v), w in weights.items() if (u, v) not in pruned]
-    present = {(u, v) for u, v, _ in survivors}
-    for (a, b) in sorted(new_pairs):
-        if (a, b) not in present:
-            survivors.append((a, b, X.dist(a, b)))
-            present.add((a, b))
-    E1 = SpannerGraph(X.n, survivors, meta={"new_pairs": sorted(new_pairs)})
+    survivors = {p: w for p, w in weights.items() if p not in pruned}
+    for a, b in sorted(new_pairs - survivors.keys()):
+        survivors[(a, b)] = X.dist(a, b)
+    rows = [(u, v, w) for (u, v), w in survivors.items()]
+    E1 = SpannerGraph(X.n, rows, meta={"new_pairs": sorted(new_pairs)})
     return E1, report
 
 
@@ -429,7 +427,7 @@ def phase2(
     eps = params.eps
     _, type2 = classification
     new_pairs = set(map(tuple, E1.meta.get("new_pairs", [])))
-    weights = {(u, v): w for u, v, w in E1.edges}
+    weights = dict(zip(zip(E1.u.tolist(), E1.v.tolist()), E1.w.tolist()))
     type2_old = sorted(
         (w, u, v)
         for (u, v), w in weights.items()

@@ -53,6 +53,14 @@ def check_invariants(H):
     assert len(H.levels[-1]) == 1, "top level must be a single point"
 
 
+def net_parent(H, u, i):
+    """The parent of (u, i) in a net hierarchy: the closest level-(i+1)
+    point to u, ties to the smallest index."""
+    net = H.levels[i + 1]
+    # levels are ascending, so argmin's first minimum is the smallest index
+    return int(net[np.argmin(H.points.distances()[u, net])])
+
+
 def approximate_edge(H, spanner, u, v):
     """Cross edge of a net-tree spanner between the lowest-level distinct
     ancestors of u and v, as (u', v', level)."""
@@ -64,8 +72,8 @@ def approximate_edge(H, spanner, u, v):
         if au != av and (min(au, av), max(au, av)) in edge_set:
             return au, av, i
         if i < top:
-            au = H.parent[(au, i)]
-            av = H.parent[(av, i)]
+            au = net_parent(H, au, i)
+            av = net_parent(H, av, i)
     raise AssertionError(f"no approximate edge for pair ({u},{v})")
 
 

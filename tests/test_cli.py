@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from spanner_forge import cli, graph
 from spanner_forge.cli import (
     ExperimentConfig,
     ParseError,
@@ -337,6 +338,37 @@ def test_generate_x_only_for_x_families(tmp_path):
     for extra, want in (([], 1.0), (["--x", "2"], 2.0)):
         assert main(argv + extra) == 0
         assert json.load(open(str(out) + ".meta.json"))["config"]["x"] == want
+    # each *-x family has a working default: the generator's own x
+    argv[2:5] = ["lightness-lb-x", "--eps", "0.01"]
+    for extra, want in (([], 2.0), (["--x", "3"], 3.0)):
+        assert main(argv + extra) == 0
+        assert json.load(open(str(out) + ".meta.json"))["config"]["x"] == want
+
+
+def test_sweep_x_family_checks_the_x_it_used(tmp_path):
+    out = tmp_path / "rows.json"
+    argv = ["sweep", "--family", "lightness-lb-x", "--eps-list", "0.01",
+            "--builders", "witness", "--out", str(out)]
+    assert main(argv) == 0
+    rows = json.load(open(out))
+    assert [row["x"] for row in rows] == [2.0]
+    assert rows[0]["max_stretch"] <= 1.0 + 0.01 * 2.0 + 1e-9
+
+
+def test_compare_net_tree_reads_columns_only(tmp_path, monkeypatch):
+    # the graph compare hands to metrics never builds its tuple list
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "60", "--seed", "2", "--out", inst])
+    seen = []
+
+    def capture(G, X, *args, **kwargs):
+        seen.append(G)
+        return graph.metrics(G, X, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "metrics", capture)
+    assert main(["compare", "--in", inst, "--builders", "net-tree", "--eps", "0.5"]) == 0
+    assert len(seen) == 1 and len(seen[0].u) > 0
+    assert seen[0]._edges is None
 
 
 def test_build_has_no_x_flag(tmp_path):

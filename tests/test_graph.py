@@ -509,3 +509,28 @@ def test_from_pairs_range_checks_before_reading_coordinates(pair):
         with pytest.raises(GraphError) as err:
             SpannerGraph.from_pairs(X, [(0, 1), pair])
         assert str(err.value) == msg
+
+
+def test_from_pairs_list_and_array_agree():
+    X = random_points(60, 2, 7)
+    pairs = [(v, u) if k % 3 == 0 else (u, v)
+             for k, (u, v) in enumerate(itertools.combinations(range(0, X.n, 3), 2))]
+    A = SpannerGraph.from_pairs(X, pairs)
+    B = SpannerGraph.from_pairs(X, np.array(pairs, dtype=np.int64))
+    for col in ("u", "v", "w"):
+        assert np.array_equal(getattr(A, col), getattr(B, col))
+    assert A.u.dtype == np.int64 and A.w.dtype == np.float64
+    assert (A.u < A.v).all()
+    assert A.edges == B.edges
+    assert A.weight() == B.weight()
+    empty = SpannerGraph.from_pairs(X, np.empty((0, 2), dtype=np.int64))
+    assert empty.edges == [] and empty.weight() == 0.0
+
+
+def test_weight_is_sequential_sum_of_edges():
+    G = path_greedy(random_points(150, 2, 0), 1.1)
+    assert G.weight() == sum(w for _, _, w in G.edges)
+    # here numpy's pairwise sum rounds differently
+    assert float(np.sum(G.w)) != G.weight()
+    with pytest.raises(ValueError):
+        G.w[0] = 0.0  # the columns are read-only

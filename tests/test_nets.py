@@ -15,7 +15,14 @@ from spanner_forge.nets import (
 
 from spanner_forge.instances import gen_random
 
-from conftest import approximate_edge, check_invariants, int_grid, random_points, shortest_dist
+from conftest import (
+    approximate_edge,
+    check_invariants,
+    int_grid,
+    net_parent,
+    random_points,
+    shortest_dist,
+)
 
 
 def test_hierarchy_two_points():
@@ -50,7 +57,9 @@ def test_hierarchy_deterministic():
     H1 = build_hierarchy(X)
     H2 = build_hierarchy(X)
     assert all(np.array_equal(a, b) for a, b in zip(H1.levels, H2.levels))
-    assert H1.parent == H2.parent
+    for i in range(len(H1.levels) - 1):
+        for u in H1.levels[i].tolist():
+            assert net_parent(H1, u, i) == net_parent(H2, u, i)
 
 
 def test_net_tree_spanner_two_points():

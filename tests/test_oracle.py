@@ -186,5 +186,7 @@ def test_oracle_counts_its_search():
     want = reference_brute_force_optimal(X, 0.2)
     assert got.edges == want.edges
     assert 1 <= got.meta["nodes"] <= want.meta["nodes"] / 5
-    # the root and the forced-edge scan already take 1 + 45 checks
-    assert 46 <= got.meta["feasibility_checks"] < want.meta["feasibility_checks"]
+    # the root check plus one exclude check per node that branches; each
+    # branching node also has an include child, so there are at most nodes
+    assert 1 <= got.meta["feasibility_checks"] <= got.meta["nodes"]
+    assert got.meta["feasibility_checks"] < want.meta["feasibility_checks"]
