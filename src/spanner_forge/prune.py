@@ -16,6 +16,7 @@ import heapq
 import math
 import typing
 import warnings
+from collections import Counter
 from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
@@ -25,6 +26,10 @@ from .graph import GraphError, SpannerGraph, bounded_dijkstra, path_greedy
 from .nets import build_cluster_graph, cluster_dist
 
 _RTOL = 1e-12
+# Edges per ellipse-membership mask (edges x n booleans), and point pairs
+# per candidate pass; both bound temporaries, not results.
+_MASK_EDGES = 128
+_PASS_PAIRS = 1 << 14
 
 # Ratio of the geometric length buckets (weights in [BETA^j, BETA^{j+1})).
 BETA = 1.01
@@ -208,6 +213,18 @@ class PhaseReport:
         return self.type2_total == self.type2_kept + self.type2_dropped
 
 
+def _ellipse_masks(dist, S, T, limit):
+    """Which points lie in the ellipses of edges (S[e], T[e]).
+
+    Yields ``(lo, mask)`` per chunk of up to :data:`_MASK_EDGES` edges,
+    where ``mask[r, p]`` says ``dist[S[lo+r], p] + dist[T[lo+r], p] <=
+    limit[lo+r]`` in the shared matrix ``dist``.
+    """
+    for lo in range(0, len(S), _MASK_EDGES):
+        hi = lo + _MASK_EDGES
+        yield lo, dist[S[lo:hi]] + dist[T[lo:hi]] <= limit[lo:hi, None]
+
+
 def classify_edges(X: PointSet, E: SpannerGraph, eps: float):
     """Partition the edges of E into type-1 and type-2 sets.
 
@@ -221,18 +238,19 @@ def classify_edges(X: PointSet, E: SpannerGraph, eps: float):
     type1, type2 = set(), set()
     coords = X.coords
     dist = X.distances()
-    for u, v in zip(E.u.tolist(), E.v.tolist()):
-        # the 1e-9 slack exceeds region_codes' own BAND_TOL, so every
-        # point it counts as inside the ellipse passes this filter
-        limit = (1.0 + eps) * dist[u, v] * (1.0 + 1e-9)
-        if np.count_nonzero(dist[u] + dist[v] <= limit) < 4:
-            type1.add((u, v))
-            continue
-        codes = region_codes(coords[u], coords[v], coords, eps)
-        if (codes == Region.IN_A.value).any() and (codes == Region.IN_B.value).any():
-            type2.add((u, v))
-        else:
-            type1.add((u, v))
+    # the 1e-9 slack exceeds region_codes' own BAND_TOL, so every point
+    # it counts as inside the ellipse passes this filter
+    limit = (1.0 + eps) * dist[E.u, E.v] * (1.0 + 1e-9)
+    inside = np.zeros(len(limit), dtype=np.int64)
+    for lo, mask in _ellipse_masks(dist, E.u, E.v, limit):
+        inside[lo : lo + len(mask)] = np.count_nonzero(mask, axis=1)
+    for u, v, c in zip(E.u.tolist(), E.v.tolist(), inside.tolist()):
+        if c >= 4:
+            codes = region_codes(coords[u], coords[v], coords, eps)
+            if (codes == Region.IN_A.value).any() and (codes == Region.IN_B.value).any():
+                type2.add((u, v))
+                continue
+        type1.add((u, v))
     return type1, type2
 
 
@@ -245,37 +263,59 @@ def _bucket(w: float, beta: float) -> int:
     return j
 
 
-def _exact_candidates(dist, live_edges, weights, min_len, factor):
-    """Map (x, y) pairs to the live same-bucket edges they could replace.
+def _group_pairs(count):
+    """Index pairs (i, j), i < j, within consecutive groups of ``count[g]``
+    items, with the group g of each pair; in (i, j) order."""
+    size = int(count.sum())
+    group = np.repeat(np.arange(len(count)), count)
+    after = np.cumsum(count)[group] - 1 - np.arange(size)  # later items in the group
+    i = np.repeat(np.arange(size), after)
+    run = np.cumsum(after) - after  # where i's run of pairs starts
+    j = i + 1 + np.arange(len(i)) - np.repeat(run, after)
+    return i, j, group[i]
 
-    A pair qualifies for edge (s, t) when |sx|+|xy|+|yt| (either
-    orientation) stays within factor*|st| and |xy| >= min_len.  All
-    lengths are looked up in ``dist``, the matrix of
-    :meth:`PointSet.distances`.
+
+def _candidate_triples(dist, S, T, W, min_len, factor):
+    """Every pair (x, y), x < y, that could replace the edge (S[e], T[e]).
+
+    A pair qualifies for edge e when |sx|+|xy|+|yt| (either orientation)
+    stays within factor*W[e] and |xy| >= min_len[e].  All lengths are
+    looked up in ``dist``, the matrix of :meth:`PointSet.distances`.
+    Returns the arrays ``(x, y, e)``, grouped by edge in input order and
+    each edge's pairs in (x, y) order, so edges sorted by bucket give
+    triples sorted by bucket.
     """
-    cand: dict = {}
-    for (s, t) in live_edges:
-        w = weights[(s, t)]
-        budget = factor * w * (1.0 + _RTOL)
-        ds = dist[s]
-        dt = dist[t]
-        inside = np.nonzero(ds + dt <= budget)[0]
-        if len(inside) < 2:
-            continue
-        pd = dist[inside][:, inside]
-        dsi = ds[inside]
-        dti = dt[inside]
-        ok = (pd >= min_len * (1.0 - _RTOL)) & (
-            (dsi[:, None] + pd + dti[None, :] <= budget)
-            | (dti[:, None] + pd + dsi[None, :] <= budget)
-        )
-        ok |= ok.T
-        ii, jj = np.nonzero(ok)
-        upper = ii < jj
-        # inside is sorted, so each key comes out as (smaller, larger)
-        for key in zip(inside[ii[upper]].tolist(), inside[jj[upper]].tolist()):
-            cand.setdefault(key, set()).add((s, t))
-    return cand
+    budget = factor * W * (1.0 + _RTOL)
+    shortest = min_len * (1.0 - _RTOL)
+    parts = [(np.zeros(0, dtype=np.intp),) * 3]
+    for lo, mask in _ellipse_masks(dist, S, T, budget):
+        rows, pts = np.nonzero(mask)  # each edge's points in ascending order
+        count = np.bincount(rows, minlength=len(mask))
+        ends = np.cumsum(count)
+        load = np.cumsum(count * (count - 1) // 2)
+        r0 = 0
+        while r0 < len(mask):
+            # the edges from r0 whose pairs fit in one pass, at least one
+            done = load[r0 - 1] if r0 else 0
+            r1 = max(r0 + 1, int(np.searchsorted(load, done + _PASS_PAIRS, side="right")))
+            p0 = ends[r0] - count[r0]
+            i, j, g = _group_pairs(count[r0:r1])
+            a, b, e = pts[p0 + i], pts[p0 + j], lo + r0 + g
+            s, t, pd = S[e], T[e], dist[a, b]
+            dsa, dta, dsb, dtb = dist[s, a], dist[t, a], dist[s, b], dist[t, b]
+            B = budget[e]
+            # each orientation summed from both ends: float addition is
+            # not associative, and the test must not depend on which
+            # endpoint of the edge is s
+            ok = (pd >= shortest[e]) & (
+                (dsa + pd + dtb <= B)
+                | (dta + pd + dsb <= B)
+                | (dsb + pd + dta <= B)
+                | (dtb + pd + dsa <= B)
+            )
+            parts.append((a[ok], b[ok], e[ok]))
+            r0 = r1
+    return tuple(np.concatenate(c) for c in zip(*parts))
 
 
 def phase1(
@@ -293,46 +333,59 @@ def phase1(
     Returns the surviving graph (new pairs recorded in its meta) and a
     report.
 
-    Candidate lengths come from the shared :meth:`PointSet.distances`
-    matrix, which ``classify_edges`` and later rounds reuse; the weights
-    of new pairs and the detours use :meth:`PointSet.dist`.  Since
-    ``live`` only shrinks and candidate pairs depend on geometry alone,
-    no cover ever grows.  So the best pair is taken from a heap of
-    cover sizes refreshed only when they reach the top, and a bucket
-    whose cover loop last stopped with a best cover below the current
-    threshold is skipped without rebuilding its candidates.
+    Candidate pairs depend on geometry alone, so one pass of
+    :func:`_candidate_triples` over all type-1 edges, sorted by bucket,
+    finds them before the loop; lengths come from the shared
+    :meth:`PointSet.distances` matrix, the weights of new pairs and the
+    detours from :meth:`PointSet.dist`.  A visit to a bucket maps each
+    pair of the bucket's slice of triples to the live edges it covers.
+    Since ``live`` only shrinks, no cover ever grows.  So the best pair
+    is taken from a heap of cover sizes refreshed only when they reach
+    the top, and a bucket is skipped without a visit when it holds fewer
+    live edges than the threshold, or when its cover loop last stopped
+    with a best cover below it.
     """
     eps = params.eps
     if classification is None:
         classification = classify_edges(X, E, eps)
     type1, _ = classification
-    factor = 1.0 + eps
     kappa = params.kappa
     alpha = params.alpha_value(X.dim)
-    dist = X.distances()
-    weights = dict(zip(zip(E.u.tolist(), E.v.tolist()), E.w.tolist()))
-    buckets: dict = {}
-    for (u, v), w in weights.items():
-        buckets.setdefault(_bucket(w, BETA), []).append((u, v))
+    edges = list(zip(E.u.tolist(), E.v.tolist()))
+    weights = E.w.tolist()
+    bucket = [_bucket(w, BETA) for w in weights]
+    # type-1 edges by bucket; an edge is its position k in this order
+    t1 = sorted((i for i, p in enumerate(edges) if p in type1), key=bucket.__getitem__)
+    pos = {edges[i]: k for k, i in enumerate(t1)}
+    level = [bucket[i] for i in t1]
+    n_live = Counter(level)  # bucket -> live edges left in it
     report = PhaseReport(phase=1)
-    for j, lst in buckets.items():
-        t1 = sum(1 for p in lst if p in type1)
-        report.levels[j] = {"edges": len(lst), "type1": t1, "pruned": 0, "kept": t1}
-    live = set(type1)  # old type-1 edges still present and prunable
+    for j, n_j in Counter(bucket).items():
+        report.levels[j] = {"edges": n_j, "type1": n_live[j], "pruned": 0, "kept": n_live[j]}
+    order = sorted(n_live)
+    idx = np.array(t1, dtype=np.intp)
+    min_len = np.array([BETA**j / 25.0 for j in level])
+    dist = X.distances()
+    xs, ys, ks = _candidate_triples(dist, E.u[idx], E.v[idx], E.w[idx], min_len, 1.0 + eps)
+    # bucket -> its slice of the triples
+    ends = np.searchsorted(ks, np.cumsum([n_live[j] for j in order]))
+    span = dict(zip(order, zip([0, *ends.tolist()], ends.tolist())))
+    live = set(range(len(t1)))  # old type-1 edges still present and prunable
     new_pairs: set = set()
     pruned: set = set()
     best_left: dict = {}  # bucket -> best cover size when its loop last stopped
     n_sub = max(1, math.ceil(math.log2(max(alpha, 2.0))))
     for i in range(1, n_sub + 1):
         thr = alpha / (2.0**i * kappa)
-        for j in sorted(buckets):
-            if best_left.get(j, math.inf) < thr:
+        for j in order:
+            if n_live[j] < thr or best_left.get(j, math.inf) < thr:
                 continue
-            live_j = [p for p in buckets[j] if p in live]
-            if not live_j or len(live_j) < thr:
-                continue
-            min_len = BETA**j / 25.0
-            cand = _exact_candidates(dist, live_j, weights, min_len, factor)
+            cand: dict = {}
+            lo, hi = span[j]
+            keys = zip(xs[lo:hi].tolist(), ys[lo:hi].tolist())
+            for key, k in zip(keys, ks[lo:hi].tolist()):
+                if k in live:
+                    cand.setdefault(key, set()).add(k)
             # Max-heap of (cover size, pair), smallest pair first on ties.
             # Covers only shrink, so a stored size is an upper bound: the
             # top is the best pair once its size is current.
@@ -351,16 +404,21 @@ def phase1(
                     break
                 heapq.heappop(heap)  # its whole cover is about to leave live
                 new_pairs.add(best_key)
-                live.discard(best_key)  # a coinciding old edge is now protected
                 report.substitutes_added += 1
-                if any(p != best_key for p in best_cov):
-                    report.genuine_substitutes += 1
+                same = pos.get(best_key, -1)
+                if same in live:  # a coinciding old edge is now protected
+                    live.discard(same)
+                    n_live[level[same]] -= 1
+                others = [k for k in best_cov if k != same]
+                if not others:
+                    continue
+                report.genuine_substitutes += 1
                 x, y = best_key
                 wxy = X.dist(x, y)
-                for (s, t) in best_cov:
-                    if (s, t) == best_key:
-                        continue
-                    live.discard((s, t))
+                for k in others:
+                    s, t = edges[t1[k]]
+                    live.discard(k)
+                    n_live[j] -= 1
                     pruned.add((s, t))
                     report.levels[j]["pruned"] += 1
                     report.levels[j]["kept"] -= 1
@@ -370,10 +428,10 @@ def phase1(
                         X.dist(s, y) + wxy + X.dist(t, x),
                     )
                     report.measured_delta = max(
-                        report.measured_delta, detour / weights[(s, t)] - 1.0
+                        report.measured_delta, detour / weights[t1[k]] - 1.0
                     )
             best_left[j] = -heap[0][0] if heap else 0
-    survivors = {p: w for p, w in weights.items() if p not in pruned}
+    survivors = {p: w for p, w in zip(edges, weights) if p not in pruned}
     for a, b in sorted(new_pairs - survivors.keys()):
         survivors[(a, b)] = X.dist(a, b)
     rows = [(u, v, w) for (u, v), w in survivors.items()]

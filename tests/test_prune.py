@@ -411,7 +411,7 @@ def test_level_buckets_partition_old_edges():
 
 def test_phase1_candidate_map_matches_brute_force():
     # independent recomputation of |P_{x,y}| from the definition
-    from spanner_forge.prune import _bucket, _exact_candidates
+    from spanner_forge.prune import _bucket, _candidate_triples
 
     X = random_points(40, 2, 38)
     E = path_greedy(X, 1.3)
@@ -426,7 +426,14 @@ def test_phase1_candidate_map_matches_brute_force():
     j = max(buckets, key=lambda b: len(buckets[b]))
     live = buckets[j]
     min_len = beta**j / 25.0
-    cand = _exact_candidates(X.distances(), live, weights, min_len, 1.0 + eps)
+    s, t = np.array(live).T
+    w = np.array([weights[p] for p in live])
+    triples = _candidate_triples(
+        X.distances(), s, t, w, np.full(len(live), min_len), 1.0 + eps
+    )
+    cand = {}
+    for x, y, e in zip(*(a.tolist() for a in triples)):
+        cand.setdefault((x, y), set()).add(live[e])
     c = X.coords
     for x in range(X.n):
         for y in range(x + 1, X.n):
@@ -442,6 +449,16 @@ def test_phase1_candidate_map_matches_brute_force():
                         expected.add((s, t))
             got = cand.get((x, y), set())
             assert got == expected, (x, y)
+
+
+def test_candidate_triples_empty():
+    from spanner_forge.prune import _candidate_triples
+
+    X = random_points(10, 2, 39)
+    none = np.zeros(0, dtype=np.int64)
+    triples = _candidate_triples(X.distances(), none, none, np.zeros(0), np.zeros(0), 1.1)
+    assert [len(a) for a in triples] == [0, 0, 0]
+    assert all(a.dtype.kind == "i" for a in triples)
 
 
 def test_greedy_prune_lightness_lb_weight_reduction():
@@ -637,6 +654,41 @@ def test_phase1_matches_reference_integer_thresholds(name):
     # alpha=40, kappa=10 gives thresholds 2, 1, 0.5, ...: a bucket whose
     # best cover equals the threshold must still be rebuilt
     _assert_phase1_matches_reference(name, [{"alpha": 40.0}])
+
+
+@pytest.mark.parametrize("name", sorted(PHASE1_INPUTS))
+def test_candidate_triples_match_reference(name, monkeypatch):
+    # a cap of 5 pairs per pass puts every edge with four or more points
+    # in a pass of its own and splits mask chunks between passes
+    import spanner_forge.prune as prune
+
+    monkeypatch.setattr(prune, "_PASS_PAIRS", 5)
+    monkeypatch.setattr(prune, "_MASK_EDGES", 16)
+    make, eps = PHASE1_INPUTS[name]
+    X = make()
+    E = path_greedy(X, 1.0 + eps)
+    type1, _ = classify_edges(X, E, eps)
+    weights = {(u, v): w for u, v, w in E.edges}
+    live = sorted(type1)
+    bucket = [prune._bucket(weights[p], BETA) for p in live]
+    s, t = np.array(live).T
+    triples = prune._candidate_triples(
+        X.distances(),
+        s,
+        t,
+        np.array([weights[p] for p in live]),
+        np.array([BETA**j / 25.0 for j in bucket]),
+        1.0 + eps,
+    )
+    by_bucket = {}
+    for j, p in zip(bucket, live):
+        by_bucket.setdefault(j, []).append(p)
+    got = {}
+    for x, y, e in zip(*(a.tolist() for a in triples)):
+        got.setdefault(bucket[e], {}).setdefault((x, y), set()).add(live[e])
+    for j, edges in by_bucket.items():
+        want = _reference_candidates(X.coords, edges, weights, BETA**j / 25.0, 1.0 + eps)
+        assert got.get(j, {}) == want, j
 
 
 @pytest.mark.parametrize("name", ["arc", "rectangle", "motivating", "grid2", "grid3"])
