@@ -60,10 +60,12 @@ class PointSet:
 
     ``scale`` records the factor the raw coordinates were divided by
     during :func:`normalize` (1.0 for raw sets), so results can be mapped
-    back to input units.
+    back to input units.  The pairwise extremes, the distance matrix and
+    the EMST weight (``graph.emst_weight``) are computed on first use and
+    kept.
     """
 
-    __slots__ = ("coords", "scale", "_min_dist", "_max_dist", "_dist")
+    __slots__ = ("coords", "scale", "_min_dist", "_max_dist", "_dist", "_emst")
 
     def __init__(self, coords, scale: float = 1.0):
         arr = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
@@ -82,6 +84,7 @@ class PointSet:
         self._min_dist = None
         self._max_dist = None
         self._dist = None
+        self._emst = None
 
     @property
     def n(self) -> int:
@@ -140,7 +143,8 @@ class PointSet:
 def normalize(raw) -> PointSet:
     """Scale a raw point set so its minimum pairwise distance is 1.
 
-    The divisor is recorded as ``scale`` on the result.  Raises
+    The divisor is recorded as ``scale`` on the result, whose extremes
+    are set to 1 and the raw spread rather than recomputed.  Raises
     ``TooFewPoints`` for fewer than two points and ``DuplicatePoint``
     for coincident points.
     """
@@ -149,10 +153,12 @@ def normalize(raw) -> PointSet:
     ps = PointSet(raw)
     if ps.n < 2:
         raise TooFewPoints("normalization needs at least two points")
-    d = ps.min_pairwise_distance()
+    d, hi = ps._pairwise_extremes()
     if d <= 0:
         raise DuplicatePoint("zero minimum pairwise distance")
-    return PointSet(ps.coords / d, scale=d)
+    out = PointSet(ps.coords / d, scale=d)
+    out._min_dist, out._max_dist = 1.0, hi / d
+    return out
 
 
 def region_codes(s, t, coords: np.ndarray, eps: float) -> np.ndarray:

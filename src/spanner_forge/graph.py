@@ -214,7 +214,10 @@ def verify_stretch(
     """Exact maximum stretch of G over X, with an argmax witness pair.
 
     Runs one single-source computation per vertex, 64 sources per scipy
-    call; raises :class:`TooLarge` for n > n_max unless ``force``.  Ties
+    call.  The CSR already holds both arcs of every edge, so scipy runs it
+    as a directed graph: each edge is relaxed once from each side, with no
+    transposed copy per call, and the labels are those of the undirected
+    search.  Raises :class:`TooLarge` for n > n_max unless ``force``.  Ties
     break to the lexicographically smallest pair.  Raises
     :class:`Disconnected` (carrying the first unreachable pair) when G is
     not connected.
@@ -232,7 +235,7 @@ def verify_stretch(
     chunk = 64
     for lo in range(0, X.n - 1, chunk):
         sources = np.arange(lo, min(lo + chunk, X.n - 1))
-        gd = _csgraph_dijkstra(csr, directed=False, indices=sources)
+        gd = _csgraph_dijkstra(csr, directed=True, indices=sources)
         for row, s in zip(gd, sources.tolist()):
             eu = np.linalg.norm(c[s + 1 :] - c[s], axis=1)
             gr = row[s + 1 :]
@@ -246,7 +249,16 @@ def verify_stretch(
 
 
 def emst_weight(X: PointSet) -> float:
-    """Weight of a Euclidean minimum spanning tree (dense Prim scan)."""
+    """Weight of a Euclidean minimum spanning tree (dense Prim scan).
+
+    The scan runs once per point set; the weight is kept on ``X``.
+    """
+    if X._emst is None:
+        X._emst = _prim_weight(X)
+    return X._emst
+
+
+def _prim_weight(X: PointSet) -> float:
     n = X.n
     if n <= 1:
         return 0.0
@@ -282,14 +294,38 @@ def metrics(G: SpannerGraph, X: PointSet, force: bool = False) -> MetricsReport:
     )
 
 
+# Pair lengths are computed this many pairs at a time, so the coordinate
+# differences never exist for all pairs at once; up to n = 362 is one pass.
+_PAIR_PASS = 1 << 16
+
+
 def _sorted_pairs(X: PointSet):
-    """All vertex pairs ordered by (length, u, v)."""
+    """All vertex pairs ordered by (length, u, v).
+
+    Returns int32 ``iu``, ``iv`` and float64 lengths ``w``.  The pairs are
+    built in (u, v) order, so a stable sort by length alone breaks ties
+    by (u, v).  Each length is ``norm(c[u] - c[v])`` as a whole-array
+    ``norm(axis=1)`` computes it, in passes of :data:`_PAIR_PASS` pairs.
+    """
     n = X.n
-    iu, iv = np.triu_indices(n, k=1)
+    m = n * (n - 1) // 2
+    iu = np.repeat(np.arange(n - 1, dtype=np.int32), np.arange(n - 1, 0, -1))
+    # iv counts up by one within a row and restarts at u + 1 on the next
+    # row: a running sum of steps, one step per pair
+    iv = np.ones(m, dtype=np.int32)
+    iv[np.cumsum(np.arange(n - 1, 1, -1))] = np.arange(1, n - 1) + 2 - n
+    np.cumsum(iv, out=iv)
     c = X.coords
-    w = np.linalg.norm(c[iu] - c[iv], axis=1)
-    order = np.lexsort((iv, iu, w))
-    return iu[order], iv[order], w[order]
+    w = np.empty(m)
+    for k in range(0, m, _PAIR_PASS):
+        w[k : k + _PAIR_PASS] = np.linalg.norm(
+            c[iu[k : k + _PAIR_PASS]] - c[iv[k : k + _PAIR_PASS]], axis=1
+        )
+    order = np.argsort(w, kind="stable")
+    # one array at a time, so the unsorted copy of each is freed early
+    iu = iu[order]
+    iv = iv[order]
+    return iu, iv, w[order]
 
 
 # Incremental exact APSP restricted to the rows and columns the new edge shortens.
@@ -302,7 +338,11 @@ def _path_greedy_matrix(X: PointSet, t: float) -> list:
     # chunked tolist() avoids both numpy scalar indexing and n^2 Python objects
     chunk = 1024
     for lo in range(0, len(w), chunk):
-        for u, v, wk in zip(*(a[lo : lo + chunk].tolist() for a in (iu, iv, w))):
+        su, sv, sw = iu[lo : lo + chunk], iv[lo : lo + chunk], w[lo : lo + chunk]
+        # dist only falls, so a pair already met here is met at its turn;
+        # the open ones are re-tested one by one against the current dist
+        open_ = ~(dist[su, sv] <= t * sw * (1.0 + GREEDY_RTOL))
+        for u, v, wk in zip(su[open_].tolist(), sv[open_].tolist(), sw[open_].tolist()):
             if dist[u, v] <= t * wk * (1.0 + GREEDY_RTOL):
                 continue
             edges.append((u, v, wk))
@@ -326,20 +366,22 @@ def path_greedy(X: PointSet, t: float) -> SpannerGraph:
     Processes pairs by increasing distance (ties lexicographic) and adds
     an edge iff the current graph distance exceeds t times the pair
     distance.  Graph distances live in an n x n matrix, and each new
-    edge updates only the rows and columns it shortens.
+    edge updates only the rows and columns it shortens.  Pairs are
+    tested 1024 at a time against the matrix, and only those still open
+    are tested again, one by one, at their turn.
 
-    The sorted pairs and the matrix peak at about max(28, 16 + 8 d) * n^2
-    bytes in dimension d: the RSS growth measured on uniform points was
-    28, 32, 40 and 48 n^2 bytes for d = 1..4 (n = 2000; d = 2 and 3 also
-    at n = 3000 and 4000).  Raises :class:`TooLarge` before allocating
-    when that exceeds the machine's physical memory.
+    The sorted pairs (16 bytes each) and the matrix peak at about
+    24 * n^2 bytes: the RSS growth measured on uniform points was 17.7 to
+    23.0 n^2 bytes for d = 1..4 and n = 2000, 3000 and 4000.  Raises
+    :class:`TooLarge` before allocating when that exceeds the machine's
+    physical memory.
     """
     if not (math.isfinite(t) and t >= 1.0):
         raise GraphError(f"stretch factor must be finite and >= 1, got {t}")
     meta = {"t": t, "builder": "path_greedy"}
     if X.n < 2:
         return SpannerGraph(X.n, [], meta=meta)
-    need = max(28, 16 + 8 * X.dim) * X.n * X.n
+    need = 24 * X.n * X.n
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise TooLarge(

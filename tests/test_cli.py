@@ -371,6 +371,30 @@ def test_compare_net_tree_reads_columns_only(tmp_path, monkeypatch):
     assert seen[0]._edges is None
 
 
+def test_sweep_scans_each_point_set_once(monkeypatch):
+    # greedy and witness rows share their point set, and so its EMST scan
+    prim = graph._prim_weight
+    scanned, seen = [], []
+
+    def counting(X):
+        scanned.append(X)
+        return prim(X)
+
+    def capture(G, X, *args, **kwargs):
+        seen.append(X)
+        return graph.metrics(G, X, *args, **kwargs)
+
+    monkeypatch.setattr(graph, "_prim_weight", counting)
+    monkeypatch.setattr(cli, "metrics", capture)
+    argv = ["sweep", "--family", "lightness-lb", "--eps-list", "0.04,0.02",
+            "--builders", "greedy,witness"]
+    assert main(argv) == 0
+    assert len(seen) == 4 and seen[0] is seen[1] and seen[2] is seen[3]
+    assert len(scanned) == 2 and scanned[0] is seen[0] and scanned[1] is seen[2]
+    for X in scanned:
+        assert X._emst == prim(X)
+
+
 def test_build_has_no_x_flag(tmp_path):
     # builders take no x, and build writes no report to record it in
     inst = str(tmp_path / "r.txt")

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from spanner_forge.geom import PointSet, normalize
 from spanner_forge.graph import (
@@ -19,8 +20,10 @@ from spanner_forge.graph import (
     read_edge_list,
     verify_stretch,
     write_edge_list,
+    _prim_weight,
     _sorted_pairs,
 )
+from spanner_forge.nets import build_hierarchy, build_net_tree_spanner
 from spanner_forge.instances import (
     gen_lightness_lb,
     gen_motivating,
@@ -118,6 +121,52 @@ def test_verify_stretch_refuses_above_cap():
     assert verify_stretch(G, X, n_max=10, force=True) == verify_stretch(G, X)
 
 
+def undirected_verify(G, X):
+    """verify_stretch as a per-row loop over undirected scipy Dijkstra."""
+    c, best, witness = X.coords, -1.0, None
+    for s in range(X.n - 1):
+        row = dijkstra(G.as_csr(), directed=False, indices=s)
+        eu = np.linalg.norm(c[s + 1 :] - c[s], axis=1)
+        gr = row[s + 1 :]
+        if np.isinf(gr).any():
+            raise Disconnected((s, int(np.argmax(np.isinf(gr))) + s + 1))
+        ratio = gr / eu
+        j = int(np.argmax(ratio))
+        if ratio[j] > best:
+            best, witness = float(ratio[j]), (s, j + s + 1)
+    return best, witness
+
+
+# name: (points, greedy stretch factor; None builds a net tree at eps=0.5)
+VERIFY_CASES = {
+    "arc": (lambda: normalize(gen_lightness_lb(0.01).points), 1.01),
+    "grid15": (lambda: int_grid(15, 2), 1.1),  # many tied lengths
+    "net-tree-d3": (lambda: normalize(gen_random(80, 3, "uniform", 4).points), None),
+    "clustered": (lambda: normalize(gen_random(150, 2, "clustered", 0).points), 1.1),
+    "n2": (lambda: PointSet(np.array([[0.0], [1.0]])), 1.5),
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_CASES))
+def test_verify_stretch_matches_undirected_rows(case):
+    points, t = VERIFY_CASES[case]
+    X = points()
+    G = build_net_tree_spanner(build_hierarchy(X), 0.5) if t is None else path_greedy(X, t)
+    assert verify_stretch(G, X) == undirected_verify(G, X)
+
+
+def test_verify_stretch_disconnected_pair_matches_undirected_rows():
+    X = int_grid(6, 2)
+    G = path_greedy(X, 1.1)
+    keep = (G.u != 14) & (G.v != 14)  # vertex 14 loses every edge
+    H = SpannerGraph.from_pairs(X, np.stack([G.u[keep], G.v[keep]], axis=1))
+    with pytest.raises(Disconnected) as got:
+        verify_stretch(H, X)
+    with pytest.raises(Disconnected) as want:
+        undirected_verify(H, X)
+    assert got.value.pair == want.value.pair == (0, 14)
+
+
 @pytest.mark.parametrize(
     "n, edges, connected",
     [
@@ -209,6 +258,22 @@ def test_emst_not_above_random_spanning_trees():
         assert base <= wsum + 1e-9
 
 
+def test_emst_weight_scans_once_per_point_set(monkeypatch):
+    calls = []
+
+    def counting(X):
+        calls.append(X)
+        return _prim_weight(X)
+
+    monkeypatch.setattr("spanner_forge.graph._prim_weight", counting)
+    X = random_points(30, 2, 3)
+    assert emst_weight(X) == emst_weight(X) == _prim_weight(X)
+    assert len(calls) == 1
+    # a new point set with the same coordinates scans again
+    assert emst_weight(random_points(30, 2, 3)) == emst_weight(X)
+    assert len(calls) == 2
+
+
 def test_metrics_mst_and_complete():
     X = random_points(12, 2, 13)
     # MST edges via dense search against emst_weight
@@ -282,17 +347,42 @@ def test_path_greedy_meta_same_for_tiny_inputs():
 
 
 def test_path_greedy_refuses_matrix_beyond_physical_memory(monkeypatch):
-    # 4 pages of 4 KiB: a 20-point line needs 28 * 20^2 = 11200 bytes and
-    # fits; a 30-point line needs 25200 and does not
+    # 4 pages of 4 KiB = 16384 bytes: a 26-point line needs 24 * 26^2 =
+    # 16224 bytes and fits; a 27-point line needs 17496 and does not
     pages = {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr("os.sysconf", lambda name: pages[name])
-    assert len(path_greedy(line(20), 1.1).edges) == 19
+    assert len(path_greedy(line(26), 1.1).edges) == 25
     monkeypatch.setattr(
         "spanner_forge.graph._sorted_pairs",
         lambda X: pytest.fail("allocated before the memory check"),
     )
     with pytest.raises(TooLarge):
-        path_greedy(line(30), 1.1)
+        path_greedy(line(27), 1.1)
+
+
+@pytest.mark.parametrize("pass_pairs", [5, 1 << 16])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: int_grid(15, 2),
+        lambda: int_grid(5, 3),
+        lambda: line(40),
+        lambda: normalize(gen_lightness_lb(0.04).points),
+        lambda: line(2),
+    ],
+    ids=["grid2", "grid3", "line", "lightness-lb", "n2"],
+)
+def test_sorted_pairs_match_lexsort(make, pass_pairs, monkeypatch):
+    # tie-heavy inputs; with 5 pairs per pass most passes split a row
+    monkeypatch.setattr("spanner_forge.graph._PAIR_PASS", pass_pairs)
+    X = make()
+    iu, iv = np.triu_indices(X.n, k=1)
+    w = np.linalg.norm(X.coords[iu] - X.coords[iv], axis=1)
+    order = np.lexsort((iv, iu, w))
+    got = _sorted_pairs(X)
+    assert got[0].dtype == got[1].dtype == np.int32
+    for a, b in zip(got, (iu[order], iv[order], w[order])):
+        assert np.array_equal(a, b)
 
 
 def full_update_greedy(X, t):
