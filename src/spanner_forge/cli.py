@@ -295,13 +295,14 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep(args) -> int:
     rows = []
     failures = 0
+    per_x: dict = {}  # --x-list value (None without one) -> eps -> builder -> row
     for eps in args.eps_list:
-        for x in args.x_list or [None]:
+        for x_arg in args.x_list or [None]:
             sub = argparse.Namespace(**vars(args))
             sub.eps = eps
-            sub.x = x
+            sub.x = x_arg
             inst = _FAMILIES[args.family](sub)
-            x = inst.meta.get("x", x)  # a *-x family's x, its default if none was given
+            x = inst.meta.get("x", x_arg)  # a *-x family's x, its default if none was given
             X = normalize(inst.points)
             for name in args.builders:
                 G = _build_spanner(name, X, sub, inst.witness_pairs)
@@ -313,30 +314,29 @@ def _cmd_sweep(args) -> int:
                 row["ok"] = rep.max_stretch <= bound + 1e-9
                 failures += not row["ok"]
                 rows.append(row)
+                per_x.setdefault(x_arg, {}).setdefault(eps, {})[name] = row
     if args.out:
         write_report(rows, args.out)
-    slope = None
     ratio_kind = "weight" if "lightness" in args.family else "edge_count"
-    per_eps: dict = {}
-    for row in rows:
-        per_eps.setdefault(row["eps"], {})[row["builder"]] = row
-    if all(len(v) >= 2 and "greedy" in v and "witness" in v for v in per_eps.values()):
-        invs, vals = [], []
-        for eps in sorted(per_eps, reverse=True):
-            g, w = per_eps[eps]["greedy"], per_eps[eps]["witness"]
-            invs.append(1.0 / eps)
-            vals.append(g[ratio_kind] / w[ratio_kind])
-        if len(invs) >= 2:
-            slope = _loglog_slope(invs, vals)
-            print(f"log-log slope of greedy/witness {ratio_kind} ratio vs 1/eps: {slope:.3f}")
+    slopes = []
+    for x, per_eps in per_x.items():
+        if len(per_eps) < 2 or not all("greedy" in v and "witness" in v for v in per_eps.values()):
+            continue
+        eps_desc = sorted(per_eps, reverse=True)
+        vals = [per_eps[e]["greedy"][ratio_kind] / per_eps[e]["witness"][ratio_kind]
+                for e in eps_desc]
+        slope = _loglog_slope([1.0 / e for e in eps_desc], vals)
+        at = "" if x is None else f" at x={x:g}"
+        print(f"log-log slope of greedy/witness {ratio_kind} ratio vs 1/eps{at}: {slope:.3f}")
+        slopes.append({"x": x, "slope": slope})
     if args.gnuplot and args.out:
-        _write_gnuplot(args.gnuplot, args.out, ratio_kind)
+        _write_gnuplot(args.gnuplot, args.out, ratio_kind, args.builders)
     if args.summary_out:
         write_report(
             {
                 "config": _config_of(args).to_dict(),
                 "timestamp": time.time(),
-                "slope": slope,
+                "slope": slopes,
                 "rows": rows,
             },
             args.summary_out,
@@ -344,12 +344,23 @@ def _cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
-def _write_gnuplot(path, csv_path, ratio_kind) -> None:
+def _write_gnuplot(path, csv_path, column, builders) -> None:
+    """One line per builder of ``column`` against 1/eps; a builder's line
+    reads the CSV rows whose ``builder`` column names it."""
+    plots = ", \\\n     ".join(
+        f"'{csv_path}' using (1/column('eps')):"
+        f"(strcol('builder') eq '{b}' ? column('{column}') : NaN)"
+        f" with linespoints title '{b}'"
+        for b in builders
+    )
     script = (
         "set datafile separator ','\n"
+        # gnuplot 5.4 and later then treat the other builders' rows as
+        # missing points, which a line passes over, not as breaks in it
+        "set datafile missing NaN\n"
         "set logscale xy\n"
-        f"set xlabel '1/eps'\nset ylabel 'greedy/{ratio_kind} ratio'\n"
-        f"plot '{csv_path}' using (1/column('eps')):(column('{ratio_kind}')) with linespoints\n"
+        f"set xlabel '1/eps'\nset ylabel '{column}'\n"
+        f"plot {plots}\n"
     )
     with open(path, "w", encoding="ascii") as fh:
         fh.write(script)

@@ -1,17 +1,16 @@
 """Spanner graphs over a point set.
 
-Bounded Dijkstra, exact all-pairs stretch verification, Euclidean
-MST weight, summary metrics, the path-greedy builder, and an exact
-branch-and-bound oracle for the sparsest / lightest (1+eps)-spanner on
-tiny inputs.
+Exact all-pairs stretch verification, Euclidean MST weight, summary
+metrics, the path-greedy builder, and an exact branch-and-bound oracle
+for the sparsest / lightest (1+eps)-spanner on tiny inputs.  Every
+shortest-path search runs scipy's csgraph Dijkstra on a CSR.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -75,6 +74,17 @@ def _ordered_pairs(n: int, u: np.ndarray, v: np.ndarray):
     return lo, hi
 
 
+def symmetric_csr(n: int, u, v, w) -> csr_matrix:
+    """n x n CSR holding both arcs of each edge u[k]-v[k] of weight w[k].
+
+    Entries on the same pair are summed, so the edges must not repeat a
+    pair.  Searches run on it as a directed graph: each edge is then
+    relaxed once from each side, with no transposed copy.
+    """
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    return csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
+
+
 class SpannerGraph:
     """Weighted undirected graph on point indices.
 
@@ -84,7 +94,7 @@ class SpannerGraph:
     on first read.  Instances are treated as immutable once built.
     """
 
-    __slots__ = ("n", "u", "v", "w", "_edges", "_adj", "_csr", "meta")
+    __slots__ = ("n", "u", "v", "w", "_edges", "_csr", "meta")
 
     def __init__(self, n: int, edges, meta: dict | None = None):
         # item j of every row, converted as int or float would
@@ -98,7 +108,7 @@ class SpannerGraph:
         for a in (u, v, w):
             a.flags.writeable = False
         self.n, self.u, self.v, self.w = n, u, v, w
-        self._edges = self._adj = self._csr = None
+        self._edges = self._csr = None
         self.meta = dict(meta) if meta else {}
 
     @classmethod
@@ -131,22 +141,9 @@ class SpannerGraph:
         # a sequential sum in edge order; np.sum adds pairwise
         return float(sum(self.w.tolist()))
 
-    @property
-    def adjacency(self):
-        """Per-vertex list of (neighbor, weight)."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.n)]
-            for u, v, w in zip(self.u.tolist(), self.v.tolist(), self.w.tolist()):
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-            self._adj = adj
-        return self._adj
-
     def as_csr(self) -> csr_matrix:
         if self._csr is None:
-            rows, cols = np.concatenate([self.u, self.v]), np.concatenate([self.v, self.u])
-            data = np.concatenate([self.w, self.w])
-            self._csr = csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+            self._csr = symmetric_csr(self.n, self.u, self.v, self.w)
         return self._csr
 
     def is_connected(self) -> bool:
@@ -168,41 +165,7 @@ class MetricsReport:
     witness_pair: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "edge_count": self.edge_count,
-            "sparsity": self.sparsity,
-            "weight": self.weight,
-            "mst_weight": self.mst_weight,
-            "lightness": self.lightness,
-            "max_stretch": self.max_stretch,
-            "witness_pair": list(self.witness_pair),
-        }
-
-
-def bounded_dijkstra(adj, source: int, limit: float, target: int | None = None) -> dict:
-    """Dijkstra labels of the vertices settled within ``limit`` of ``source``.
-
-    ``adj`` is a per-vertex list of (neighbor, weight) lists.  Labels
-    above ``limit`` are never pushed; the search stops as soon as
-    ``target`` is settled.  The returned dict lists vertices in settle
-    order.
-    """
-    settled: dict = {}
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        settled[u] = d
-        if u == target:
-            break
-        for v, w in adj[u]:
-            nd = d + w
-            if nd <= limit and nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return settled
+        return {**asdict(self), "witness_pair": list(self.witness_pair)}
 
 
 def verify_stretch(

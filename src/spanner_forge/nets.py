@@ -11,10 +11,10 @@ import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .geom import GEOM_RTOL, GeomError, PointSet
-from .graph import GraphError, SpannerGraph, bounded_dijkstra
+from .graph import GraphError, SpannerGraph, symmetric_csr
 
 # Cross-edge radius multiplier at level i is CROSS_RADIUS(eps) * 2^i.
 def cross_radius_const(eps: float) -> float:
@@ -160,42 +160,39 @@ def build_cluster_graph(
         # a point's representative is the smallest index in its component
         _, first = np.unique(labels, return_index=True)
         rep = first[labels]
-    edges = list(zip(eu.tolist(), ev.tolist(), ew.tolist(), rep[eu].tolist(), rep[ev].tolist()))
-    rep = rep.tolist()
-    # quotient adjacency (identity when not contracting)
-    adj = [[] for _ in range(n)]
-    for _, _, w, ru, rv in edges:
-        if ru != rv:
-            adj[ru].append((rv, w))
-            adj[rv].append((ru, w))
-    nodes = sorted(set(rep))
+    ru, rv = rep[eu], rep[ev]
+    cross = ru != rv
+    # the quotient graph (the source graph when not contracting); of the
+    # edges contracted onto one pair of representatives, the lightest
+    a, b, w = np.minimum(ru, rv)[cross], np.maximum(ru, rv)[cross], ew[cross]
+    order = np.argsort(w, kind="stable")
+    _, first = np.unique((a * n + b)[order], return_index=True)
+    lightest = order[first]
+    csr = symmetric_csr(n, a[lightest], b[lightest], w[lightest])
+    nodes = np.unique(rep).tolist()
     radius = eps * scale
     centers: list = []
     membership: dict = {u: [] for u in nodes}
-    nearest = {u: math.inf for u in nodes}
+    nearest = np.full(n, np.inf)
     for u in nodes:
         if nearest[u] <= radius * (1.0 + GEOM_RTOL):
             continue
         centers.append(u)
-        ball = bounded_dijkstra(adj, u, radius * (1.0 + GEOM_RTOL))
-        for v, d in ball.items():
-            membership[v].append((u, d))
-            if d < nearest[v]:
-                nearest[v] = d
-    inter: dict = {}
-    cset = set(centers)
-    for cpt in centers:
-        ball = bounded_dijkstra(adj, cpt, scale * (1.0 + GEOM_RTOL))
-        for v, d in ball.items():
-            if v != cpt and v in cset:
-                key = (cpt, v) if cpt < v else (v, cpt)
-                if d < inter.get(key, math.inf):
-                    inter[key] = d
+        d = dijkstra(csr, indices=u, limit=radius * (1.0 + GEOM_RTOL))
+        ball = np.flatnonzero(d < np.inf)
+        for v, dv in zip(ball.tolist(), d[ball].tolist()):
+            membership[v].append((u, dv))
+        np.minimum(nearest, d, out=nearest)
+    # centers within 2^i of each other, by the shorter of the two searches
+    c = np.array(centers, dtype=np.int64)
+    d = dijkstra(csr, indices=c, limit=scale * (1.0 + GEOM_RTOL))[:, c]
+    d = np.minimum(d, d.T)
+    i1, i2 = np.nonzero(np.triu(d < np.inf, k=1))
+    inter = dict(zip(zip(c[i1].tolist(), c[i2].tolist()), d[i1, i2].tolist()))
     # bridge inter edges through existing edges between clusters
-    F = ClusterGraph(i, eps, centers, membership, inter, rep, radius)
-    for u, v, w, ru, rv in edges:
-        if ru != rv:
-            F.add_bridge(u, v, w)
+    F = ClusterGraph(i, eps, centers, membership, inter, rep.tolist(), radius)
+    for u, v, w in zip(eu[cross].tolist(), ev[cross].tolist(), ew[cross].tolist()):
+        F.add_bridge(u, v, w)
     return F
 
 

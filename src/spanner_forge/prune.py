@@ -20,9 +20,10 @@ from collections import Counter
 from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from .geom import PointSet, Region, region_codes
-from .graph import GraphError, SpannerGraph, bounded_dijkstra, path_greedy
+from .graph import GraphError, SpannerGraph, path_greedy
 from .nets import build_cluster_graph, cluster_dist
 
 _RTOL = 1e-12
@@ -473,11 +474,12 @@ def phase2(
     endpoints are already connected within (1+kappa^2 delta) times its
     length, otherwise it is kept and one helper edge joining its two
     waist regions is added.  ``dist_backend`` chooses the distance
-    query: "exact" runs Dijkstra on the growing graph; "clusters" asks a
-    bounded-hop cluster graph at scale 2^i, i = floor(log2 w), rebuilt
-    from the shorter kept edges whenever i changes (the scan is sorted
-    by weight, so each scale is one run), and accepts a detour d when
-    d + eps^2 2^i is within (1+eps)(1+kappa^2 delta) times the length.
+    query: "exact" runs scipy's Dijkstra on the CSR of the growing
+    graph, rebuilt after each kept edge; "clusters" asks a bounded-hop
+    cluster graph at scale 2^i, i = floor(log2 w), rebuilt from the
+    shorter kept edges whenever i changes (the scan is sorted by weight,
+    so each scale is one run), and accepts a detour d when d + eps^2 2^i
+    is within (1+eps)(1+kappa^2 delta) times the length.
     """
     if dist_backend not in ("exact", "clusters"):
         raise PruneError(f"unknown distance backend {dist_backend!r}")
@@ -497,23 +499,26 @@ def phase2(
     thr_mult = 1.0 + params.kappa * params.kappa * params.delta_value
     if not exact:
         thr_mult = (1.0 + eps) * thr_mult
-    adj = F = None  # the exact backend's adjacency, the clusters backend's graph
-    if exact:
-        adj = SpannerGraph(X.n, [(a, b, w) for (a, b), w in kept_edges.items()]).adjacency
+    csr = F = None  # the exact backend's graph, the clusters backend's graph
+
+    def kept_graph(meta=None):
+        return SpannerGraph(X.n, [(*p, w) for p, w in kept_edges.items()], meta=meta)
 
     def keep(a, b, w):
         # a kept edge joins the output and the distance query's graph
+        nonlocal csr
         kept_edges[(a, b)] = w
         if exact:
-            adj[a].append((b, w))
-            adj[b].append((a, w))
+            csr = None  # rebuilt at the next query
         else:
             F.add_bridge(a, b, w)
 
     for w, u, v in type2_old:
         limit = thr_mult * w * (1.0 + _RTOL)
         if exact:
-            d, slack = bounded_dijkstra(adj, u, limit, v).get(v, math.inf), 0.0
+            if csr is None:
+                csr = kept_graph().as_csr()
+            d, slack = float(dijkstra(csr, indices=u, limit=limit)[v]), 0.0
         else:
             i = int(math.floor(math.log2(w)))
             if F is None or F.level != i:
@@ -535,12 +540,7 @@ def phase2(
             keep(*hk, X.dist(*hk))
             report.helpers_added += 1
             added_pairs.add(hk)
-    E2 = SpannerGraph(
-        X.n,
-        [(u, v, w) for (u, v), w in kept_edges.items()],
-        meta={"new_pairs": sorted(added_pairs)},
-    )
-    return E2, report
+    return kept_graph({"new_pairs": sorted(added_pairs)}), report
 
 
 def update_params(params: PruneParams) -> PruneParams:

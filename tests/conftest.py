@@ -1,3 +1,5 @@
+import functools
+import heapq
 import itertools
 import math
 
@@ -16,7 +18,7 @@ from spanner_forge.geom import (
     Region,
     normalize,
 )
-from spanner_forge.graph import GraphError, bounded_dijkstra
+from spanner_forge.graph import GraphError
 
 
 def random_points(n, d, seed):
@@ -207,6 +209,44 @@ def low_angle_weight(edges, a, b, theta: float) -> float:
     return total
 
 
+# The package runs scipy's csgraph Dijkstra; this heap Dijkstra over
+# adjacency lists is the independent reference the tests check it against.
+def bounded_dijkstra(adj, source: int, limit: float, target: int | None = None) -> dict:
+    """Dijkstra labels of the vertices settled within ``limit`` of ``source``.
+
+    ``adj`` is a per-vertex list of (neighbor, weight) lists.  Labels
+    above ``limit`` are never pushed; the search stops as soon as
+    ``target`` is settled.  The returned dict lists vertices in settle
+    order.
+    """
+    settled: dict = {}
+    dist = {source: 0.0}
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled[u] = d
+        if u == target:
+            break
+        for v, w in adj[u]:
+            nd = d + w
+            if nd <= limit and nd < dist.get(v, math.inf):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return settled
+
+
+@functools.lru_cache(maxsize=16)
+def adjacency(G):
+    """Per-vertex list of (neighbor, weight) of a graph, kept for reuse."""
+    adj = [[] for _ in range(G.n)]
+    for u, v, w in G.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
 def shortest_dist(G, s: int, t: int, cutoff: float | None = None) -> float:
     """Exact shortest-path distance from s to t (Dijkstra).
 
@@ -219,4 +259,4 @@ def shortest_dist(G, s: int, t: int, cutoff: float | None = None) -> float:
     if s == t:
         return 0.0
     limit = math.inf if cutoff is None else cutoff * (1.0 + GEOM_RTOL)
-    return bounded_dijkstra(G.adjacency, s, limit, t).get(t, math.inf)
+    return bounded_dijkstra(adjacency(G), s, limit, t).get(t, math.inf)

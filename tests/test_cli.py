@@ -119,9 +119,35 @@ def test_sweep_lightness_slope_and_csv_schema(tmp_path):
     for field in ("edge_count", "sparsity", "weight", "mst_weight",
                   "lightness", "max_stretch", "witness_pair"):
         assert field in header
-    slope = json.load(open(summ))["slope"]
-    assert 0.6 <= slope <= 1.2
-    assert os.path.exists(gp)
+    [entry] = json.load(open(summ))["slope"]
+    assert entry["x"] is None
+    assert 0.6 <= entry["slope"] <= 1.2
+    # one line per builder, each reading its own rows of the plotted column
+    script = open(gp).read()
+    assert "set ylabel 'weight'" in script and "ratio" not in script
+    for b in ("greedy", "witness"):
+        assert f"strcol('builder') eq '{b}' ? column('weight')" in script
+        assert f"title '{b}'" in script
+
+
+def test_sweep_x_list_gives_one_slope_per_x(tmp_path, capsys):
+    summ = tmp_path / "sweep.json"
+    assert main(["sweep", "--family", "lightness-lb-x", "--eps-list", "0.02,0.01",
+                 "--x-list", "2,2.5", "--builders", "greedy,witness",
+                 "--summary-out", str(summ)]) == 0
+    slopes = json.loads(summ.read_text())["slope"]
+    assert [e["x"] for e in slopes] == [2.0, 2.5]
+    assert slopes[0]["slope"] != slopes[1]["slope"]
+    out = capsys.readouterr().out
+    for e, x in zip(slopes, ("2", "2.5")):
+        assert f"vs 1/eps at x={x}: {e['slope']:.3f}" in out
+    # each x's slope is the one a sweep over that x alone reports
+    for e in slopes:
+        one = tmp_path / f"x{e['x']}.json"
+        main(["sweep", "--family", "lightness-lb-x", "--eps-list", "0.02,0.01",
+              "--x-list", str(e["x"]), "--builders", "greedy,witness",
+              "--summary-out", str(one)])
+        assert json.loads(one.read_text())["slope"] == [e]
 
 
 def test_verify_refuses_above_cap(tmp_path):

@@ -12,7 +12,6 @@ from spanner_forge.graph import (
     GraphError,
     SpannerGraph,
     TooLarge,
-    bounded_dijkstra,
     brute_force_optimal,
     emst_weight,
     metrics,
@@ -32,7 +31,7 @@ from spanner_forge.instances import (
     gen_sparsity_lb_x,
 )
 
-from conftest import int_grid, random_points, shortest_dist, validate_weights
+from conftest import bounded_dijkstra, int_grid, random_points, shortest_dist, validate_weights
 
 
 def floyd_warshall(n, edges):

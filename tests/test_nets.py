@@ -160,6 +160,21 @@ def test_cluster_graph_empty_edges():
         assert F.membership[u] == [(u, 0.0)]
 
 
+def test_contraction_keeps_lighter_of_parallel_quotient_edges():
+    # 0-1 and 2-3 contract, so 0-2 (0.9) and 1-3 (0.4) both join the
+    # representatives 0 and 2; only the lighter one may count, not their sum
+    rows = [(0, 1, 0.01), (2, 3, 0.01), (0, 2, 0.9), (1, 3, 0.4), (3, 4, 0.4)]
+    F = build_cluster_graph(SpannerGraph(5, rows), 1, 0.25, contract=True)
+    assert F.rep == [0, 0, 2, 2, 4]
+    assert F.centers == [0, 4]
+    assert F.membership == {
+        0: [(0, 0.0)],
+        2: [(0, pytest.approx(0.4)), (4, pytest.approx(0.4))],
+        4: [(4, 0.0)],
+    }
+    assert F.inter == {(0, 4): pytest.approx(0.8)}
+
+
 def test_cluster_graph_path_radii():
     n = 40
     X = PointSet(np.arange(float(n))[:, None])
