@@ -330,7 +330,7 @@ def _cmd_sweep(args) -> int:
         print(f"log-log slope of greedy/witness {ratio_kind} ratio vs 1/eps{at}: {slope:.3f}")
         slopes.append({"x": x, "slope": slope})
     if args.gnuplot and args.out:
-        _write_gnuplot(args.gnuplot, args.out, ratio_kind, args.builders)
+        _write_gnuplot(args.gnuplot, args.out, ratio_kind, args.builders, args.x_list)
     if args.summary_out:
         write_report(
             {
@@ -344,15 +344,23 @@ def _cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
-def _write_gnuplot(path, csv_path, column, builders) -> None:
-    """One line per builder of ``column`` against 1/eps; a builder's line
-    reads the CSV rows whose ``builder`` column names it."""
-    plots = ", \\\n     ".join(
-        f"'{csv_path}' using (1/column('eps')):"
-        f"(strcol('builder') eq '{b}' ? column('{column}') : NaN)"
-        f" with linespoints title '{b}'"
-        for b in builders
-    )
+def _write_gnuplot(path, csv_path, column, builders, xs) -> None:
+    """One line per builder of ``column`` against 1/eps, or with ``xs``
+    (the ``--x-list`` values) one per builder and x; a line reads the CSV
+    rows whose ``builder`` column names it and whose ``x`` column holds
+    its x."""
+
+    def line(b, x):
+        rows = f"strcol('builder') eq '{b}'"
+        if x is not None:
+            rows += f" && column('x') == {x!r}"
+        title = b if x is None else f"{b} x={x:g}"
+        return (
+            f"'{csv_path}' using (1/column('eps')):({rows} ? column('{column}') : NaN)"
+            f" with linespoints title '{title}'"
+        )
+
+    plots = ", \\\n     ".join(line(b, x) for b in builders for x in xs or [None])
     script = (
         "set datafile separator ','\n"
         # gnuplot 5.4 and later then treat the other builders' rows as

@@ -46,6 +46,36 @@ class DegenerateSegment(GeomError):
     pass
 
 
+# Rows of a length scan computed per kernel call: each temporary is then
+# 64 n floats, however large n is.
+_ROW_BLOCK = 64
+
+
+def _lengths(c: np.ndarray, a, b) -> np.ndarray:
+    """Euclidean lengths between the rows of ``c`` at the broadcast index
+    arrays ``a`` and ``b``: rows (r, n) take ``a = rows[:, None]`` and
+    ``b = arange(n)``, flat pairs take ``a = iu`` and ``b = iv``.
+
+    Each value equals ``np.linalg.norm(c[a] - c[b], axis=-1)`` bit for
+    bit, and so the row scans ``norm(c - c[i], axis=1)`` too.  Below 8
+    dimensions ``add.reduce`` sums the squares left to right, so one
+    coordinate plane at a time reproduces it without an (r, n, d)
+    temporary.
+    """
+    if c.shape[1] >= 8:
+        # from 8 terms up numpy sums pairwise, an order the planes do not follow
+        return np.linalg.norm(c[a] - c[b], axis=-1)
+    x, *planes = c.T
+    acc = x[a] - x[b]
+    acc *= acc
+    sq = np.empty_like(acc)
+    for x in planes:
+        np.subtract(x[a], x[b], out=sq)
+        sq *= sq
+        acc += sq
+    return np.sqrt(acc, out=acc)
+
+
 class Region(Enum):
     """Position of a point relative to the ellipse of a segment."""
 
@@ -101,25 +131,33 @@ class PointSet:
         return float(np.linalg.norm(self.coords[i] - self.coords[j]))
 
     def distances(self) -> np.ndarray:
-        """n x n Euclidean distances, built row by row on first use.
+        """n x n Euclidean distances, built in row blocks on first use.
 
         Row i is ``norm(coords - coords[i], axis=1)``.  The cached matrix
         (8 n^2 bytes) is shared by every caller, so it is read-only.
         """
         if self._dist is None:
-            c = self.coords
-            self._dist = np.stack([np.linalg.norm(c - p, axis=1) for p in c])
-            self._dist.flags.writeable = False
+            cols = np.arange(self.n)
+            D = np.empty((self.n, self.n))
+            for lo in range(0, self.n, _ROW_BLOCK):
+                rows = cols[lo : lo + _ROW_BLOCK, None]
+                D[lo : lo + _ROW_BLOCK] = _lengths(self.coords, rows, cols)
+            D.flags.writeable = False
+            self._dist = D
         return self._dist
 
     def _pairwise_extremes(self):
         if self._min_dist is None:
             lo, hi = math.inf, 0.0
-            c = self.coords
-            for i in range(self.n - 1):
-                d = np.linalg.norm(c[i + 1 :] - c[i], axis=1)
-                lo = min(lo, float(d.min()))
-                hi = max(hi, float(d.max()))
+            n = self.n
+            for r in range(0, n - 1, _ROW_BLOCK):
+                # rows r.. against the columns right of r, upper triangle only
+                rows = np.arange(r, min(r + _ROW_BLOCK, n - 1))[:, None]
+                cols = np.arange(r + 1, n)
+                d = _lengths(self.coords, rows, cols)
+                upper = cols > rows
+                lo = min(lo, float(d.min(initial=math.inf, where=upper)))
+                hi = max(hi, float(d.max(initial=0.0, where=upper)))
             self._min_dist, self._max_dist = lo, hi
         return self._min_dist, self._max_dist
 

@@ -18,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .geom import PointSet
+from .geom import _ROW_BLOCK, PointSet, _lengths
 
 # Greedy skip guard: a pair is skipped when the current graph distance is
 # within this relative slack of t*|uv|.  Keeps knife-edge equalities (which
@@ -180,10 +180,11 @@ def verify_stretch(
     call.  The CSR already holds both arcs of every edge, so scipy runs it
     as a directed graph: each edge is relaxed once from each side, with no
     transposed copy per call, and the labels are those of the undirected
-    search.  Raises :class:`TooLarge` for n > n_max unless ``force``.  Ties
-    break to the lexicographically smallest pair.  Raises
-    :class:`Disconnected` (carrying the first unreachable pair) when G is
-    not connected.
+    search.  The lengths and ratios of a block's pairs right of the
+    diagonal are taken in one array pass.  Raises :class:`TooLarge` for
+    n > n_max unless ``force``.  Ties break to the lexicographically
+    smallest pair.  Raises :class:`Disconnected` (carrying the first
+    unreachable pair) when G is not connected.
     """
     if G.n != X.n:
         raise GraphError("graph and point set sizes differ")
@@ -191,23 +192,27 @@ def verify_stretch(
         raise TooLarge(f"n={X.n} exceeds verification cap {n_max}; pass force=True")
     if X.n < 2:
         return 1.0, (0, 0)
-    c = X.coords
+    n = X.n
     csr = G.as_csr()
     best = -1.0
     witness = None
-    chunk = 64
-    for lo in range(0, X.n - 1, chunk):
-        sources = np.arange(lo, min(lo + chunk, X.n - 1))
-        gd = _csgraph_dijkstra(csr, directed=True, indices=sources)
-        for row, s in zip(gd, sources.tolist()):
-            eu = np.linalg.norm(c[s + 1 :] - c[s], axis=1)
-            gr = row[s + 1 :]
-            if np.isinf(gr).any():
-                raise Disconnected((s, int(np.argmax(np.isinf(gr))) + s + 1))
-            ratio = gr / eu
-            j = int(np.argmax(ratio))
-            if ratio[j] > best:
-                best, witness = float(ratio[j]), (s, j + s + 1)
+    for lo in range(0, n - 1, _ROW_BLOCK):
+        sources = np.arange(lo, min(lo + _ROW_BLOCK, n - 1))
+        # every column left of lo + 1 is below the diagonal for the whole block
+        cols = np.arange(lo + 1, n)
+        gr = _csgraph_dijkstra(csr, directed=True, indices=sources)[:, lo + 1 :]
+        upper = cols > sources[:, None]
+        gone = np.isinf(gr) & upper
+        if gone.any():
+            i, j = np.unravel_index(np.argmax(gone), gone.shape)
+            raise Disconnected((int(sources[i]), int(cols[j])))
+        eu = _lengths(X.coords, sources[:, None], cols)
+        ratio = np.divide(gr, eu, out=np.zeros_like(gr), where=upper)
+        # the row-major first maximum is the lexicographically smallest pair
+        k = int(np.argmax(ratio))
+        if ratio.flat[k] > best:
+            i, j = divmod(k, len(cols))
+            best, witness = float(ratio.flat[k]), (int(sources[i]), int(cols[j]))
     return best, witness
 
 
@@ -226,17 +231,17 @@ def _prim_weight(X: PointSet) -> float:
     if n <= 1:
         return 0.0
     c = X.coords
+    cols = np.arange(n)
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-    best = np.linalg.norm(c - c[0], axis=1)
+    best = _lengths(c, 0, cols)
     best[0] = np.inf
     total = 0.0
     for _ in range(n - 1):
         j = int(np.argmin(best))
         total += float(best[j])
         in_tree[j] = True
-        d = np.linalg.norm(c - c[j], axis=1)
-        np.minimum(best, d, out=best)
+        np.minimum(best, _lengths(c, j, cols), out=best)
         best[in_tree] = np.inf
     return total
 
@@ -278,12 +283,9 @@ def _sorted_pairs(X: PointSet):
     iv = np.ones(m, dtype=np.int32)
     iv[np.cumsum(np.arange(n - 1, 1, -1))] = np.arange(1, n - 1) + 2 - n
     np.cumsum(iv, out=iv)
-    c = X.coords
     w = np.empty(m)
     for k in range(0, m, _PAIR_PASS):
-        w[k : k + _PAIR_PASS] = np.linalg.norm(
-            c[iu[k : k + _PAIR_PASS]] - c[iv[k : k + _PAIR_PASS]], axis=1
-        )
+        w[k : k + _PAIR_PASS] = _lengths(X.coords, iu[k : k + _PAIR_PASS], iv[k : k + _PAIR_PASS])
     order = np.argsort(w, kind="stable")
     # one array at a time, so the unsorted copy of each is freed early
     iu = iu[order]

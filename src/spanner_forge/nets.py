@@ -153,7 +153,7 @@ def build_cluster_graph(
     if len(too_long):
         raise GraphError(f"edge of weight {float(ew[too_long[0]])} >= scale {scale}")
     rep = np.arange(n)
-    if contract:
+    if contract and n:  # an empty graph has nothing to contract
         short = ew <= scale * eps * eps / n * (1.0 + GEOM_RTOL)
         csr = csr_matrix((ew[short], (eu[short], ev[short])), shape=(n, n))
         _, labels = connected_components(csr, directed=False)

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.sparse.csgraph import dijkstra
 
 from spanner_forge.geom import (
     A_HI,
@@ -18,7 +19,8 @@ from spanner_forge.geom import (
     Region,
     normalize,
 )
-from spanner_forge.graph import GraphError
+from spanner_forge.graph import Disconnected, GraphError
+from spanner_forge.instances import gen_lightness_lb, gen_lightness_lb_x
 
 
 def random_points(n, d, seed):
@@ -260,3 +262,75 @@ def shortest_dist(G, s: int, t: int, cutoff: float | None = None) -> float:
         return 0.0
     limit = math.inf if cutoff is None else cutoff * (1.0 + GEOM_RTOL)
     return bounded_dijkstra(adjacency(G), s, limit, t).get(t, math.inf)
+
+
+# The package computes its O(n^2) Euclidean lengths in row blocks through
+# geom._lengths; these row-by-row scans are the references it is checked
+# against, on the inputs below.
+
+
+def verify_stretch_rows(G, X):
+    """verify_stretch as a per-row loop over undirected scipy Dijkstra."""
+    c, best, witness = X.coords, -1.0, None
+    for s in range(X.n - 1):
+        row = dijkstra(G.as_csr(), directed=False, indices=s)
+        eu = np.linalg.norm(c[s + 1 :] - c[s], axis=1)
+        gr = row[s + 1 :]
+        if np.isinf(gr).any():
+            raise Disconnected((s, int(np.argmax(np.isinf(gr))) + s + 1))
+        ratio = gr / eu
+        j = int(np.argmax(ratio))
+        if ratio[j] > best:
+            best, witness = float(ratio[j]), (s, j + s + 1)
+    return best, witness
+
+
+def prim_weight_rows(X):
+    """EMST weight by dense Prim, one ``norm(axis=1)`` row per step."""
+    n, c = X.n, X.coords
+    if n <= 1:
+        return 0.0
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = np.linalg.norm(c - c[0], axis=1)
+    best[0] = np.inf
+    total = 0.0
+    for _ in range(n - 1):
+        j = int(np.argmin(best))
+        total += float(best[j])
+        in_tree[j] = True
+        np.minimum(best, np.linalg.norm(c - c[j], axis=1), out=best)
+        best[in_tree] = np.inf
+    return total
+
+
+def pairwise_extremes_rows(X):
+    """(min, max) pairwise distance, one ``norm(axis=1)`` row per point."""
+    lo, hi = math.inf, 0.0
+    c = X.coords
+    for i in range(X.n - 1):
+        d = np.linalg.norm(c[i + 1 :] - c[i], axis=1)
+        lo = min(lo, float(d.min()))
+        hi = max(hi, float(d.max()))
+    return lo, hi
+
+
+def _uniform(n, d):
+    return lambda: random_points(n, d, 100 * d + n)
+
+
+# name: (points, greedy stretch factor).  The row blocks hold 64 rows, so
+# n = 64, 65 and 130 end a block exactly, one past it and two past it;
+# from d = 8 up the kernel takes numpy's own norm.
+LENGTH_CASES = {
+    "grid12": (lambda: int_grid(12, 2), 1.1),
+    "line130": (lambda: PointSet(np.arange(130.0)[:, None]), 1.1),
+    "collinear-d2": (lambda: PointSet(np.arange(70.0)[:, None] * [[0.6, 0.8]]), 1.1),
+    "arc": (lambda: normalize(gen_lightness_lb(0.01).points), 1.01),
+    "arc-x": (lambda: normalize(gen_lightness_lb_x(0.025, 2).points), 1.05),
+    **{
+        f"uniform-d{d}-n{n}": (_uniform(n, d), 1.1)
+        for d in (1, 4, 9)
+        for n in (2, 64, 65, 130)
+    },
+}

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from dataclasses import fields
@@ -132,9 +133,19 @@ def test_sweep_lightness_slope_and_csv_schema(tmp_path):
 
 def test_sweep_x_list_gives_one_slope_per_x(tmp_path, capsys):
     summ = tmp_path / "sweep.json"
+    csvf, gp = tmp_path / "sweep.csv", tmp_path / "sweep.gp"
     assert main(["sweep", "--family", "lightness-lb-x", "--eps-list", "0.02,0.01",
                  "--x-list", "2,2.5", "--builders", "greedy,witness",
+                 "--out", str(csvf), "--gnuplot", str(gp),
                  "--summary-out", str(summ)]) == 0
+    # one line per (builder, x), each reading the rows of its builder and x
+    plot = gp.read_text().split("plot ", 1)[1]
+    assert plot.count("with linespoints") == 4
+    for b in ("greedy", "witness"):
+        for x in ("2", "2.5"):
+            assert (f"strcol('builder') eq '{b}' && column('x') == {float(x)!r}"
+                    f" ? column('weight') : NaN) with linespoints title '{b} x={x}'") in plot
+    assert {r["x"] for r in csv.DictReader(csvf.open())} == {"2.0", "2.5"}
     slopes = json.loads(summ.read_text())["slope"]
     assert [e["x"] for e in slopes] == [2.0, 2.5]
     assert slopes[0]["slope"] != slopes[1]["slope"]

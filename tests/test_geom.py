@@ -9,15 +9,18 @@ from spanner_forge.geom import (
     PointSet,
     Region,
     TooFewPoints,
+    _lengths,
     normalize,
     region_codes,
 )
 
 from conftest import (
+    LENGTH_CASES,
     ZeroVector,
     angle_between,
     lemma_sequence,
     low_angle_weight,
+    pairwise_extremes_rows,
     proj_fraction,
     random_points,
     region_of,
@@ -76,6 +79,34 @@ def test_distances_match_row_and_block_norms(d):
         b = np.sort(rng.choice(X.n, 9, replace=False))
         block = np.linalg.norm(c[a][:, None] - c[b][None], axis=2)
         assert np.array_equal(D[np.ix_(a, b)], block)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_lengths_equal_norm_rows_bit_for_bit(d):
+    # both sides of numpy's switch from sequential to pairwise sums at 8
+    # terms; coordinates of mixed magnitudes make the two orders differ
+    rng = np.random.default_rng(d)
+    n = 70
+    c = rng.random((n, d)) * rng.choice([1e-3, 1.0, 1e5], size=d)
+    cols = np.arange(n)
+    rows = np.stack([np.linalg.norm(c - c[i], axis=1) for i in range(n)])
+    for i in range(n):
+        assert np.array_equal(_lengths(c, i, cols), rows[i])
+    assert np.array_equal(_lengths(c, cols[:, None], cols), rows)
+    assert np.array_equal(_lengths(c, cols[3:67, None], cols[5:]), rows[3:67, 5:])
+    iu, iv = np.triu_indices(n, k=1)
+    assert np.array_equal(_lengths(c, iu, iv), rows[iu, iv])
+
+
+@pytest.mark.parametrize("case", list(LENGTH_CASES))
+def test_row_block_scans_match_row_references(case):
+    # a fresh set: normalize records the extremes it already knows
+    X = PointSet(LENGTH_CASES[case][0]().coords)
+    c = X.coords
+    assert X._pairwise_extremes() == pairwise_extremes_rows(X)
+    D = X.distances()
+    for i in range(X.n):
+        assert np.array_equal(D[i], np.linalg.norm(c - c[i], axis=1))
 
 
 def test_angle_between_basics():

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.csgraph import dijkstra
 
 from spanner_forge.geom import PointSet, normalize
 from spanner_forge.graph import (
@@ -31,7 +30,16 @@ from spanner_forge.instances import (
     gen_sparsity_lb_x,
 )
 
-from conftest import bounded_dijkstra, int_grid, random_points, shortest_dist, validate_weights
+from conftest import (
+    LENGTH_CASES,
+    bounded_dijkstra,
+    int_grid,
+    prim_weight_rows,
+    random_points,
+    shortest_dist,
+    validate_weights,
+    verify_stretch_rows,
+)
 
 
 def floyd_warshall(n, edges):
@@ -120,22 +128,6 @@ def test_verify_stretch_refuses_above_cap():
     assert verify_stretch(G, X, n_max=10, force=True) == verify_stretch(G, X)
 
 
-def undirected_verify(G, X):
-    """verify_stretch as a per-row loop over undirected scipy Dijkstra."""
-    c, best, witness = X.coords, -1.0, None
-    for s in range(X.n - 1):
-        row = dijkstra(G.as_csr(), directed=False, indices=s)
-        eu = np.linalg.norm(c[s + 1 :] - c[s], axis=1)
-        gr = row[s + 1 :]
-        if np.isinf(gr).any():
-            raise Disconnected((s, int(np.argmax(np.isinf(gr))) + s + 1))
-        ratio = gr / eu
-        j = int(np.argmax(ratio))
-        if ratio[j] > best:
-            best, witness = float(ratio[j]), (s, j + s + 1)
-    return best, witness
-
-
 # name: (points, greedy stretch factor; None builds a net tree at eps=0.5)
 VERIFY_CASES = {
     "arc": (lambda: normalize(gen_lightness_lb(0.01).points), 1.01),
@@ -151,7 +143,7 @@ def test_verify_stretch_matches_undirected_rows(case):
     points, t = VERIFY_CASES[case]
     X = points()
     G = build_net_tree_spanner(build_hierarchy(X), 0.5) if t is None else path_greedy(X, t)
-    assert verify_stretch(G, X) == undirected_verify(G, X)
+    assert verify_stretch(G, X) == verify_stretch_rows(G, X)
 
 
 def test_verify_stretch_disconnected_pair_matches_undirected_rows():
@@ -162,8 +154,37 @@ def test_verify_stretch_disconnected_pair_matches_undirected_rows():
     with pytest.raises(Disconnected) as got:
         verify_stretch(H, X)
     with pytest.raises(Disconnected) as want:
-        undirected_verify(H, X)
+        verify_stretch_rows(H, X)
     assert got.value.pair == want.value.pair == (0, 14)
+
+
+@pytest.mark.parametrize("case", list(LENGTH_CASES))
+def test_verify_stretch_and_prim_match_row_scans(case):
+    points, t = LENGTH_CASES[case]
+    X = points()
+    G = path_greedy(X, t)
+    assert verify_stretch(G, X) == verify_stretch_rows(G, X)
+    assert _prim_weight(X) == prim_weight_rows(X)
+
+
+@pytest.mark.parametrize("cut", [100, 70, 65])
+def test_verify_stretch_disconnected_past_first_block(cut):
+    # row 0 reaches every vertex of a connected graph, so the first
+    # unreachable pair is always (0, j); here j lies past the first block
+    c = np.random.default_rng(7).random((130, 2))
+    c[65:] += 10.0  # two far clusters: greedy joins each one inside itself
+    X = normalize(c)
+    G = path_greedy(X, 1.1)
+    if cut == 65:  # drop the edges between the clusters
+        keep = (G.u < 65) == (G.v < 65)
+    else:  # isolate one vertex
+        keep = (G.u != cut) & (G.v != cut)
+    H = SpannerGraph.from_pairs(X, np.stack([G.u[keep], G.v[keep]], axis=1))
+    with pytest.raises(Disconnected) as got:
+        verify_stretch(H, X)
+    with pytest.raises(Disconnected) as want:
+        verify_stretch_rows(H, X)
+    assert got.value.pair == want.value.pair == (0, cut)
 
 
 @pytest.mark.parametrize(

@@ -160,6 +160,13 @@ def test_cluster_graph_empty_edges():
         assert F.membership[u] == [(u, 0.0)]
 
 
+def test_cluster_graph_of_empty_graph_is_empty_with_and_without_contraction():
+    # the contraction threshold divides by n, which is 0 here
+    F, Fc = (build_cluster_graph(SpannerGraph(0, []), 1, 0.25, contract=c) for c in (False, True))
+    assert vars(Fc) == vars(F)
+    assert (F.centers, F.membership, F.inter, F.rep) == ([], {}, {}, [])
+
+
 def test_contraction_keeps_lighter_of_parallel_quotient_edges():
     # 0-1 and 2-3 contract, so 0-2 (0.9) and 1-3 (0.4) both join the
     # representatives 0 and 2; only the lighter one may count, not their sum
