@@ -29,6 +29,8 @@ GREEDY_RTOL = 1e-12
 VERIFY_N_MAX = 5000
 # Largest point count brute_force_optimal accepts.
 ORACLE_N_MAX = 10
+# the oracle holds a set of candidate edges in the bits of one uint64 word
+assert ORACLE_N_MAX * (ORACLE_N_MAX - 1) // 2 <= 64
 
 
 class GraphError(ValueError):
@@ -77,12 +79,18 @@ def _ordered_pairs(n: int, u: np.ndarray, v: np.ndarray):
 def symmetric_csr(n: int, u, v, w) -> csr_matrix:
     """n x n CSR holding both arcs of each edge u[k]-v[k] of weight w[k].
 
-    Entries on the same pair are summed, so the edges must not repeat a
-    pair.  Searches run on it as a directed graph: each edge is then
-    relaxed once from each side, with no transposed copy.
+    The edges must not repeat a pair.  The arrays are built directly:
+    ``indptr`` from the row counts, and ``indices`` and ``data`` in
+    (row, column) order by one sort, so they equal those of scipy's
+    COO-to-CSR conversion.  Searches run on it as a directed graph: each
+    edge is then relaxed once from each side, with no transposed copy.
     """
     rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-    return csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
+    order = np.argsort(rows * n + cols, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    # scipy narrows the index arrays to int32 where they fit, as COO does
+    return csr_matrix((np.concatenate([w, w])[order], cols[order], indptr), shape=(n, n))
 
 
 class SpannerGraph:
@@ -360,6 +368,10 @@ def path_greedy(X: PointSet, t: float) -> SpannerGraph:
 # exact oracle for tiny instances
 
 
+# _BIT[k] is bit k of a uint64 word
+_BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
+
+
 def _apsp_small(n: int, wmat: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Floyd-Warshall over the edges selected by mask (dense, tiny n)."""
     d = np.where(mask, wmat, np.inf)
@@ -381,13 +393,18 @@ def brute_force_optimal(
     feasibility are forced up front.  A node carries the distances ``d``
     of the chosen edges, updated incrementally on include, and ``da`` of
     the available ones (chosen and undecided), recomputed on exclude,
-    which is also that branch's feasibility check.  ``objective`` is
+    which is also that branch's feasibility check.  The lower bound's
+    candidate sets depend only on ``da``, so each ``da`` carries them,
+    as bitsets over the undecided edges, down its include branches.
+    ``eps`` must be finite and >= 0.  ``objective`` is
     "min_edges" or "min_weight"; ties break toward the lexicographically
     smallest edge set.  ``meta`` counts the search ``nodes`` and its
     ``feasibility_checks`` (Floyd-Warshall runs).  Raises TooLarge above
     :data:`ORACLE_N_MAX` points.
     """
     n = X.n
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise GraphError(f"eps must be finite and >= 0, got {eps}")
     if n > ORACLE_N_MAX:
         raise TooLarge(f"n={n} exceeds oracle limit {ORACLE_N_MAX}")
     if objective not in ("min_edges", "min_weight"):
@@ -443,44 +460,54 @@ def brute_force_optimal(
     min_free_w = min((wmat[p] for p in free), default=0.0)
     fp, fq = np.array(free, dtype=np.int64).reshape(-1, 2).T
     fw = wmat[fp, fq]
+    fwl = fw.tolist()
     iu, iv = np.triu_indices(n, k=1)
+    tgt = target[iu, iv]
     # widened so that rounding can only weaken the bound
-    loose = target[iu, iv] * (1.0 + 1e-9)
+    loose = tgt * (1.0 + 1e-9)
 
-    def lower_bound(cost, d, da, idx):
+    def candidates(bad, da):
+        # a pair ab that d leaves too long needs one of its candidates, the
+        # undecided edges pq with da[a,p] + |pq| + da[q,b] within its target.
+        # The test reads only da, so the sets serve every node below that
+        # shares da: there d only falls, and its too-long pairs are among
+        # these.  Each set is an int whose bit k stands for free[k]; a node
+        # at free[idx] shifts out the decided ones.
+        a, b, lim = iu[bad], iv[bad], loose[bad, None]
+        dp, dq = da[:, fp], da[:, fq]
+        cand = (dp[a] + fw + dq[b] <= lim) | (dq[a] + fw + dp[b] <= lim)
+        return dict(zip(bad.tolist(), (cand @ _BIT[: len(free)]).tolist()))
+
+    def lower_bound(cost, d, bad, idx, sets):
         # connectivity: each missing component costs at least one edge
         need = len(set(np.isfinite(d).argmax(axis=1).tolist())) - 1
-        # a pair ab that d leaves too long needs one of its candidates, the
-        # undecided edges pq with da[a,p] + |pq| + da[q,b] within its target;
         # pairs whose candidate sets are disjoint need distinct edges
-        bad = (d[iu, iv] > target[iu, iv]).nonzero()[0]
-        a, b, lim = iu[bad], iv[bad], loose[bad, None]
-        dp, dq, w = da[:, fp[idx:]], da[:, fq[idx:]], fw[idx:]
-        cand = (dp[a] + w + dq[b] <= lim) | (dq[a] + w + dp[b] <= lim)
-        size = cand.sum(axis=1)
-        if size.min(initial=1) == 0:
+        bits = [sets[i] >> idx for i in bad.tolist()]
+        if not all(bits):
             return math.inf
-        # each candidate set as a Python int, bit k standing for free[idx + k]
-        rows = np.packbits(cand, axis=1, bitorder="little")
-        bits = [int.from_bytes(r, "little") for r in rows]
-        minw = np.where(cand, w, np.inf).min(axis=1, initial=np.inf)
         used = packed = 0
         wsum = 0.0
-        for i in np.argsort(size, kind="stable").tolist():
-            if not bits[i] & used:
-                used |= bits[i]
+        # smallest sets first, ties in pair order
+        for s in sorted(bits, key=int.bit_count):
+            if not s & used:
+                used |= s
                 packed += 1
-                wsum += minw[i]
+                # free is ordered by non-increasing weight, so the highest
+                # set bit is a lightest candidate
+                wsum += fwl[idx + s.bit_length() - 1]
         if objective == "min_edges":
             return cost + max(need, packed)
         return cost + max(need * min_free_w, wsum)
 
-    def rec(idx: int, d: np.ndarray, da: np.ndarray, avail_mask: np.ndarray, cost):
+    def rec(idx: int, d: np.ndarray, da: np.ndarray, avail_mask: np.ndarray, cost, sets=None):
         nonlocal best_cost, best_set, nodes
         nodes += 1
         eps_cmp = 1e-12 * max(1.0, abs(best_cost))
+        bad = (d[iu, iv] > tgt).nonzero()[0]
+        if sets is None:
+            sets = candidates(bad, da)
         # with no undecided edge left, an unmet pair makes the bound inf
-        if lower_bound(cost, d, da, idx) > best_cost + eps_cmp:
+        if lower_bound(cost, d, bad, idx, sets) > best_cost + eps_cmp:
             return
         if bool(np.all(d <= target)):
             cset = sorted(chosen)
@@ -497,9 +524,10 @@ def brute_force_optimal(
         if bool(np.all(dx <= target)):
             rec(idx + 1, d, dx, avail_mask, cost)
         avail_mask[u, v] = avail_mask[v, u] = True
-        # including leaves the available edges, and so da, unchanged
+        # including leaves the available edges, da and the candidate sets
+        # unchanged
         chosen.append((u, v))
-        rec(idx + 1, with_edge(d, u, v), da, avail_mask, cost + cost_of([(u, v)]))
+        rec(idx + 1, with_edge(d, u, v), da, avail_mask, cost + cost_of([(u, v)]), sets)
         chosen.pop()
 
     rec(0, d0, da0, full, cost_of(forced))

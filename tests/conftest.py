@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from spanner_forge.geom import (
@@ -267,6 +268,13 @@ def shortest_dist(G, s: int, t: int, cutoff: float | None = None) -> float:
 # The package computes its O(n^2) Euclidean lengths in row blocks through
 # geom._lengths; these row-by-row scans are the references it is checked
 # against, on the inputs below.
+
+
+def coo_symmetric_csr(n, u, v, w):
+    """``graph.symmetric_csr`` by scipy's COO-to-CSR conversion, which
+    sorts each row's columns and sums entries on the same pair."""
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    return csr_matrix((np.concatenate([w, w]), (rows, cols)), shape=(n, n))
 
 
 def verify_stretch_rows(G, X):

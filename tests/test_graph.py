@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from spanner_forge.graph import (
     metrics,
     path_greedy,
     read_edge_list,
+    symmetric_csr,
     verify_stretch,
     write_edge_list,
     _prim_weight,
     _sorted_pairs,
 )
-from spanner_forge.nets import build_hierarchy, build_net_tree_spanner
+import spanner_forge.nets as nets
+from spanner_forge.nets import build_cluster_graph, build_hierarchy, build_net_tree_spanner
 from spanner_forge.instances import (
     gen_lightness_lb,
     gen_motivating,
@@ -33,6 +36,7 @@ from spanner_forge.instances import (
 from conftest import (
     LENGTH_CASES,
     bounded_dijkstra,
+    coo_symmetric_csr,
     int_grid,
     prim_weight_rows,
     random_points,
@@ -449,6 +453,54 @@ def test_path_greedy_matrix_matches_full_update(make, t):
     assert path_greedy(X, t).edges == full_update_greedy(X, t)
 
 
+def assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert got.shape == want.shape
+
+
+def _graph_columns(G):
+    return G.n, G.u, G.v, G.w
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SpannerGraph(0, []),
+        lambda: SpannerGraph(1, []),
+        lambda: SpannerGraph(5, []),
+        lambda: SpannerGraph(6, [(3, 4, 1.0), (0, 1, 0.5), (2, 3, 2.0), (1, 2, 0.25), (4, 5, 3.0)]),
+        lambda: SpannerGraph.from_pairs(
+            random_points(9, 2, 3), [(u, v) for v in range(9) for u in range(v)]
+        ),
+        lambda: path_greedy(random_points(40, 3, 4), 1.2),
+    ],
+    ids=["n0", "n1", "no-edges", "path", "complete", "greedy"],
+)
+def test_symmetric_csr_matches_coo_route(make):
+    args = _graph_columns(make())
+    assert_same_csr(symmetric_csr(*args), coo_symmetric_csr(*args))
+
+
+def test_symmetric_csr_of_contracted_quotient_matches_coo_route(monkeypatch):
+    seen = []
+
+    def recording(*args):
+        seen.append(args)
+        return symmetric_csr(*args)
+
+    monkeypatch.setattr(nets, "symmetric_csr", recording)
+    # 0-1 and 2-3 contract; 0-2 and 1-3 join the same representatives
+    rows = [(0, 1, 0.01), (2, 3, 0.01), (0, 2, 0.9), (1, 3, 0.4), (3, 4, 0.4)]
+    F = build_cluster_graph(SpannerGraph(5, rows), 1, 0.25, contract=True)
+    assert F.rep == [0, 0, 2, 2, 4]
+    (args,) = seen
+    assert len(args[1]) == 2  # the quotient's two edges
+    assert_same_csr(symmetric_csr(*args), coo_symmetric_csr(*args))
+
+
 def test_brute_force_collinear():
     X = PointSet(np.array([[0.0], [1.0], [3.0]]))
     G = brute_force_optimal(X, 0.3)
@@ -521,6 +573,16 @@ def test_brute_force_too_large():
     X = random_points(12, 2, 17)
     with pytest.raises(TooLarge):
         brute_force_optimal(X, 0.5)
+
+
+@pytest.mark.parametrize("eps", [-0.5, math.nan, math.inf])
+def test_brute_force_rejects_bad_eps_before_any_work(eps):
+    X = random_points(6, 2, 19)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphError, match="eps"):
+            brute_force_optimal(X, eps)
+    assert X._dist is None  # the distance matrix was not built
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -8,6 +8,8 @@ both objectives, including on inputs where lexicographic ties decide.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spanner_forge.geom import PointSet, normalize
 from spanner_forge.graph import (
@@ -19,6 +21,7 @@ from spanner_forge.graph import (
     _apsp_small,
     brute_force_optimal,
     path_greedy,
+    verify_stretch,
 )
 from spanner_forge.instances import gen_motivating, gen_random, gen_sparsity_lb
 
@@ -190,3 +193,62 @@ def test_oracle_counts_its_search():
     # branching node also has an include child, so there are at most nodes
     assert 1 <= got.meta["feasibility_checks"] <= got.meta["nodes"]
     assert got.meta["feasibility_checks"] < want.meta["feasibility_checks"]
+
+
+# (nodes, feasibility_checks) per objective.  The bound decides which nodes
+# are pruned, so a change to any of its values shows in these counts even
+# where the edges stay the same.
+COUNTERS = [
+    ("random-n10-s9", lambda: random2(10, 9), 0.2, (199, 108), (59, 32)),
+    ("motivating-0.1", lambda: normalize(gen_motivating(0.1).points), 0.1, (83, 45), (65, 34)),
+    ("random-n8-s1", lambda: random2(8, 1), 0.2, (280, 151), (37, 21)),
+    ("sparsity-lb-0.01", lambda: normalize(gen_sparsity_lb(0.01).points), 0.01, (10, 6), (10, 6)),
+]
+
+
+@pytest.mark.parametrize(
+    "make, eps, min_edges, min_weight", [c[1:] for c in COUNTERS], ids=[c[0] for c in COUNTERS]
+)
+def test_oracle_search_counters_are_pinned(make, eps, min_edges, min_weight):
+    X = make()
+    for objective, want in (("min_edges", min_edges), ("min_weight", min_weight)):
+        meta = brute_force_optimal(X, eps, objective).meta
+        assert (meta["nodes"], meta["feasibility_checks"]) == want, objective
+
+
+@st.composite
+def tiny_instances(draw):
+    """(points, eps): n = 2..7 points in d = 1..3, drawn as uniform floats,
+    integer grid points (many ties) or near-collinear points whose
+    coordinates past the first spread over 1e-7."""
+    n, d = draw(st.integers(2, 7)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["uniform", "grid", "near-collinear"]))
+    unit = st.floats(0.0, 1.0, allow_subnormal=False)
+    if kind == "uniform":
+        cell = [unit] * d
+    elif kind == "grid":
+        cell = [st.integers(0, 7).map(float)] * d
+    else:
+        cell = [unit] + [st.floats(0.0, 1e-7, allow_subnormal=False)] * (d - 1)
+    coords = np.array(draw(st.lists(st.tuples(*cell), min_size=n, max_size=n, unique=True)))
+    assume(len(np.unique(coords, axis=0)) == n)
+    X = PointSet(coords)
+    # a squared length that underflows makes two distinct points coincide
+    assume(X.distances()[~np.eye(n, dtype=bool)].min() > 0.0)
+    return X, draw(st.sampled_from([0.1, 0.5]))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(tiny_instances())
+def test_oracle_properties(instance):
+    X, eps = instance
+    t = 1.0 + eps
+    G = path_greedy(X, t)
+    E = brute_force_optimal(X, eps, "min_edges")
+    W = brute_force_optimal(X, eps, "min_weight")
+    assert E.edges == reference_brute_force_optimal(X, eps, "min_edges").edges
+    assert W.edges == reference_brute_force_optimal(X, eps, "min_weight").edges
+    assert len(E.edges) <= len(G.edges)
+    assert W.weight() <= G.weight() * (1.0 + 1e-12)
+    for H in (E, W):
+        assert verify_stretch(H, X)[0] <= t * (1.0 + 1e-12)
