@@ -19,15 +19,13 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import fields
 
 import numpy as np
 
 from .geom import PointSet, normalize
 from .graph import (
-    MetricsReport,
     SpannerGraph,
-    VERIFY_N_MAX,
     metrics,
     path_greedy,
     read_edge_list,
@@ -52,31 +50,6 @@ class ParseError(ValueError):
     def __init__(self, path, lineno, msg):
         super().__init__(f"{path}: line {lineno}: {msg}")
         self.lineno = lineno
-
-
-@dataclass
-class ExperimentConfig:
-    """Fully resolved settings of one driver invocation."""
-
-    command: str
-    instance: str | None = None
-    family: str | None = None
-    eps: float | None = None
-    x: float | None = None
-    n: int | None = None
-    d: int | None = None
-    seed: int | None = None
-    builder: str | None = None
-    builders: list = field(default_factory=list)
-    k: int | None = None
-    t: float | None = None
-    n_max: int = VERIFY_N_MAX
-    force: bool = False
-    out: str | None = None
-    prune: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _with_x(gen):
@@ -193,17 +166,26 @@ def _build_spanner(name: str, X: PointSet, args, witness_pairs=None) -> SpannerG
 
 
 def _load_witness(args, X: PointSet):
-    path = getattr(args, "witness", None) or _witness_path(args.infile)
+    path = getattr(args, "witness", None) or _witness_path(args.instance)
     if os.path.exists(path):
         W = read_edge_list(path, X)
         return np.column_stack((W.u, W.v))
     return None
 
 
-def _metric_row(builder: str, rep: MetricsReport) -> dict:
-    row = {"builder": builder}
-    row.update(rep.to_dict())
-    return row
+def _builder_rows(X: PointSet, args, witness_pairs, **lead) -> list:
+    """Build each of ``args.builders`` over X, in order, and give one
+    report row per spanner: the ``lead`` columns, the builder, its
+    metrics, and ``ok``, which says whether its max stretch is within
+    1 + eps*x (1 + eps without an x)."""
+    bound = 1.0 + args.eps * (1.0 if args.x is None else args.x)
+    rows = []
+    for name in args.builders:
+        rep = metrics(_build_spanner(name, X, args, witness_pairs), X)
+        row = {**lead, "builder": name, **rep.to_dict()}
+        row["ok"] = rep.max_stretch <= bound + 1e-9
+        rows.append(row)
+    return rows
 
 
 def _loglog_slope(inv_eps, values) -> float:
@@ -223,14 +205,14 @@ def _cmd_generate(args) -> int:
     if inst.witness_pairs is not None:
         W = SpannerGraph.from_pairs(inst.points, inst.witness_pairs)
         write_edge_list(W, _witness_path(args.out))
-    meta = {"config": _config_of(args).to_dict(), "meta": inst.meta}
+    meta = {"config": _config_of(args), "meta": inst.meta}
     write_report(meta, _meta_path(args.out))
     print(f"wrote {inst.points.n} points to {args.out}")
     return 0
 
 
 def _cmd_build(args) -> int:
-    X = normalize(parse_pointset(args.infile))
+    X = normalize(parse_pointset(args.instance))
     witness = _load_witness(args, X)
     G = _build_spanner(args.builder, X, args, witness)
     write_edge_list(G, args.out)
@@ -239,12 +221,12 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    X = normalize(parse_pointset(args.infile))
+    X = normalize(parse_pointset(args.instance))
     G = read_edge_list(args.edges, X)
-    ms, wit = verify_stretch(G, X, n_max=args.n_max, force=args.force)
+    ms, wit = verify_stretch(G, X)
     ok = ms <= args.t + 1e-9
     report = {
-        "config": _config_of(args).to_dict(),
+        "config": _config_of(args),
         "timestamp": time.time(),
         "max_stretch": ms,
         "witness_pair": list(wit),
@@ -258,27 +240,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    X = normalize(parse_pointset(args.infile))
-    witness = _load_witness(args, X)
-    rows = []
-    failures = 0
-    base = None
-    for name in args.builders:
-        G = _build_spanner(name, X, args, witness)
-        rep = metrics(G, X, force=args.force)
-        row = _metric_row(name, rep)
-        if name == "witness":
-            base = rep
-        rows.append(row)
-    for row in rows:
-        if base is not None and base.edge_count:
-            row["edge_ratio_vs_witness"] = row["edge_count"] / base.edge_count
-            row["weight_ratio_vs_witness"] = row["weight"] / base.weight
-        bound = 1.0 + args.eps * (1.0 if args.x is None else args.x)
-        row["ok"] = bool(row["max_stretch"] <= bound + 1e-9)
-        failures += not row["ok"]
+    X = normalize(parse_pointset(args.instance))
+    rows = _builder_rows(X, args, _load_witness(args, X))
+    base = {row["builder"]: row for row in rows}.get("witness")
+    if base is not None and base["edge_count"]:
+        for row in rows:
+            row["edge_ratio_vs_witness"] = row["edge_count"] / base["edge_count"]
+            row["weight_ratio_vs_witness"] = row["weight"] / base["weight"]
+            row["ok"] = row.pop("ok")  # the last column, after the ratios
     report = {
-        "config": _config_of(args).to_dict(),
+        "config": _config_of(args),
         "timestamp": time.time(),
         "rows": rows,
     }
@@ -289,12 +260,11 @@ def _cmd_compare(args) -> int:
             f"{row['builder']:>9}: edges={row['edge_count']:6d} "
             f"weight={row['weight']:.4f} stretch={row['max_stretch']:.6f}"
         )
-    return 1 if failures else 0
+    return 0 if all(row["ok"] for row in rows) else 1
 
 
 def _cmd_sweep(args) -> int:
     rows = []
-    failures = 0
     per_x: dict = {}  # --x-list value (None without one) -> eps -> builder -> row
     for eps in args.eps_list:
         for x_arg in args.x_list or [None]:
@@ -302,19 +272,13 @@ def _cmd_sweep(args) -> int:
             sub.eps = eps
             sub.x = x_arg
             inst = _FAMILIES[args.family](sub)
-            x = inst.meta.get("x", x_arg)  # a *-x family's x, its default if none was given
-            X = normalize(inst.points)
-            for name in args.builders:
-                G = _build_spanner(name, X, sub, inst.witness_pairs)
-                rep = metrics(G, X, force=args.force)
-                row = {"eps": eps, "x": x if x is not None else ""}
-                row.update(_metric_row(name, rep))
-                row["witness_pair"] = f"{rep.witness_pair[0]}-{rep.witness_pair[1]}"
-                bound = 1.0 + eps * (1.0 if x is None else x)
-                row["ok"] = rep.max_stretch <= bound + 1e-9
-                failures += not row["ok"]
-                rows.append(row)
-                per_x.setdefault(x_arg, {}).setdefault(eps, {})[name] = row
+            sub.x = inst.meta.get("x", x_arg)  # a *-x family's x, its default if none was given
+            new = _builder_rows(normalize(inst.points), sub, inst.witness_pairs,
+                                eps=eps, x="" if sub.x is None else sub.x)
+            for row in new:
+                row["witness_pair"] = "{}-{}".format(*row["witness_pair"])
+            rows += new
+            per_x.setdefault(x_arg, {})[eps] = {row["builder"]: row for row in new}
     if args.out:
         write_report(rows, args.out)
     ratio_kind = "weight" if "lightness" in args.family else "edge_count"
@@ -334,14 +298,14 @@ def _cmd_sweep(args) -> int:
     if args.summary_out:
         write_report(
             {
-                "config": _config_of(args).to_dict(),
+                "config": _config_of(args),
                 "timestamp": time.time(),
                 "slope": slopes,
                 "rows": rows,
             },
             args.summary_out,
         )
-    return 1 if failures else 0
+    return 0 if all(row["ok"] for row in rows) else 1
 
 
 def _write_gnuplot(path, csv_path, column, builders, xs) -> None:
@@ -374,35 +338,28 @@ def _write_gnuplot(path, csv_path, column, builders, xs) -> None:
         fh.write(script)
 
 
-def _config_of(args) -> ExperimentConfig:
+# Keys of every report's config, each read from the parsed flag of that
+# name; a subcommand without the flag records None.
+_CONFIG_KEYS = ("command", "instance", "family", "eps", "x", "n", "d", "seed",
+                "builder", "builders", "k", "t", "out")
+
+
+def _config_of(args) -> dict:
+    """The fully resolved settings of one invocation, as its reports record them."""
+    config = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    config["builders"] = config["builders"] or []
     prune = {
         k: getattr(args, k)
         for k in _PRUNE_FLAGS + ("config",)
         if getattr(args, k, None) is not None
     }
-    if "prune" in (getattr(args, "builders", None) or []):
+    if "prune" in config["builders"]:
         # the resolved fields do not depend on eps, so a sweep uses its first
         eps = args.eps_list[0] if args.command == "sweep" else args.eps
         prune.update(_prune_params_from_args(args, eps).to_dict())
         del prune["eps"]
-    return ExperimentConfig(
-        command=args.command,
-        instance=getattr(args, "infile", None),
-        family=getattr(args, "family", None),
-        eps=getattr(args, "eps", None),
-        x=getattr(args, "x", None),
-        n=getattr(args, "n", None),
-        d=getattr(args, "d", None),
-        seed=getattr(args, "seed", None),
-        builder=getattr(args, "builder", None),
-        builders=list(getattr(args, "builders", []) or []),
-        k=getattr(args, "k", None),
-        t=getattr(args, "t", None),
-        n_max=getattr(args, "n_max", VERIFY_N_MAX),
-        force=getattr(args, "force", False),
-        out=getattr(args, "out", None),
-        prune=prune,
-    )
+    config["prune"] = prune
+    return config
 
 
 def _add_prune_flags(p) -> None:
@@ -433,29 +390,26 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--builder", required=True, choices=["greedy", "net-tree", "prune", "witness"])
     b.add_argument("--eps", type=float, required=True)
     b.add_argument("--k", type=int, default=1)
-    b.add_argument("--in", dest="infile", required=True)
+    b.add_argument("--in", dest="instance", required=True)
     b.add_argument("--witness")
     b.add_argument("--out", required=True)
     _add_prune_flags(b)
     b.set_defaults(func=_cmd_build)
 
     v = sub.add_parser("verify", help="exact stretch check of an edge list")
-    v.add_argument("--in", dest="infile", required=True)
+    v.add_argument("--in", dest="instance", required=True)
     v.add_argument("--edges", required=True)
     v.add_argument("--t", type=float, required=True)
-    v.add_argument("--n-max", dest="n_max", type=int, default=VERIFY_N_MAX)
-    v.add_argument("--force", action="store_true")
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)
 
     c = sub.add_parser("compare", help="run several builders on one instance")
-    c.add_argument("--in", dest="infile", required=True)
+    c.add_argument("--in", dest="instance", required=True)
     c.add_argument("--eps", type=float, required=True)
     c.add_argument("--x", type=float)
     c.add_argument("--k", type=int, default=1)
     c.add_argument("--builders", type=lambda s: s.split(","), required=True)
     c.add_argument("--witness")
-    c.add_argument("--force", action="store_true")
     c.add_argument("--out")
     _add_prune_flags(c)
     c.set_defaults(func=_cmd_compare)
@@ -470,7 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--distribution", choices=["uniform", "clustered"], default="uniform")
     s.add_argument("--builders", type=lambda v: v.split(","), default=["greedy", "witness"])
     s.add_argument("--k", type=int, default=1)
-    s.add_argument("--force", action="store_true")
     s.add_argument("--out")
     s.add_argument("--summary-out", dest="summary_out")
     s.add_argument("--gnuplot")

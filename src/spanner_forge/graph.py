@@ -2,8 +2,9 @@
 
 Exact all-pairs stretch verification, Euclidean MST weight, summary
 metrics, the path-greedy builder, and an exact branch-and-bound oracle
-for the sparsest / lightest (1+eps)-spanner on tiny inputs.  Every
-shortest-path search runs scipy's csgraph Dijkstra on a CSR.
+for the sparsest / lightest (1+eps)-spanner on tiny inputs.  Verification
+runs scipy's csgraph Dijkstra on a CSR; the oracle runs a dense
+Floyd-Warshall (:func:`_apsp_small`) on its at most ten points.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .geom import _ROW_BLOCK, PointSet, _lengths
 # affecting decisions whose true margin is meaningful.
 GREEDY_RTOL = 1e-12
 
-VERIFY_N_MAX = 5000
 # Largest point count brute_force_optimal accepts.
 ORACLE_N_MAX = 10
 # the oracle holds a set of candidate edges in the bits of one uint64 word
@@ -176,12 +176,7 @@ class MetricsReport:
         return {**asdict(self), "witness_pair": list(self.witness_pair)}
 
 
-def verify_stretch(
-    G: SpannerGraph,
-    X: PointSet,
-    n_max: int = VERIFY_N_MAX,
-    force: bool = False,
-):
+def verify_stretch(G: SpannerGraph, X: PointSet):
     """Exact maximum stretch of G over X, with an argmax witness pair.
 
     Runs one single-source computation per vertex, 64 sources per scipy
@@ -189,15 +184,13 @@ def verify_stretch(
     as a directed graph: each edge is relaxed once from each side, with no
     transposed copy per call, and the labels are those of the undirected
     search.  The lengths and ratios of a block's pairs right of the
-    diagonal are taken in one array pass.  Raises :class:`TooLarge` for
-    n > n_max unless ``force``.  Ties break to the lexicographically
+    diagonal are taken in one array pass, so beside the graph only
+    (64, n) blocks are held.  Ties break to the lexicographically
     smallest pair.  Raises :class:`Disconnected` (carrying the first
     unreachable pair) when G is not connected.
     """
     if G.n != X.n:
         raise GraphError("graph and point set sizes differ")
-    if X.n > n_max and not force:
-        raise TooLarge(f"n={X.n} exceeds verification cap {n_max}; pass force=True")
     if X.n < 2:
         return 1.0, (0, 0)
     n = X.n
@@ -254,9 +247,9 @@ def _prim_weight(X: PointSet) -> float:
     return total
 
 
-def metrics(G: SpannerGraph, X: PointSet, force: bool = False) -> MetricsReport:
+def metrics(G: SpannerGraph, X: PointSet) -> MetricsReport:
     """Sparsity, lightness, weight and exact max stretch of G over X."""
-    ms, wit = verify_stretch(G, X, force=force)
+    ms, wit = verify_stretch(G, X)
     w = G.weight()
     mst = emst_weight(X)
     return MetricsReport(
@@ -502,7 +495,7 @@ def brute_force_optimal(
     def rec(idx: int, d: np.ndarray, da: np.ndarray, avail_mask: np.ndarray, cost, sets=None):
         nonlocal best_cost, best_set, nodes
         nodes += 1
-        eps_cmp = 1e-12 * max(1.0, abs(best_cost))
+        eps_cmp = 1e-12 * abs(best_cost)
         bad = (d[iu, iv] > tgt).nonzero()[0]
         if sets is None:
             sets = candidates(bad, da)

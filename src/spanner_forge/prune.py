@@ -203,16 +203,6 @@ class PhaseReport:
     helpers_added: int = 0
     measured_delta: float = 0.0
 
-    def reconciles(self) -> bool:
-        if self.phase == 1:
-            for info in self.levels.values():
-                if info["type1"] != info["pruned"] + info["kept"]:
-                    return False
-            if self.genuine_substitutes > min(self.substitutes_added, self.type1_pruned):
-                return False
-            return self.type1_pruned == sum(i["pruned"] for i in self.levels.values())
-        return self.type2_total == self.type2_kept + self.type2_dropped
-
 
 def _ellipse_masks(dist, S, T, limit):
     """Which points lie in the ellipses of edges (S[e], T[e]).

@@ -123,6 +123,19 @@ def lemma_sequence(rng, eps, n_edges=None):
     return edges, a, b
 
 
+def reconciles(report) -> bool:
+    """Whether a pruning ``PhaseReport``'s counters add up: per bucket and
+    in total for phase 1, over the type-2 edges for phase 2."""
+    if report.phase == 1:
+        for info in report.levels.values():
+            if info["type1"] != info["pruned"] + info["kept"]:
+                return False
+        if report.genuine_substitutes > min(report.substitutes_added, report.type1_pruned):
+            return False
+        return report.type1_pruned == sum(i["pruned"] for i in report.levels.values())
+    return report.type2_total == report.type2_kept + report.type2_dropped
+
+
 # Geometry and graph helpers that only the tests use.
 
 

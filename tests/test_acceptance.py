@@ -46,6 +46,7 @@ from conftest import (
     lemma_sequence,
     low_angle_weight,
     random_points,
+    reconciles,
     shortest_dist,
 )
 
@@ -229,7 +230,7 @@ def test_criterion5_prune_validity():
             out, reports = greedy_prune(X, eps, k, params=params, seed_spanner=seed)
             ms, _ = verify_stretch(out, X)
             bound = 1 + (params.kappa + 1) ** (2 * k) * eps
-            good = ms <= bound + 1e-9 and all(r.reconciles() for r in reports)
+            good = ms <= bound + 1e-9 and all(reconciles(r) for r in reports)
             details.append(f"{name} k={k}: stretch={ms:.3f}<={bound:.3f} ok={good}")
             ok &= good
     assert report(5, ok, "; ".join(details))
@@ -248,7 +249,7 @@ def test_criterion6_prune_effectiveness_documented(tmp_path):
     # fallback demanded by the criterion: criterion-5 validity plus a
     # written report of the shortfall
     bound5 = 1 + (params.kappa + 1) ** 2 * eps
-    valid = ms <= bound5 + 1e-9 and all(r.reconciles() for r in reports)
+    valid = ms <= bound5 + 1e-9 and all(reconciles(r) for r in reports)
     path = tmp_path / "criterion6_report.json"
     with open(path, "w") as fh:
         json.dump(

@@ -8,7 +8,6 @@ import pytest
 
 from spanner_forge import cli, graph
 from spanner_forge.cli import (
-    ExperimentConfig,
     ParseError,
     _build_parser,
     _prune_params_from_args,
@@ -161,17 +160,15 @@ def test_sweep_x_list_gives_one_slope_per_x(tmp_path, capsys):
         assert json.loads(one.read_text())["slope"] == [e]
 
 
-def test_verify_refuses_above_cap(tmp_path):
-    inst = str(tmp_path / "r.txt")
-    main(["generate", "--family", "random", "--n", "30", "--seed", "1",
-          "--out", inst])
-    edges = str(tmp_path / "g.edges")
-    main(["build", "--builder", "greedy", "--eps", "0.5", "--in", inst,
-          "--out", edges])
-    assert main(["verify", "--in", inst, "--edges", edges, "--t", "1.5",
-                 "--n-max", "10"]) == 2
-    assert main(["verify", "--in", inst, "--edges", edges, "--t", "1.5",
-                 "--n-max", "10", "--force"]) == 0
+def test_verify_has_no_size_cap(tmp_path):
+    n = 5001
+    X = PointSet(np.arange(float(n))[:, None])
+    inst, edges, rep = tmp_path / "line.txt", tmp_path / "path.edges", tmp_path / "v.json"
+    write_pointset(X, inst)
+    edges.write_text("".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    assert main(["verify", "--in", str(inst), "--edges", str(edges), "--t", "1.0",
+                 "--out", str(rep)]) == 0
+    assert json.loads(rep.read_text())["max_stretch"] == 1.0
 
 
 def test_verify_csv_report_exits_2_without_writing(tmp_path):
@@ -225,11 +222,44 @@ def test_reports_record_resolved_prune_params(tmp_path):
     assert json.loads(rep.read_text())["config"]["prune"] == {"kappa": 20.0}
 
 
-def test_experiment_config_round_trip():
-    cfg = ExperimentConfig(command="compare", eps=0.02, builders=["greedy"])
-    d = cfg.to_dict()
-    assert d["command"] == "compare"
-    assert d["builders"] == ["greedy"]
+def test_report_configs_pinned(tmp_path, monkeypatch):
+    # every key and value of each report's config, and the sweep CSV's columns
+    monkeypatch.chdir(tmp_path)
+    main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", "r.txt"])
+    main(["generate", "--family", "lightness-lb-x", "--eps", "0.02", "--out", "a.txt"])
+    main(["build", "--builder", "greedy", "--eps", "0.5", "--in", "r.txt", "--out", "g.edges"])
+    main(["verify", "--in", "r.txt", "--edges", "g.edges", "--t", "1.5", "--out", "v.json"])
+    main(["compare", "--in", "r.txt", "--eps", "0.3", "--builders", "greedy,prune",
+          "--kappa", "20", "--out", "c.json"])
+    main(["sweep", "--family", "random", "--n", "30", "--eps-list", "0.3,0.2",
+          "--builders", "greedy,net-tree", "--out", "s.csv", "--summary-out", "s.json"])
+
+    def config(path):
+        return json.loads((tmp_path / path).read_text())["config"]
+
+    unset = dict.fromkeys(("instance", "family", "eps", "x", "n", "d", "seed",
+                           "builder", "k", "t", "out"))
+    base = {**unset, "builders": [], "prune": {}}
+    generate = {**base, "command": "generate", "family": "random", "eps": 0.01,
+                "n": 30, "d": 2, "seed": 1}
+    assert config("r.txt.meta.json") == {**generate, "out": "r.txt"}
+    assert config("a.txt.meta.json") == {**generate, "family": "lightness-lb-x",
+                                         "eps": 0.02, "x": 2.0, "n": 100, "seed": 0,
+                                         "out": "a.txt"}
+    assert config("v.json") == {**base, "command": "verify", "instance": "r.txt",
+                                "t": 1.5, "out": "v.json"}
+    assert config("c.json") == {
+        **base, "command": "compare", "instance": "r.txt", "eps": 0.3, "k": 1,
+        "builders": ["greedy", "prune"], "out": "c.json",
+        "prune": {"delta": None, "alpha": None, "kappa": 20.0, "constant_mode": "practical"},
+    }
+    assert config("s.json") == {**base, "command": "sweep", "family": "random", "n": 30,
+                                "d": 2, "seed": 0, "k": 1, "builders": ["greedy", "net-tree"],
+                                "out": "s.csv"}
+    assert (tmp_path / "s.csv").read_text().splitlines()[0] == (
+        "eps,x,builder,edge_count,sparsity,weight,mst_weight,lightness,"
+        "max_stretch,witness_pair,ok"
+    )
 
 
 def test_prune_flags_override_config_file(tmp_path):
@@ -265,7 +295,7 @@ def test_prune_flags_are_params_fields():
     args = _build_parser().parse_args(
         ["build", "--builder", "prune", "--eps", "0.1", "--in", "i", "--out", "o"]
     )
-    other = {"command", "func", "builder", "eps", "k", "infile", "witness", "out",
+    other = {"command", "func", "builder", "eps", "k", "instance", "witness", "out",
              "config"}
     assert set(vars(args)) - other == {f.name for f in fields(PruneParams)} - {"eps"}
 

@@ -124,12 +124,12 @@ def test_verify_stretch_disconnected():
     assert exc.value.pair == (0, 2)
 
 
-def test_verify_stretch_refuses_above_cap():
-    X = random_points(12, 2, 3)
-    G = path_greedy(X, 1.5)
-    with pytest.raises(TooLarge, match="cap 10"):
-        verify_stretch(G, X, n_max=10)
-    assert verify_stretch(G, X, n_max=10, force=True) == verify_stretch(G, X)
+def test_verify_stretch_has_no_size_cap():
+    # the largest arc sweep has n = 5389; verification holds (64, n) blocks
+    n = 5001
+    X = PointSet(np.arange(float(n))[:, None])
+    G = SpannerGraph.from_pairs(X, np.column_stack((np.arange(n - 1), np.arange(1, n))))
+    assert verify_stretch(G, X)[0] == 1.0
 
 
 # name: (points, greedy stretch factor; None builds a net tree at eps=0.5)

@@ -112,7 +112,7 @@ def reference_brute_force_optimal(
     def rec(idx: int, d: np.ndarray, avail_mask: np.ndarray, cost):
         nonlocal best_cost, best_set, nodes
         nodes += 1
-        eps_cmp = 1e-12 * max(1.0, abs(best_cost))
+        eps_cmp = 1e-12 * abs(best_cost)
         if lower_bound(cost, d) > best_cost + eps_cmp:
             return
         if bool(np.all(d <= target)):
@@ -252,3 +252,12 @@ def test_oracle_properties(instance):
     assert W.weight() <= G.weight() * (1.0 + 1e-12)
     for H in (E, W):
         assert verify_stretch(H, X)[0] <= t * (1.0 + 1e-12)
+
+
+def test_oracle_tie_window_is_relative_below_cost_1():
+    # {(0,1), (0,2)} weighs 1e-12 more than greedy's {(0,2), (1,2)}: an
+    # absolute 1e-12 window would call that a tie and take the smaller set
+    X = PointSet(np.array([[0.0], [0.5], [1e-12]]))
+    greedy = path_greedy(X, 1.1).weight()
+    for oracle in (brute_force_optimal, reference_brute_force_optimal):
+        assert oracle(X, 0.1, "min_weight").weight() <= greedy * (1.0 + 1e-12)

@@ -28,7 +28,7 @@ from spanner_forge.prune import (
     update_params,
 )
 
-from conftest import int_grid, random_points, shortest_dist
+from conftest import int_grid, random_points, reconciles, shortest_dist
 
 
 def motivating_normalized(eps=0.01, mid_x=(3.0, 7.0)):
@@ -188,7 +188,7 @@ def test_phase1_no_type1_noop():
     E1, rep = phase1(X, E, params, classification=(set(), E.edge_set()))
     assert E1.edge_set() == E.edge_set()
     assert rep.substitutes_added == 0 and rep.type1_pruned == 0
-    assert rep.reconciles()
+    assert reconciles(rep)
 
 
 def test_phase1_prunes_biclique():
@@ -199,7 +199,7 @@ def test_phase1_prunes_biclique():
     k1 = len(meta["x_indices"])
     assert rep.type1_pruned >= k1 * k1 - 1  # essentially the whole bi-clique
     assert len(E1.edges) < len(E.edges)
-    assert rep.reconciles()
+    assert reconciles(rep)
     # phase-1 stretch: every original endpoint pair stays within
     # (1+kappa*delta) of its length in E1
     bound = 1.0 + params.kappa * params.delta_value
@@ -216,7 +216,7 @@ def test_phase1_never_removes_type2_or_new():
     _, type2 = cls
     assert type2 <= E1.edge_set()
     assert set(map(tuple, E1.meta["new_pairs"])) <= E1.edge_set()
-    assert rep.reconciles()
+    assert reconciles(rep)
 
 
 def test_phase2_noop_without_type2():
@@ -228,7 +228,7 @@ def test_phase2_noop_without_type2():
     E2, rep = phase2(X, E1, params, cls)
     assert E2.edge_set() == E1.edge_set()
     assert rep.type2_total == 0
-    assert rep.reconciles()
+    assert reconciles(rep)
 
 
 @pytest.mark.parametrize("dist_backend", ["exact", "clusters"])
@@ -255,7 +255,7 @@ def test_phase2_keep_drop_and_helper(dist_backend):
     assert rep.helpers_added == 1
     helper = (zi, wi) if zi < wi else (wi, zi)
     assert helper in E2.edge_set()
-    assert rep.reconciles()
+    assert reconciles(rep)
     # helper geometry: both endpoints between the waist bands keeps it long
     w_len = X.dist(zi, wi)
     first_len = X.dist(xs[0], ys[0])
@@ -351,7 +351,7 @@ def test_greedy_prune_sparsity_lb_small_eps_reduces():
     ms, _ = verify_stretch(out, X)
     kap = 10.0
     assert ms <= 1 + (kap + 1) ** 2 * eps + 1e-9
-    assert all(r.reconciles() for r in reports)
+    assert all(reconciles(r) for r in reports)
 
 
 def test_greedy_prune_sparsity_lb_desk_eps():
@@ -373,7 +373,7 @@ def test_greedy_prune_clusters_backend():
     X = normalize(gen_lightness_lb_x(eps, 2).points)
     out, reports = greedy_prune(X, eps, 1, dist_backend="clusters")
     assert reports[1].type2_total > 0
-    assert all(r.reconciles() for r in reports)
+    assert all(reconciles(r) for r in reports)
     assert out.is_connected()
     ms, _ = verify_stretch(out, X)
     assert ms <= 1 + delta_growth(10.0, eps) + 1e-9
@@ -395,7 +395,7 @@ def test_greedy_prune_output_connected_and_bounded():
     for _ in range(2):
         delta = delta_growth(10.0, delta)
     assert ms <= 1 + delta + 1e-9
-    assert all(r.reconciles() for r in reports)
+    assert all(reconciles(r) for r in reports)
 
 
 def test_level_buckets_partition_old_edges():
@@ -716,10 +716,10 @@ def test_genuine_substitutes_counter():
     X, meta = motivating_normalized()
     _, rep = phase1(X, biclique_seed(X, meta), PruneParams(eps=0.01))
     assert rep.genuine_substitutes >= 1
-    assert rep.reconciles()
+    assert reconciles(rep)
     _, reports = greedy_prune(int_grid(6, 2), 0.1, 1)
     assert reports[0].substitutes_added == 110
     assert reports[0].genuine_substitutes == 0
-    assert reports[0].reconciles()
+    assert reconciles(reports[0])
     # more genuine substitutions than pruned edges cannot happen
-    assert not dataclasses.replace(rep, genuine_substitutes=rep.type1_pruned + 1).reconciles()
+    assert not reconciles(dataclasses.replace(rep, genuine_substitutes=rep.type1_pruned + 1))
