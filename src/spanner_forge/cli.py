@@ -6,7 +6,10 @@ builder), ``verify`` (exact stretch check of an edge list), ``compare``
 (all requested builders on one instance, one report row each), and
 ``sweep`` (a builder comparison across an eps grid with a log-log slope
 estimate).  Reports are JSON for single runs and CSV for sweeps; every
-report embeds the fully resolved configuration.
+JSON report embeds its configuration: each flag of its subcommand,
+with the pruning flags under ``prune``.  The builders are the keys of
+``_BUILDERS``; an unknown builder name exits 2 before any instance is
+read, and a missing witness before any builder runs.
 """
 
 from __future__ import annotations
@@ -149,20 +152,38 @@ def _prune_params_from_args(args, eps: float) -> PruneParams:
     return PruneParams(**flags)
 
 
-def _build_spanner(name: str, X: PointSet, args, witness_pairs=None) -> SpannerGraph:
-    if name == "greedy":
-        return path_greedy(X, 1.0 + args.eps)
-    if name == "net-tree":
-        return build_net_tree_spanner(build_hierarchy(X), args.eps)
-    if name == "prune":
-        params = _prune_params_from_args(args, args.eps)
-        out, _ = greedy_prune(X, args.eps, args.k, params=params)
-        return out
-    if name == "witness":
-        if witness_pairs is None:
-            raise ValueError("no witness available for this instance")
-        return SpannerGraph.from_pairs(X, witness_pairs)
-    raise ValueError(f"unknown builder {name!r}")
+def _pruned(X: PointSet, args, witness_pairs) -> SpannerGraph:
+    out, _ = greedy_prune(X, args.eps, args.k, params=_prune_params_from_args(args, args.eps))
+    return out
+
+
+# Builder name -> (X, args, witness pairs) -> spanner.  The entries look
+# the builders up among this module's globals when called, so a caller
+# that replaces one of them here is seen.
+_BUILDERS = {
+    "greedy": lambda X, args, witness_pairs: path_greedy(X, 1.0 + args.eps),
+    "net-tree": lambda X, args, witness_pairs: build_net_tree_spanner(build_hierarchy(X),
+                                                                      args.eps),
+    "prune": _pruned,
+    "witness": lambda X, args, witness_pairs: SpannerGraph.from_pairs(X, witness_pairs),
+}
+
+
+def _spanners(names, X: PointSet, args, witness_pairs):
+    """The spanner of each named builder over X, built lazily in order;
+    a witness is checked for before the first one is built."""
+    if "witness" in names and witness_pairs is None:
+        raise ValueError("no witness available for this instance")
+    return (_BUILDERS[name](X, args, witness_pairs) for name in names)
+
+
+def _builder_list(value: str) -> list:
+    names = value.split(",")
+    for name in names:
+        if name not in _BUILDERS:
+            raise argparse.ArgumentTypeError(
+                f"unknown builder {name!r} (choose from {', '.join(_BUILDERS)})")
+    return names
 
 
 def _load_witness(args, X: PointSet):
@@ -180,12 +201,19 @@ def _builder_rows(X: PointSet, args, witness_pairs, **lead) -> list:
     1 + eps*x (1 + eps without an x)."""
     bound = 1.0 + args.eps * (1.0 if args.x is None else args.x)
     rows = []
-    for name in args.builders:
-        rep = metrics(_build_spanner(name, X, args, witness_pairs), X)
+    for name, G in zip(args.builders, _spanners(args.builders, X, args, witness_pairs)):
+        rep = metrics(G, X)
         row = {**lead, "builder": name, **rep.to_dict()}
         row["ok"] = rep.max_stretch <= bound + 1e-9
         rows.append(row)
     return rows
+
+
+def _write_run_report(args, path, **body) -> None:
+    """Write ``body`` as a JSON report to ``path``, if one is given,
+    under the invocation's config and a timestamp."""
+    if path:
+        write_report({"config": _config_of(args), "timestamp": time.time(), **body}, path)
 
 
 def _loglog_slope(inv_eps, values) -> float:
@@ -195,8 +223,6 @@ def _loglog_slope(inv_eps, values) -> float:
 
 
 def _cmd_generate(args) -> int:
-    if args.x is not None and not args.family.endswith("-x"):
-        raise ValueError(f"--x applies only to the *-x families, not {args.family}")
     inst: GeneratedInstance = _FAMILIES[args.family](args)
     args.x = inst.meta.get("x")  # the config records the x the family used
     if args.copies > 1:
@@ -213,8 +239,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_build(args) -> int:
     X = normalize(parse_pointset(args.instance))
-    witness = _load_witness(args, X)
-    G = _build_spanner(args.builder, X, args, witness)
+    [G] = _spanners([args.builder], X, args, _load_witness(args, X))
     write_edge_list(G, args.out)
     print(f"{args.builder}: {len(G.u)} edges -> {args.out}")
     return 0
@@ -225,16 +250,8 @@ def _cmd_verify(args) -> int:
     G = read_edge_list(args.edges, X)
     ms, wit = verify_stretch(G, X)
     ok = ms <= args.t + 1e-9
-    report = {
-        "config": _config_of(args),
-        "timestamp": time.time(),
-        "max_stretch": ms,
-        "witness_pair": list(wit),
-        "bound": args.t,
-        "ok": bool(ok),
-    }
-    if args.out:
-        write_report(report, args.out)
+    _write_run_report(args, args.out, max_stretch=ms, witness_pair=list(wit), bound=args.t,
+                      ok=bool(ok))
     print(f"max stretch {ms:.9f} vs bound {args.t}: {'OK' if ok else 'FAIL'}")
     return 0 if ok else 1
 
@@ -248,13 +265,7 @@ def _cmd_compare(args) -> int:
             row["edge_ratio_vs_witness"] = row["edge_count"] / base["edge_count"]
             row["weight_ratio_vs_witness"] = row["weight"] / base["weight"]
             row["ok"] = row.pop("ok")  # the last column, after the ratios
-    report = {
-        "config": _config_of(args),
-        "timestamp": time.time(),
-        "rows": rows,
-    }
-    if args.out:
-        write_report(report, args.out)
+    _write_run_report(args, args.out, rows=rows)
     for row in rows:
         print(
             f"{row['builder']:>9}: edges={row['edge_count']:6d} "
@@ -272,7 +283,7 @@ def _cmd_sweep(args) -> int:
             sub.eps = eps
             sub.x = x_arg
             inst = _FAMILIES[args.family](sub)
-            sub.x = inst.meta.get("x", x_arg)  # a *-x family's x, its default if none was given
+            sub.x = inst.meta.get("x")  # a *-x family's x, its default if none was given
             new = _builder_rows(normalize(inst.points), sub, inst.witness_pairs,
                                 eps=eps, x="" if sub.x is None else sub.x)
             for row in new:
@@ -295,16 +306,7 @@ def _cmd_sweep(args) -> int:
         slopes.append({"x": x, "slope": slope})
     if args.gnuplot and args.out:
         _write_gnuplot(args.gnuplot, args.out, ratio_kind, args.builders, args.x_list)
-    if args.summary_out:
-        write_report(
-            {
-                "config": _config_of(args),
-                "timestamp": time.time(),
-                "slope": slopes,
-                "rows": rows,
-            },
-            args.summary_out,
-        )
+    _write_run_report(args, args.summary_out, slope=slopes, rows=rows)
     return 0 if all(row["ok"] for row in rows) else 1
 
 
@@ -338,22 +340,15 @@ def _write_gnuplot(path, csv_path, column, builders, xs) -> None:
         fh.write(script)
 
 
-# Keys of every report's config, each read from the parsed flag of that
-# name; a subcommand without the flag records None.
-_CONFIG_KEYS = ("command", "instance", "family", "eps", "x", "n", "d", "seed",
-                "builder", "builders", "k", "t", "out")
-
-
 def _config_of(args) -> dict:
-    """The fully resolved settings of one invocation, as its reports record them."""
-    config = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
-    config["builders"] = config["builders"] or []
-    prune = {
-        k: getattr(args, k)
-        for k in _PRUNE_FLAGS + ("config",)
-        if getattr(args, k, None) is not None
-    }
-    if "prune" in config["builders"]:
+    """Every flag of one invocation, as its reports record them: the
+    pruning flags given (all resolved fields when a builder prunes)
+    under ``prune``, the others at the top level."""
+    config = dict(vars(args))
+    del config["func"]
+    given = {k: config.pop(k, None) for k in _PRUNE_FLAGS + ("config",)}
+    prune = {k: v for k, v in given.items() if v is not None}
+    if "prune" in config.get("builders", []):
         # the resolved fields do not depend on eps, so a sweep uses its first
         eps = args.eps_list[0] if args.command == "sweep" else args.eps
         prune.update(_prune_params_from_args(args, eps).to_dict())
@@ -362,38 +357,42 @@ def _config_of(args) -> dict:
     return config
 
 
-def _add_prune_flags(p) -> None:
-    p.add_argument("--config", help="key=value file with pruning parameters")
-    for name in _PRUNE_FLAGS:
-        convert = functools.partial(PruneParams.convert, name)
-        convert.__name__ = name  # argparse names it in "invalid <name> value"
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=convert)
+def _floats(value: str) -> list:
+    return [float(v) for v in value.split(",")]
 
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spanner-forge")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="emit an instance file")
-    g.add_argument("--family", required=True, choices=sorted(_FAMILIES))
+    family = argparse.ArgumentParser(add_help=False)  # the flags that pick an instance
+    family.add_argument("--family", required=True, choices=sorted(_FAMILIES))
+    family.add_argument("--n", type=int, default=100)
+    family.add_argument("--d", type=int, default=2)
+    family.add_argument("--seed", type=int, default=0)
+    family.add_argument("--distribution", choices=["uniform", "clustered"], default="uniform")
+
+    pruning = argparse.ArgumentParser(add_help=False)  # the rounds and PruneParams
+    pruning.add_argument("--k", type=int, default=1)
+    pruning.add_argument("--config", help="key=value file with pruning parameters")
+    for name in _PRUNE_FLAGS:
+        convert = functools.partial(PruneParams.convert, name)
+        convert.__name__ = name  # argparse names it in "invalid <name> value"
+        pruning.add_argument("--" + name.replace("_", "-"), dest=name, type=convert)
+
+    g = sub.add_parser("generate", parents=[family], help="emit an instance file")
     g.add_argument("--eps", type=float, default=0.01)
     g.add_argument("--x", type=float)
-    g.add_argument("--n", type=int, default=100)
-    g.add_argument("--d", type=int, default=2)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--distribution", choices=["uniform", "clustered"], default="uniform")
     g.add_argument("--copies", type=int, default=1)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
-    b = sub.add_parser("build", help="build a spanner over an instance")
-    b.add_argument("--builder", required=True, choices=["greedy", "net-tree", "prune", "witness"])
+    b = sub.add_parser("build", parents=[pruning], help="build a spanner over an instance")
+    b.add_argument("--builder", required=True, choices=list(_BUILDERS))
     b.add_argument("--eps", type=float, required=True)
-    b.add_argument("--k", type=int, default=1)
     b.add_argument("--in", dest="instance", required=True)
     b.add_argument("--witness")
     b.add_argument("--out", required=True)
-    _add_prune_flags(b)
     b.set_defaults(func=_cmd_build)
 
     v = sub.add_parser("verify", help="exact stretch check of an edge list")
@@ -403,41 +402,33 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)
 
-    c = sub.add_parser("compare", help="run several builders on one instance")
+    c = sub.add_parser("compare", parents=[pruning], help="run several builders on one instance")
     c.add_argument("--in", dest="instance", required=True)
     c.add_argument("--eps", type=float, required=True)
     c.add_argument("--x", type=float)
-    c.add_argument("--k", type=int, default=1)
-    c.add_argument("--builders", type=lambda s: s.split(","), required=True)
+    c.add_argument("--builders", type=_builder_list, required=True)
     c.add_argument("--witness")
     c.add_argument("--out")
-    _add_prune_flags(c)
     c.set_defaults(func=_cmd_compare)
 
-    s = sub.add_parser("sweep", help="builder comparison across an eps grid")
-    s.add_argument("--family", required=True, choices=sorted(_FAMILIES))
-    s.add_argument("--eps-list", dest="eps_list", type=lambda v: [float(x) for x in v.split(",")], required=True)
-    s.add_argument("--x-list", dest="x_list", type=lambda v: [float(x) for x in v.split(",")])
-    s.add_argument("--n", type=int, default=100)
-    s.add_argument("--d", type=int, default=2)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--distribution", choices=["uniform", "clustered"], default="uniform")
-    s.add_argument("--builders", type=lambda v: v.split(","), default=["greedy", "witness"])
-    s.add_argument("--k", type=int, default=1)
+    s = sub.add_parser("sweep", parents=[family, pruning],
+                       help="builder comparison across an eps grid")
+    s.add_argument("--eps-list", dest="eps_list", type=_floats, required=True)
+    s.add_argument("--x-list", dest="x_list", type=_floats)
+    s.add_argument("--builders", type=_builder_list, default=["greedy", "witness"])
     s.add_argument("--out")
     s.add_argument("--summary-out", dest="summary_out")
     s.add_argument("--gnuplot")
-    _add_prune_flags(s)
     s.set_defaults(func=_cmd_sweep)
     return ap
 
 
-# Stretch bounds, eps and x: refused before any work when NaN or +-inf,
-# and x also when not positive.
+# Stretch bounds, eps and x: refused before any work when NaN or +-inf;
+# x also when not positive, or when the family takes none.
 _FINITE_FLAGS = ("t", "eps", "x", "eps_list", "x_list")
 
 
-def _check_finite(args) -> None:
+def _check_values(args) -> None:
     for name in _FINITE_FLAGS:
         value = getattr(args, name, None)
         values = [v for v in (value if isinstance(value, list) else [value]) if v is not None]
@@ -446,12 +437,15 @@ def _check_finite(args) -> None:
             raise ValueError(f"{flag} must be finite, got {value}")
         if name.startswith("x") and not all(v > 0 for v in values):
             raise ValueError(f"{flag} must be positive, got {value}")
+        family = getattr(args, "family", "-x")  # compare's --x has no family to check
+        if name.startswith("x") and values and not family.endswith("-x"):
+            raise ValueError(f"{flag} applies only to the *-x families, not {family}")
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_finite(args)
+        _check_values(args)
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

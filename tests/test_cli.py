@@ -226,6 +226,8 @@ def test_report_configs_pinned(tmp_path, monkeypatch):
     # every key and value of each report's config, and the sweep CSV's columns
     monkeypatch.chdir(tmp_path)
     main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", "r.txt"])
+    main(["generate", "--family", "random", "--n", "30", "--seed", "1",
+          "--distribution", "clustered", "--copies", "2", "--out", "rc.txt"])
     main(["generate", "--family", "lightness-lb-x", "--eps", "0.02", "--out", "a.txt"])
     main(["build", "--builder", "greedy", "--eps", "0.5", "--in", "r.txt", "--out", "g.edges"])
     main(["verify", "--in", "r.txt", "--edges", "g.edges", "--t", "1.5", "--out", "v.json"])
@@ -237,25 +239,28 @@ def test_report_configs_pinned(tmp_path, monkeypatch):
     def config(path):
         return json.loads((tmp_path / path).read_text())["config"]
 
-    unset = dict.fromkeys(("instance", "family", "eps", "x", "n", "d", "seed",
-                           "builder", "k", "t", "out"))
-    base = {**unset, "builders": [], "prune": {}}
-    generate = {**base, "command": "generate", "family": "random", "eps": 0.01,
-                "n": 30, "d": 2, "seed": 1}
-    assert config("r.txt.meta.json") == {**generate, "out": "r.txt"}
+    generate = {"command": "generate", "family": "random", "eps": 0.01, "x": None, "n": 30,
+                "d": 2, "seed": 1, "distribution": "uniform", "copies": 1, "out": "r.txt",
+                "prune": {}}
+    assert config("r.txt.meta.json") == generate
+    assert config("rc.txt.meta.json") == {**generate, "distribution": "clustered",
+                                          "copies": 2, "out": "rc.txt"}
     assert config("a.txt.meta.json") == {**generate, "family": "lightness-lb-x",
                                          "eps": 0.02, "x": 2.0, "n": 100, "seed": 0,
                                          "out": "a.txt"}
-    assert config("v.json") == {**base, "command": "verify", "instance": "r.txt",
-                                "t": 1.5, "out": "v.json"}
+    assert config("v.json") == {"command": "verify", "instance": "r.txt", "edges": "g.edges",
+                                "t": 1.5, "out": "v.json", "prune": {}}
     assert config("c.json") == {
-        **base, "command": "compare", "instance": "r.txt", "eps": 0.3, "k": 1,
-        "builders": ["greedy", "prune"], "out": "c.json",
+        "command": "compare", "instance": "r.txt", "eps": 0.3, "x": None, "k": 1,
+        "builders": ["greedy", "prune"], "witness": None, "out": "c.json",
         "prune": {"delta": None, "alpha": None, "kappa": 20.0, "constant_mode": "practical"},
     }
-    assert config("s.json") == {**base, "command": "sweep", "family": "random", "n": 30,
-                                "d": 2, "seed": 0, "k": 1, "builders": ["greedy", "net-tree"],
-                                "out": "s.csv"}
+    assert config("s.json") == {
+        "command": "sweep", "family": "random", "eps_list": [0.3, 0.2], "x_list": None,
+        "n": 30, "d": 2, "seed": 0, "distribution": "uniform", "k": 1,
+        "builders": ["greedy", "net-tree"], "out": "s.csv", "summary_out": "s.json",
+        "gnuplot": None, "prune": {},
+    }
     assert (tmp_path / "s.csv").read_text().splitlines()[0] == (
         "eps,x,builder,edge_count,sparsity,weight,mst_weight,lightness,"
         "max_stretch,witness_pair,ok"
@@ -410,6 +415,65 @@ def test_generate_x_only_for_x_families(tmp_path):
     for extra, want in (([], 2.0), (["--x", "3"], 3.0)):
         assert main(argv + extra) == 0
         assert json.load(open(str(out) + ".meta.json"))["config"]["x"] == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--family", "lightness-lb", "--eps", "0.05", "--x", "2"],
+        ["sweep", "--family", "lightness-lb", "--eps-list", "0.05", "--x-list", "2,3"],
+    ],
+    ids=["generate-x", "sweep-x-list"],
+)
+def test_x_flags_only_for_x_families(tmp_path, monkeypatch, capsys, argv):
+    # one check, made before any instance is generated
+    def no_instance(*args, **kwargs):
+        raise AssertionError("instance generated before its x was checked")
+
+    monkeypatch.setattr(cli, "gen_lightness_lb", no_instance)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"{argv[-2]} applies only to the *-x families, not lightness-lb" in capsys.readouterr().err
+
+
+def _spy_builders(monkeypatch) -> list:
+    """Replace the CLI's builders by spies that record each call, then build."""
+    called = []
+    for name in ("path_greedy", "build_hierarchy", "greedy_prune"):
+        def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            called.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    return called
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_unknown_builder_exits_2_before_any_builder(tmp_path, monkeypatch, capsys, command):
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "20", "--seed", "1", "--out", inst])
+    called = _spy_builders(monkeypatch)
+    source = {"compare": ["--in", inst, "--eps", "0.5"],
+              "sweep": ["--family", "random", "--n", "20", "--eps-list", "0.5"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, "--builders", "greedy,bogus"])
+    assert exc.value.code == 2
+    assert called == []
+    assert "unknown builder 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_missing_witness_exits_2_before_any_builder(tmp_path, monkeypatch, capsys, command):
+    # random instances have no witness; sweep's default builders are greedy,witness
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "20", "--seed", "1", "--out", inst])
+    called = _spy_builders(monkeypatch)
+    argv = {"compare": ["compare", "--in", inst, "--eps", "0.5", "--builders", "greedy,witness"],
+            "sweep": ["sweep", "--family", "random", "--n", "20", "--eps-list", "0.5"]}[command]
+    assert main(argv) == 2
+    assert called == []
+    assert "no witness available" in capsys.readouterr().err
 
 
 def test_sweep_x_family_checks_the_x_it_used(tmp_path):

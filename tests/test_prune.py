@@ -385,6 +385,15 @@ def test_greedy_prune_requires_normalized():
         greedy_prune(X, 0.1, 1)
 
 
+@pytest.mark.xfail(strict=True, raises=PruneError,
+                   reason="phase 1 accepts covers whose legs have no surviving path (ROADMAP item 1)")
+def test_greedy_prune_motivating_stays_connected():
+    # the pruned spanner of the motivating instance loses connectivity;
+    # once phase 1 checks its legs this passes, and the marker must go
+    out, _ = greedy_prune(normalize(gen_motivating(0.1).points), 0.1, 1)
+    assert out.is_connected()
+
+
 def test_greedy_prune_output_connected_and_bounded():
     X = random_points(200, 2, 36)
     out, reports = greedy_prune(X, 0.1, 2)

@@ -1,0 +1,115 @@
+"""Run a fixed matrix of CLI commands and keep every output for diffing.
+
+    python3 tools/cli_outputs.py DIR
+
+The commands cover all five subcommands, every builder, JSON and CSV
+reports, ``--x-list``, ``--copies`` and ``--gnuplot``, and a few inputs
+the CLI rejects.  They run in ``DIR``, which must be empty or absent,
+with the ``spanner_forge`` of the checkout this file belongs to.
+``DIR/runs.txt`` lists each command with its exit code and stdout.
+Every JSON file loses its ``timestamp``, and its ``config`` moves to
+``<file>.config.json``, so that
+
+    diff -r PARENT_DIR CHANGE_DIR
+
+of two checkouts' directories separates what a change does to outputs
+from what it does to the recorded configurations.  To run the matrix at
+an older checkout, copy this file into its ``tools/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from spanner_forge import cli  # noqa: E402
+
+MATRIX = (
+    "generate --family random --n 30 --seed 1 --out r.txt",
+    "generate --family random --n 20 --d 3 --seed 2 --distribution clustered --out k.txt",
+    "generate --family random --n 20 --d 3 --seed 2 --distribution clustered --copies 2"
+    " --out c.txt",
+    "generate --family sparsity-lb --eps 0.02 --out s.txt",
+    "generate --family lightness-lb-x --eps 0.02 --x 2.5 --out l.txt",
+    "build --builder greedy --eps 0.5 --in r.txt --out r.greedy.edges",
+    "build --builder net-tree --eps 0.5 --in r.txt --out r.net-tree.edges",
+    "build --builder prune --eps 0.3 --kappa 20 --in r.txt --out r.prune.edges",
+    "build --builder witness --eps 0.02 --in s.txt --out s.witness.edges",
+    "verify --in r.txt --edges r.greedy.edges --t 1.5 --out v.json",
+    "verify --in r.txt --edges r.greedy.edges --t 1.0000001",
+    "compare --in s.txt --eps 0.02 --builders greedy,witness,prune,net-tree --out s.cmp.json",
+    "compare --in k.txt --eps 0.3 --builders greedy,prune --constant-mode theoretical"
+    " --out k.cmp.json",
+    "compare --in c.txt --eps 0.3 --x 2 --builders greedy,net-tree --out c.cmp.csv",
+    "compare --in l.txt --eps 0.02 --x 2.5 --builders witness,greedy --out l.cmp.json",
+    "sweep --family lightness-lb --eps-list 0.04,0.02 --out sw.csv --gnuplot sw.gp"
+    " --summary-out sw.json",
+    "sweep --family lightness-lb-x --eps-list 0.02,0.01 --x-list 2,2.5 --out swx.csv"
+    " --gnuplot swx.gp --summary-out swx.json",
+    "sweep --family random --n 30 --d 3 --distribution clustered --eps-list 0.5,0.3"
+    " --builders greedy,net-tree,prune --kappa 20 --out swr.json",
+    # rejected inputs
+    "generate --family sparsity-lb --x 2 --out bad.txt",
+    "compare --in r.txt --eps 0.5 --builders greedy,witness --out bad.json",
+    "compare --in r.txt --eps 0.5 --builders greedy,bogus --out bad.json",
+    "sweep --family random --n 20 --eps-list 0.5 --out bad.csv",
+    "sweep --family lightness-lb --eps-list 0.02 --x-list 2 --out bad.csv",
+)
+
+
+def run(argv: list) -> tuple:
+    """Exit code and stdout of one in-process CLI run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's rejections
+            code = exc.code
+    return code, out.getvalue()
+
+
+def split_configs(directory: Path) -> None:
+    """Drop each JSON report's timestamp and move its config to a file of its own."""
+    for path in sorted(directory.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if not isinstance(doc, dict):
+            continue
+        doc.pop("timestamp", None)
+        if "config" in doc:
+            config = doc.pop("config")
+            path.with_name(path.name + ".config.json").write_text(
+                json.dumps(config, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description="Run the CLI matrix and keep its outputs.")
+    ap.add_argument("dir", help="output directory, empty or absent")
+    directory = Path(ap.parse_args(argv).dir).resolve()
+    directory.mkdir(parents=True, exist_ok=True)
+    if any(directory.iterdir()):
+        print(f"error: {directory} is not empty", file=sys.stderr)
+        return 2
+    log = []
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        for command in MATRIX:
+            code, stdout = run(command.split())
+            log.append(f"$ spanner-forge {command}\nexit {code}\n{stdout}")
+    finally:
+        os.chdir(cwd)
+    (directory / "runs.txt").write_text("\n".join(log))
+    split_configs(directory)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
