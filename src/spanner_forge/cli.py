@@ -152,8 +152,9 @@ def _prune_params_from_args(args, eps: float) -> PruneParams:
     return PruneParams(**flags)
 
 
-def _pruned(X: PointSet, args, witness_pairs) -> SpannerGraph:
-    out, _ = greedy_prune(X, args.eps, args.k, params=_prune_params_from_args(args, args.eps))
+def _pruned(X: PointSet, args, witness_pairs, seed=None) -> SpannerGraph:
+    params = _prune_params_from_args(args, args.eps)
+    out, _ = greedy_prune(X, args.eps, args.k, params=params, seed_spanner=seed)
     return out
 
 
@@ -171,10 +172,24 @@ _BUILDERS = {
 
 def _spanners(names, X: PointSet, args, witness_pairs):
     """The spanner of each named builder over X, built lazily in order;
-    a witness is checked for before the first one is built."""
+    a witness is checked for before the first one is built.  When both
+    greedy and prune are named, greedy is built once and seeds pruning,
+    whose own seed would be the same spanner."""
     if "witness" in names and witness_pairs is None:
         raise ValueError("no witness available for this instance")
-    return (_BUILDERS[name](X, args, witness_pairs) for name in names)
+    shared = {"greedy", "prune"} <= set(names)
+    greedy = []  # the shared greedy spanner, once built
+
+    def build(name):
+        if not shared or name not in ("greedy", "prune"):
+            return _BUILDERS[name](X, args, witness_pairs)
+        if not greedy:
+            greedy.append(_BUILDERS["greedy"](X, args, witness_pairs))
+        if name == "greedy":
+            return greedy[0]
+        return _BUILDERS["prune"](X, args, witness_pairs, seed=greedy[0])
+
+    return (build(name) for name in names)
 
 
 def _builder_list(value: str) -> list:

@@ -502,7 +502,9 @@ def brute_force_optimal(
         # with no undecided edge left, an unmet pair makes the bound inf
         if lower_bound(cost, d, bad, idx, sets) > best_cost + eps_cmp:
             return
-        if bool(np.all(d <= target)):
+        # d and target are symmetric and the diagonal's target is inf, so
+        # no unmet pair means d <= target everywhere
+        if not len(bad):
             cset = sorted(chosen)
             if cost < best_cost - eps_cmp or (
                 abs(cost - best_cost) <= eps_cmp and cset < best_set

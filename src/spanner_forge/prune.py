@@ -328,13 +328,16 @@ def phase1(
     :func:`_candidate_triples` over all type-1 edges, sorted by bucket,
     finds them before the loop; lengths come from the shared
     :meth:`PointSet.distances` matrix, the weights of new pairs and the
-    detours from :meth:`PointSet.dist`.  A visit to a bucket maps each
-    pair of the bucket's slice of triples to the live edges it covers.
-    Since ``live`` only shrinks, no cover ever grows.  So the best pair
-    is taken from a heap of cover sizes refreshed only when they reach
-    the top, and a bucket is skipped without a visit when it holds fewer
-    live edges than the threshold, or when its cover loop last stopped
-    with a best cover below it.
+    detours from :meth:`PointSet.dist`.  Each pair of a bucket gets an
+    id, in (bucket, x, y) order, and an exact count of the live edges it
+    covers.  A count drops when one of its edges leaves ``live``, pruned
+    or protected as an old edge that coincides with a new pair, and
+    never grows.  So each bucket keeps one heap of cover sizes from its
+    first visit on (lazy greedy max-coverage): an entry is stale when its
+    size differs from its id's count, and the top is the best pair once
+    it is current.  A bucket is skipped without a visit when it holds
+    fewer live edges than the threshold, or when its cover loop last
+    stopped with a best cover below it.
     """
     eps = params.eps
     if classification is None:
@@ -358,58 +361,75 @@ def phase1(
     min_len = np.array([BETA**j / 25.0 for j in level])
     dist = X.distances()
     xs, ys, ks = _candidate_triples(dist, E.u[idx], E.v[idx], E.w[idx], min_len, 1.0 + eps)
-    # bucket -> its slice of the triples
-    ends = np.searchsorted(ks, np.cumsum([n_live[j] for j in order]))
-    span = dict(zip(order, zip([0, *ends.tolist()], ends.tolist())))
-    live = set(range(len(t1)))  # old type-1 edges still present and prunable
+    # a pair id per (bucket rank, x, y) key, in key order; count[p] is the
+    # number of live edges that pair p covers
+    n2 = X.n * X.n
+    rank = np.searchsorted(order, level)
+    keys, pair, count = np.unique(
+        rank[ks] * n2 + xs * X.n + ys, return_inverse=True, return_counts=True
+    )
+    # pair p covers the edges covers[cover_at[p] : cover_at[p + 1]], edge k
+    # is covered by the pairs pair[pairs_at[k] : pairs_at[k + 1]], and the
+    # pairs of bucket order[r] are the ids from bucket_at[r] to bucket_at[r + 1]
+    covers = ks[np.argsort(pair, kind="stable")]
+    cover_at = np.concatenate(([0], np.cumsum(count)))
+    pairs_at = np.searchsorted(ks, np.arange(len(t1) + 1)).tolist()
+    bucket_at = np.searchsorted(keys, np.arange(len(order) + 1) * n2).tolist()
+    count = count.tolist()
+    live = bytearray(b"\x01") * len(t1)  # old type-1 edges still present and prunable
+
+    def leave(k):
+        live[k] = 0
+        n_live[level[k]] -= 1
+        for p in pair[pairs_at[k] : pairs_at[k + 1]].tolist():
+            count[p] -= 1
+
     new_pairs: set = set()
     pruned: set = set()
+    heaps: dict = {}  # bucket -> its heap of (-cover size, pair id)
     best_left: dict = {}  # bucket -> best cover size when its loop last stopped
     n_sub = max(1, math.ceil(math.log2(max(alpha, 2.0))))
     for i in range(1, n_sub + 1):
         thr = alpha / (2.0**i * kappa)
-        for j in order:
+        for r, j in enumerate(order):
             if n_live[j] < thr or best_left.get(j, math.inf) < thr:
                 continue
-            cand: dict = {}
-            lo, hi = span[j]
-            keys = zip(xs[lo:hi].tolist(), ys[lo:hi].tolist())
-            for key, k in zip(keys, ks[lo:hi].tolist()):
-                if k in live:
-                    cand.setdefault(key, set()).add(k)
-            # Max-heap of (cover size, pair), smallest pair first on ties.
-            # Covers only shrink, so a stored size is an upper bound: the
-            # top is the best pair once its size is current.
-            heap = [(-len(cov), key) for key, cov in cand.items()]
-            heapq.heapify(heap)
+            heap = heaps.get(j)
+            if heap is None:
+                # Max-heap of (cover size, pair), smallest pair first on
+                # ties.  Counts only fall, so a stored size is an upper
+                # bound: the top is the best pair once its size is current.
+                lo, hi = bucket_at[r], bucket_at[r + 1]
+                heap = heaps[j] = [(-c, p) for p, c in enumerate(count[lo:hi], lo) if c]
+                heapq.heapify(heap)
             while heap:
-                neg_size, best_key = heap[0]
-                best_cov = cand[best_key] & live
-                if len(best_cov) != -neg_size:
-                    if best_cov:
-                        heapq.heapreplace(heap, (-len(best_cov), best_key))
+                neg_size, best = heap[0]
+                size = count[best]
+                if size != -neg_size:
+                    if size:
+                        heapq.heapreplace(heap, (-size, best))
                     else:
                         heapq.heappop(heap)
                     continue
-                if len(best_cov) < thr:
+                if size < thr:
                     break
                 heapq.heappop(heap)  # its whole cover is about to leave live
-                new_pairs.add(best_key)
+                cover = covers[cover_at[best] : cover_at[best + 1]].tolist()
+                key = divmod(keys.item(best) % n2, X.n)
+                new_pairs.add(key)
                 report.substitutes_added += 1
-                same = pos.get(best_key, -1)
-                if same in live:  # a coinciding old edge is now protected
-                    live.discard(same)
-                    n_live[level[same]] -= 1
-                others = [k for k in best_cov if k != same]
+                same = pos.get(key, -1)
+                if same >= 0 and live[same]:  # a coinciding old edge is now protected
+                    leave(same)
+                others = [k for k in cover if live[k]]
                 if not others:
                     continue
                 report.genuine_substitutes += 1
-                x, y = best_key
+                x, y = key
                 wxy = X.dist(x, y)
                 for k in others:
                     s, t = edges[t1[k]]
-                    live.discard(k)
-                    n_live[j] -= 1
+                    leave(k)
                     pruned.add((s, t))
                     report.levels[j]["pruned"] += 1
                     report.levels[j]["kept"] -= 1

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from spanner_forge import cli, graph
+from spanner_forge import cli, graph, prune
 from spanner_forge.cli import (
     ParseError,
     _build_parser,
@@ -557,3 +557,42 @@ def test_compare_prune_k0_returns_greedy_seed(tmp_path):
     assert data["config"]["k"] == 0
     assert rows["prune"]["edge_count"] == rows["greedy"]["edge_count"]
     assert rows["prune"]["weight"] == rows["greedy"]["weight"]
+
+
+@pytest.mark.parametrize("builders", ["greedy,prune", "prune,greedy"])
+def test_greedy_built_once_per_instance_and_seeds_prune(tmp_path, monkeypatch, builders):
+    # the rows equal those of each builder run on its own, where the prune
+    # builder builds its own greedy seed
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "40", "--seed", "3", "--out", inst])
+    runs = {
+        "compare": ["compare", "--in", inst, "--eps", "0.3", "--kappa", "20"],
+        "sweep": ["sweep", "--family", "random", "--n", "40", "--seed", "3",
+                  "--eps-list", "0.5,0.3", "--kappa", "20"],
+    }
+    alone = {}
+    for command, argv in runs.items():
+        for name in ("greedy", "prune"):
+            out = tmp_path / f"{command}-{name}.json"
+            main([*argv, "--builders", name, "--out", str(out)])
+            rows = json.load(open(out))
+            alone[command, name] = rows["rows"] if command == "compare" else rows
+    calls = []
+    for module in (cli, prune):
+        def counting(*args, _real=module.path_greedy, **kwargs):
+            calls.append(args[0])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "path_greedy", counting)
+    for command, argv in runs.items():
+        calls.clear()
+        out = tmp_path / f"{command}.json"
+        main([*argv, "--builders", builders, "--out", str(out)])
+        rows = json.load(open(out))
+        rows = rows["rows"] if command == "compare" else rows
+        instances = 1 if command == "compare" else 2
+        assert len(calls) == instances
+        by_builder = {name: [row for row in rows if row["builder"] == name]
+                      for name in ("greedy", "prune")}
+        for name, got in by_builder.items():
+            assert got == alone[command, name]

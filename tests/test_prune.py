@@ -638,9 +638,12 @@ PHASE1_INPUTS = {
 }
 
 
-def _assert_phase1_matches_reference(name, param_sets):
+def _assert_phase1_matches_reference(name, param_sets, relabel=None):
+    # relabel: the seed of a row permutation of the input points
     make, eps = PHASE1_INPUTS[name]
     X = make()
+    if relabel is not None:
+        X = PointSet(X.coords[np.random.default_rng(relabel).permutation(X.n)])
     E = path_greedy(X, 1.0 + eps)
     cls = _reference_classify(X, E, eps)
     for kwargs in param_sets:
@@ -656,6 +659,30 @@ def _assert_phase1_matches_reference(name, param_sets):
 def test_phase1_matches_reference(name):
     modes = [{"constant_mode": "practical"}, {"constant_mode": "theoretical"}]
     _assert_phase1_matches_reference(name, modes)
+
+
+@pytest.mark.parametrize("relabel", [1, 2, 3])
+@pytest.mark.parametrize("name", ["arc", "clustered2-small"])
+def test_phase1_matches_reference_relabeled(name, relabel):
+    # ties between equal covers go to the smallest pair, so they follow
+    # the point labels
+    modes = [{"constant_mode": "practical"}, {"constant_mode": "theoretical"}]
+    _assert_phase1_matches_reference(name, modes, relabel)
+
+
+@pytest.mark.parametrize("name", ["arc", "clustered2-small", "uniform3"])
+def test_phase1_repeat_calls_agree(name):
+    # no selection state survives a call
+    make, eps = PHASE1_INPUTS[name]
+    X = make()
+    E = path_greedy(X, 1.0 + eps)
+    for mode in ("practical", "theoretical"):
+        params = PruneParams(eps=eps, constant_mode=mode)
+        first, first_rep = phase1(X, E, params)
+        again, again_rep = phase1(X, E, params)
+        assert again.edges == first.edges
+        assert again.meta == first.meta
+        assert again_rep.__dict__ == first_rep.__dict__
 
 
 @pytest.mark.parametrize("name", ["clustered2-small", "motivating"])

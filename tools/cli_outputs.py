@@ -49,6 +49,7 @@ MATRIX = (
     " --out k.cmp.json",
     "compare --in c.txt --eps 0.3 --x 2 --builders greedy,net-tree --out c.cmp.csv",
     "compare --in l.txt --eps 0.02 --x 2.5 --builders witness,greedy --out l.cmp.json",
+    "compare --in l.txt --eps 0.02 --k 2 --builders prune --out l.prune.json",
     "sweep --family lightness-lb --eps-list 0.04,0.02 --out sw.csv --gnuplot sw.gp"
     " --summary-out sw.json",
     "sweep --family lightness-lb-x --eps-list 0.02,0.01 --x-list 2,2.5 --out swx.csv"
