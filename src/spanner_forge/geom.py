@@ -199,6 +199,46 @@ def normalize(raw) -> PointSet:
     return out
 
 
+def _dot_lengths(c: np.ndarray, a, b) -> np.ndarray:
+    """Lengths between the rows of ``c`` at the index arrays ``a`` and
+    ``b``, each equal to :meth:`PointSet.dist` bit for bit: vecdot runs
+    the dot kernel that ``np.linalg.norm`` uses on one vector, which
+    ``norm(axis=1)`` does not."""
+    diff = c[a] - c[b]
+    return np.sqrt(np.vecdot(diff, diff))
+
+
+def _ellipse_fractions(s, t, coords: np.ndarray, eps: float, dsum: np.ndarray):
+    """Ellipse membership and projection fractions for m segments at once.
+
+    ``s`` and ``t`` are (m, d) endpoints and ``dsum[r, p]`` is
+    |s[r] coords[p]| + |coords[p] t[r]|.  Returns the (m, n) arrays
+    ``inside`` (the point lies in the (1+eps)-ellipse of segment r) and
+    ``f`` (its projection fraction along s[r] t[r]).  Each row has the
+    bits of the one-segment computation: ``vecdot`` gives ``np.dot``'s
+    squared length, and a stacked ``matmul`` gives each row of
+    ``(coords - s) @ st``, which summing coordinate planes or ``einsum``
+    would not (FMA).
+    """
+    st = t - s
+    d2 = np.vecdot(st, st)
+    if not d2.all():
+        raise DegenerateSegment("s and t coincide")
+    inside = dsum <= ((1.0 + eps) * np.sqrt(d2) * (1.0 + BAND_TOL))[:, None]
+    f = np.matmul(coords - s[:, None], st[:, :, None])[..., 0] / d2[:, None]
+    return inside, f
+
+
+def _ellipse_bands(s, t, coords: np.ndarray, eps: float, dsum: np.ndarray):
+    """The (m, n) masks ``(inside, in_a, in_b)`` of :func:`region_codes`
+    for m segments at once, with the arguments of
+    :func:`_ellipse_fractions`."""
+    inside, f = _ellipse_fractions(s, t, coords, eps, dsum)
+    in_a = inside & (f >= A_LO - BAND_TOL) & (f <= A_HI + BAND_TOL)
+    in_b = inside & (f >= B_LO - BAND_TOL) & (f <= B_HI + BAND_TOL)
+    return inside, in_a, in_b
+
+
 def region_codes(s, t, coords: np.ndarray, eps: float) -> np.ndarray:
     """Classify each row of ``coords`` against the (1+eps)-ellipse with
     foci s and t.
@@ -211,17 +251,9 @@ def region_codes(s, t, coords: np.ndarray, eps: float) -> np.ndarray:
     """
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
-    st = t - s
-    d2 = float(np.dot(st, st))
-    if d2 == 0.0:
-        raise DegenerateSegment("s and t coincide")
-    d = math.sqrt(d2)
-    ds = np.linalg.norm(coords - s, axis=1)
-    dt = np.linalg.norm(coords - t, axis=1)
-    inside = ds + dt <= (1.0 + eps) * d * (1.0 + BAND_TOL)
-    f = (coords - s) @ st / d2
-    in_a = inside & (f >= A_LO - BAND_TOL) & (f <= A_HI + BAND_TOL)
-    in_b = inside & (f >= B_LO - BAND_TOL) & (f <= B_HI + BAND_TOL)
+    dsum = np.linalg.norm(coords - s, axis=1) + np.linalg.norm(coords - t, axis=1)
+    masks = _ellipse_bands(s[None], t[None], coords, eps, dsum[None])
+    inside, in_a, in_b = (m[0] for m in masks)
     out = np.full(coords.shape[0], Region.OUTSIDE.value, dtype=np.int8)
     out[inside] = Region.INSIDE_NEITHER.value
     out[in_a] = Region.IN_A.value

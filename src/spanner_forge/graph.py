@@ -19,7 +19,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
-from .geom import _ROW_BLOCK, PointSet, _lengths
+from .geom import _ROW_BLOCK, PointSet, _dot_lengths, _lengths
 
 # Greedy skip guard: a pair is skipped when the current graph distance is
 # within this relative slack of t*|uv|.  Keeps knife-edge equalities (which
@@ -128,11 +128,16 @@ class SpannerGraph:
         """
         p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         u, v = _ordered_pairs(X.n, p[:, 0], p[:, 1])
-        diff = X.coords[u] - X.coords[v]
-        # vecdot runs the dot kernel np.linalg.norm uses on one vector, so each
-        # weight equals float(norm(c[u] - c[v])) bit for bit; norm(axis=1) does not
         G = cls.__new__(cls)
-        G._store(X.n, u, v, np.sqrt(np.vecdot(diff, diff)), meta)
+        G._store(X.n, u, v, _dot_lengths(X.coords, u, v), meta)
+        return G
+
+    @classmethod
+    def from_columns(cls, n: int, u, v, w, meta: dict | None = None) -> "SpannerGraph":
+        """Build a graph from edge columns ``u``, ``v`` and ``w``, checked
+        as the constructor checks its rows."""
+        G = cls.__new__(cls)
+        G._store(int(n), *_ordered_pairs(int(n), u, v), np.asarray(w, dtype=np.float64), meta)
         return G
 
     @property

@@ -16,13 +16,13 @@ import heapq
 import math
 import typing
 import warnings
-from collections import Counter
+from itertools import compress
 from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .geom import PointSet, Region, region_codes
+from .geom import PointSet, Region, _dot_lengths, _ellipse_bands, region_codes
 from .graph import GraphError, SpannerGraph, path_greedy
 from .nets import build_cluster_graph, cluster_dist
 
@@ -224,34 +224,41 @@ def classify_edges(X: PointSet, E: SpannerGraph, eps: float):
     endpoints and one point in each waist region inside the ellipse, so
     an edge with fewer than four points within a slightly widened
     ellipse (read from the shared matrix :meth:`PointSet.distances`) is
-    type-1 without calling :func:`region_codes`.
+    type-1 at once.  The other edges of each chunk of ellipse masks get
+    their waist regions in one array pass, with the bits of
+    :func:`region_codes` per edge.
     """
-    type1, type2 = set(), set()
     coords = X.coords
     dist = X.distances()
     # the 1e-9 slack exceeds region_codes' own BAND_TOL, so every point
     # it counts as inside the ellipse passes this filter
     limit = (1.0 + eps) * dist[E.u, E.v] * (1.0 + 1e-9)
-    inside = np.zeros(len(limit), dtype=np.int64)
+    is2 = np.zeros(len(limit), dtype=bool)
     for lo, mask in _ellipse_masks(dist, E.u, E.v, limit):
-        inside[lo : lo + len(mask)] = np.count_nonzero(mask, axis=1)
-    for u, v, c in zip(E.u.tolist(), E.v.tolist(), inside.tolist()):
-        if c >= 4:
-            codes = region_codes(coords[u], coords[v], coords, eps)
-            if (codes == Region.IN_A.value).any() and (codes == Region.IN_B.value).any():
-                type2.add((u, v))
-                continue
-        type1.add((u, v))
-    return type1, type2
+        rows = lo + np.flatnonzero(np.count_nonzero(mask, axis=1) >= 4)
+        S, T = E.u[rows], E.v[rows]
+        _, in_a, in_b = _ellipse_bands(coords[S], coords[T], coords, eps, dist[S] + dist[T])
+        is2[rows] = in_a.any(axis=1) & in_b.any(axis=1)
+    edges = list(zip(E.u.tolist(), E.v.tolist()))
+    return set(compress(edges, (~is2).tolist())), set(compress(edges, is2.tolist()))
 
 
-def _bucket(w: float, beta: float) -> int:
-    j = int(math.floor(math.log(w) / math.log(beta) + 1e-9))
-    while w < beta**j:
-        j -= 1
-    while w >= beta ** (j + 1):
-        j += 1
-    return j
+def _buckets(w):
+    """The length bucket j of each weight, BETA**j <= w < BETA**(j+1),
+    and BETA**j.
+
+    The logs of the extreme weights bracket the buckets, and a search in
+    a table of Python ``BETA**j`` values places each weight exactly,
+    whatever the rounding of the logs.
+    """
+    if not len(w):
+        return np.zeros(0, dtype=np.int64), np.zeros(0)
+    # a log is off by far less than one bucket
+    lo = math.floor(math.log(w.min()) / math.log(BETA)) - 1
+    hi = math.floor(math.log(w.max()) / math.log(BETA)) + 2
+    table = np.array([BETA**j for j in range(lo, hi + 1)])
+    at = np.searchsorted(table, w, side="right") - 1
+    return lo + at, table[at]
 
 
 def _group_pairs(count):
@@ -325,10 +332,13 @@ def phase1(
     report.
 
     Candidate pairs depend on geometry alone, so one pass of
-    :func:`_candidate_triples` over all type-1 edges, sorted by bucket,
-    finds them before the loop; lengths come from the shared
-    :meth:`PointSet.distances` matrix, the weights of new pairs and the
-    detours from :meth:`PointSet.dist`.  Each pair of a bucket gets an
+    :func:`_candidate_triples` over all type-1 edges, sorted by bucket
+    (:func:`_buckets`), finds them before the loop; lengths come from the
+    shared :meth:`PointSet.distances` matrix.  The loop only records its
+    picks and the edges they prune: the report's counts, the detours
+    behind ``measured_delta`` and the output graph come from array passes
+    after it, the weights of new pairs and the detours with the bits of
+    :meth:`PointSet.dist`.  Each pair of a bucket gets an
     id, in (bucket, x, y) order, and an exact count of the live edges it
     covers.  A count drops when one of its edges leaves ``live``, pruned
     or protected as an old edge that coincides with a new pair, and
@@ -345,28 +355,22 @@ def phase1(
     type1, _ = classification
     kappa = params.kappa
     alpha = params.alpha_value(X.dim)
-    edges = list(zip(E.u.tolist(), E.v.tolist()))
-    weights = E.w.tolist()
-    bucket = [_bucket(w, BETA) for w in weights]
+    n = X.n
+    bucket, power = _buckets(E.w)
+    is1 = np.fromiter((p in type1 for p in zip(E.u.tolist(), E.v.tolist())), bool, len(E.w))
     # type-1 edges by bucket; an edge is its position k in this order
-    t1 = sorted((i for i, p in enumerate(edges) if p in type1), key=bucket.__getitem__)
-    pos = {edges[i]: k for k, i in enumerate(t1)}
-    level = [bucket[i] for i in t1]
-    n_live = Counter(level)  # bucket -> live edges left in it
-    report = PhaseReport(phase=1)
-    for j, n_j in Counter(bucket).items():
-        report.levels[j] = {"edges": n_j, "type1": n_live[j], "pruned": 0, "kept": n_live[j]}
-    order = sorted(n_live)
-    idx = np.array(t1, dtype=np.intp)
-    min_len = np.array([BETA**j / 25.0 for j in level])
+    t1 = np.flatnonzero(is1)
+    t1 = t1[np.argsort(bucket[t1], kind="stable")]
+    S, T = E.u[t1], E.v[t1]
+    pos = dict(zip((S * n + T).tolist(), range(len(t1))))  # edge k at its pair's code
+    order, rank, n_live = np.unique(bucket[t1], return_inverse=True, return_counts=True)
     dist = X.distances()
-    xs, ys, ks = _candidate_triples(dist, E.u[idx], E.v[idx], E.w[idx], min_len, 1.0 + eps)
+    xs, ys, ks = _candidate_triples(dist, S, T, E.w[t1], power[t1] / 25.0, 1.0 + eps)
     # a pair id per (bucket rank, x, y) key, in key order; count[p] is the
     # number of live edges that pair p covers
-    n2 = X.n * X.n
-    rank = np.searchsorted(order, level)
+    n2 = n * n
     keys, pair, count = np.unique(
-        rank[ks] * n2 + xs * X.n + ys, return_inverse=True, return_counts=True
+        rank[ks] * n2 + xs * n + ys, return_inverse=True, return_counts=True
     )
     # pair p covers the edges covers[cover_at[p] : cover_at[p + 1]], edge k
     # is covered by the pairs pair[pairs_at[k] : pairs_at[k + 1]], and the
@@ -375,32 +379,34 @@ def phase1(
     cover_at = np.concatenate(([0], np.cumsum(count)))
     pairs_at = np.searchsorted(ks, np.arange(len(t1) + 1)).tolist()
     bucket_at = np.searchsorted(keys, np.arange(len(order) + 1) * n2).tolist()
-    count = count.tolist()
+    count, rank, n_live = count.tolist(), rank.tolist(), n_live.tolist()
     live = bytearray(b"\x01") * len(t1)  # old type-1 edges still present and prunable
 
     def leave(k):
         live[k] = 0
-        n_live[level[k]] -= 1
+        n_live[rank[k]] -= 1
         for p in pair[pairs_at[k] : pairs_at[k + 1]].tolist():
             count[p] -= 1
 
-    new_pairs: set = set()
-    pruned: set = set()
-    heaps: dict = {}  # bucket -> its heap of (-cover size, pair id)
-    best_left: dict = {}  # bucket -> best cover size when its loop last stopped
+    report = PhaseReport(phase=1)
+    picks: list = []  # the pair of each substitution
+    gone: list = []  # the pruned edges, by position k
+    gone_by: list = []  # the pair that pruned each of them
+    heaps = [None] * len(order)  # per bucket rank, its heap of (-cover size, pair)
+    best_left = [math.inf] * len(order)  # best cover size when its loop last stopped
     n_sub = max(1, math.ceil(math.log2(max(alpha, 2.0))))
     for i in range(1, n_sub + 1):
         thr = alpha / (2.0**i * kappa)
-        for r, j in enumerate(order):
-            if n_live[j] < thr or best_left.get(j, math.inf) < thr:
+        for r in range(len(order)):
+            if n_live[r] < thr or best_left[r] < thr:
                 continue
-            heap = heaps.get(j)
+            heap = heaps[r]
             if heap is None:
                 # Max-heap of (cover size, pair), smallest pair first on
                 # ties.  Counts only fall, so a stored size is an upper
                 # bound: the top is the best pair once its size is current.
                 lo, hi = bucket_at[r], bucket_at[r + 1]
-                heap = heaps[j] = [(-c, p) for p, c in enumerate(count[lo:hi], lo) if c]
+                heap = heaps[r] = [(-c, p) for p, c in enumerate(count[lo:hi], lo) if c]
                 heapq.heapify(heap)
             while heap:
                 neg_size, best = heap[0]
@@ -414,39 +420,55 @@ def phase1(
                 if size < thr:
                     break
                 heapq.heappop(heap)  # its whole cover is about to leave live
-                cover = covers[cover_at[best] : cover_at[best + 1]].tolist()
-                key = divmod(keys.item(best) % n2, X.n)
-                new_pairs.add(key)
-                report.substitutes_added += 1
-                same = pos.get(key, -1)
+                picks.append(best)
+                same = pos.get(keys.item(best) % n2, -1)
                 if same >= 0 and live[same]:  # a coinciding old edge is now protected
                     leave(same)
+                cover = covers[cover_at[best] : cover_at[best + 1]].tolist()
                 others = [k for k in cover if live[k]]
                 if not others:
                     continue
                 report.genuine_substitutes += 1
-                x, y = key
-                wxy = X.dist(x, y)
                 for k in others:
-                    s, t = edges[t1[k]]
                     leave(k)
-                    pruned.add((s, t))
-                    report.levels[j]["pruned"] += 1
-                    report.levels[j]["kept"] -= 1
-                    report.type1_pruned += 1
-                    detour = min(
-                        X.dist(s, x) + wxy + X.dist(t, y),
-                        X.dist(s, y) + wxy + X.dist(t, x),
-                    )
-                    report.measured_delta = max(
-                        report.measured_delta, detour / weights[t1[k]] - 1.0
-                    )
-            best_left[j] = -heap[0][0] if heap else 0
-    survivors = {p: w for p, w in zip(edges, weights) if p not in pruned}
-    for a, b in sorted(new_pairs - survivors.keys()):
-        survivors[(a, b)] = X.dist(a, b)
-    rows = [(u, v, w) for (u, v), w in survivors.items()]
-    E1 = SpannerGraph(X.n, rows, meta={"new_pairs": sorted(new_pairs)})
+                gone += others
+                gone_by += [best] * len(others)
+            best_left[r] = -heap[0][0] if heap else 0
+    report.substitutes_added = len(picks)
+    report.type1_pruned = len(gone)
+    old = t1[np.array(gone, dtype=np.intp)]  # the pruned edges' positions in E
+    # buckets in the order of their first edge
+    js, first, inv, n_edges = np.unique(
+        bucket, return_index=True, return_inverse=True, return_counts=True
+    )
+    n_type1 = np.bincount(inv[t1], minlength=len(js))
+    n_pruned = np.bincount(inv[old], minlength=len(js))
+    at = np.argsort(first)
+    for j, total, typ1, cut in zip(*(a[at].tolist() for a in (js, n_edges, n_type1, n_pruned))):
+        report.levels[j] = {"edges": total, "type1": typ1, "pruned": cut, "kept": typ1 - cut}
+    c = X.coords
+    if len(old):
+        xy = keys[np.array(gone_by, dtype=np.intp)] % n2
+        x, y, s, t = xy // n, xy % n, E.u[old], E.v[old]
+        wxy = _dot_lengths(c, x, y)
+        detour = np.minimum(
+            _dot_lengths(c, s, x) + wxy + _dot_lengths(c, t, y),
+            _dot_lengths(c, s, y) + wxy + _dot_lengths(c, t, x),
+        )
+        report.measured_delta = max(0.0, float((detour / E.w[old] - 1.0).max()))
+    # new pairs as sorted codes; one that is not a surviving old edge is added
+    new = np.unique(keys[np.array(picks, dtype=np.intp)] % n2)
+    keep = np.ones(len(E.w), dtype=bool)
+    keep[old] = False
+    add = new[~np.isin(new, E.u[keep] * n + E.v[keep])]
+    au, av = add // n, add % n
+    E1 = SpannerGraph.from_columns(
+        n,
+        np.concatenate([E.u[keep], au]),
+        np.concatenate([E.v[keep], av]),
+        np.concatenate([E.w[keep], _dot_lengths(c, au, av)]),
+        meta={"new_pairs": list(zip((new // n).tolist(), (new % n).tolist()))},
+    )
     return E1, report
 
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from spanner_forge.geom import (
+    BAND_TOL,
     DegenerateSegment,
     DuplicatePoint,
     PointSet,
     Region,
     TooFewPoints,
+    _ellipse_fractions,
     _lengths,
     normalize,
     region_codes,
@@ -182,6 +184,27 @@ def test_region_codes_matches_scalar():
     codes = region_codes(s, t, pts, 0.2)
     for i in range(len(pts)):
         assert codes[i] == region_of(s, t, pts[i], 0.2).value
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 10])
+def test_ellipse_fractions_keep_per_segment_bits(d):
+    # the batched pass must give every row the bits of the one-segment
+    # arithmetic region_codes ran per edge: np.dot and (coords - s) @ st
+    rng = np.random.default_rng(d)
+    c = rng.uniform(-3.0, 3.0, (200, d))
+    S, T = rng.choice(len(c), (2, 150))
+    S, T = S[S != T], T[S != T]
+    dsum = np.array([np.linalg.norm(c - c[a], axis=1) + np.linalg.norm(c - c[b], axis=1)
+                     for a, b in zip(S, T)])
+    eps = 0.3
+    inside, f = _ellipse_fractions(c[S], c[T], c, eps, dsum)
+    for r, (a, b) in enumerate(zip(S, T)):
+        st = c[b] - c[a]
+        d2 = float(np.dot(st, st))
+        limit = (1.0 + eps) * math.sqrt(d2) * (1.0 + BAND_TOL)
+        assert np.array_equal(inside[r], dsum[r] <= limit)
+        assert np.array_equal(f[r], (c - c[a]) @ st / d2)
+    assert 0 < inside.sum() < inside.size
 
 
 def test_low_angle_weight_basics():

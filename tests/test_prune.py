@@ -6,6 +6,7 @@ import pytest
 
 from spanner_forge.geom import PointSet, Region, normalize, region_codes
 from spanner_forge.graph import SpannerGraph, path_greedy, verify_stretch
+from spanner_forge.nets import build_hierarchy, build_net_tree_spanner
 from spanner_forge.instances import (
     gen_lightness_lb_x,
     gen_motivating,
@@ -408,19 +409,32 @@ def test_greedy_prune_output_connected_and_bounded():
 
 
 def test_level_buckets_partition_old_edges():
-    from spanner_forge.prune import _bucket
+    from spanner_forge.prune import _buckets
 
     X = random_points(60, 2, 37)
     E = path_greedy(X, 1.2)
-    beta = 1.01
-    for _, _, w in E.edges:
-        j = _bucket(w, beta)
-        assert beta**j <= w < beta ** (j + 1)
+    bucket, power = _buckets(E.w)
+    for j, p, w in zip(bucket.tolist(), power.tolist(), E.w.tolist()):
+        assert p == BETA**j <= w < BETA ** (j + 1)
+    assert [len(a) for a in _buckets(np.zeros(0))] == [0, 0]
+
+
+def test_buckets_match_scalar_rule_at_bucket_edges():
+    # BETA**j and its float neighbours on both sides, for every bucket the
+    # benchmark's normalized instances reach (spreads up to about 2.4e4)
+    from spanner_forge.prune import _buckets
+
+    edges = np.array([BETA**j for j in range(1100)])
+    w = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    bucket, power = _buckets(w)
+    want = [_bucket(x, BETA) for x in w.tolist()]
+    assert bucket.tolist() == want
+    assert power.tolist() == [BETA**j for j in want]
 
 
 def test_phase1_candidate_map_matches_brute_force():
     # independent recomputation of |P_{x,y}| from the definition
-    from spanner_forge.prune import _bucket, _candidate_triples
+    from spanner_forge.prune import _candidate_triples
 
     X = random_points(40, 2, 38)
     E = path_greedy(X, 1.3)
@@ -496,9 +510,19 @@ def test_greedy_prune_lightness_lb_weight_reduction():
 
 # Reference implementations of classification and phase 1 as they were
 # before the distance-matrix lookups, the skipped rebuilds, the cover
-# heap and the classification filter: a norm per point and edge,
-# region_codes for every edge, candidates rebuilt for every bucket in
-# every sub-iteration, and a scan of every candidate for each pick.
+# heap, the classification filter and the array passes: a norm per point
+# and edge, region_codes for every edge, a bucket per edge, candidates
+# rebuilt for every bucket in every sub-iteration, and a scan of every
+# candidate for each pick.
+def _bucket(w, beta):
+    j = int(math.floor(math.log(w) / math.log(beta) + 1e-9))
+    while w < beta**j:
+        j -= 1
+    while w >= beta ** (j + 1):
+        j += 1
+    return j
+
+
 def _reference_classify(X, E, eps):
     type1, type2 = set(), set()
     coords = X.coords
@@ -538,8 +562,6 @@ def _reference_candidates(coords, live_edges, weights, min_len, factor):
 
 
 def _reference_phase1(X, E, params, classification):
-    from spanner_forge.prune import _bucket
-
     type1, _ = classification
     eps = params.eps
     factor = 1.0 + eps
@@ -638,13 +660,17 @@ PHASE1_INPUTS = {
 }
 
 
-def _assert_phase1_matches_reference(name, param_sets, relabel=None):
-    # relabel: the seed of a row permutation of the input points
+def _assert_phase1_matches_reference(name, param_sets, relabel=None, by_pair=False):
+    # relabel: the seed of a row permutation of the input points;
+    # by_pair: list the seed's edges in (u, v) order, not greedy's weight order
     make, eps = PHASE1_INPUTS[name]
     X = make()
     if relabel is not None:
         X = PointSet(X.coords[np.random.default_rng(relabel).permutation(X.n)])
     E = path_greedy(X, 1.0 + eps)
+    if by_pair:
+        o = np.lexsort((E.v, E.u))
+        E = SpannerGraph.from_columns(X.n, E.u[o], E.v[o], E.w[o])
     cls = _reference_classify(X, E, eps)
     for kwargs in param_sets:
         params = PruneParams(eps=eps, **kwargs)
@@ -653,6 +679,8 @@ def _assert_phase1_matches_reference(name, param_sets, relabel=None):
         assert got.edges == want.edges
         assert got.meta == want.meta
         assert got_rep.__dict__ == want_rep.__dict__
+        # dict equality ignores order: the buckets in order of first edge
+        assert list(got_rep.levels.items()) == list(want_rep.levels.items())
 
 
 @pytest.mark.parametrize("name", sorted(PHASE1_INPUTS))
@@ -668,6 +696,14 @@ def test_phase1_matches_reference_relabeled(name, relabel):
     # the point labels
     modes = [{"constant_mode": "practical"}, {"constant_mode": "theoretical"}]
     _assert_phase1_matches_reference(name, modes, relabel)
+
+
+@pytest.mark.parametrize("name", ["arc", "clustered2-small"])
+def test_phase1_matches_reference_seed_by_pair(name):
+    # report.levels lists the buckets in the order of their first edge,
+    # which a seed sorted by weight cannot tell from bucket order
+    modes = [{"constant_mode": "practical"}, {"constant_mode": "theoretical"}]
+    _assert_phase1_matches_reference(name, modes, by_pair=True)
 
 
 @pytest.mark.parametrize("name", ["arc", "clustered2-small", "uniform3"])
@@ -706,7 +742,7 @@ def test_candidate_triples_match_reference(name, monkeypatch):
     type1, _ = classify_edges(X, E, eps)
     weights = {(u, v): w for u, v, w in E.edges}
     live = sorted(type1)
-    bucket = [prune._bucket(weights[p], BETA) for p in live]
+    bucket = [_bucket(weights[p], BETA) for p in live]
     s, t = np.array(live).T
     triples = prune._candidate_triples(
         X.distances(),
@@ -727,17 +763,37 @@ def test_candidate_triples_match_reference(name, monkeypatch):
         assert got.get(j, {}) == want, j
 
 
-@pytest.mark.parametrize("name", ["arc", "rectangle", "motivating", "grid2", "grid3"])
-def test_classify_filter_matches_region_codes(name):
-    make, eps = PHASE1_INPUTS[name]
+# classification inputs beyond phase 1's: d=8, where numpy's sums go pairwise
+CLASSIFY_INPUTS = {
+    **PHASE1_INPUTS,
+    "uniform8": (lambda: normalize(gen_random(80, 8, "uniform", 1).points), 0.3),
+}
+
+
+@pytest.mark.parametrize(
+    "name", ["arc", "rectangle", "motivating", "grid2", "grid3", "line", "uniform3", "uniform8"]
+)
+def test_classify_filter_matches_region_codes(name, monkeypatch):
+    # the batched region pass keeps region_codes' bits per edge, whatever
+    # the chunk size: 5 edges per chunk puts chunk ends between the
+    # edges that reach the pass
+    import spanner_forge.prune as prune
+
+    make, eps = CLASSIFY_INPUTS[name]
     X = make()
     cases = [(X, path_greedy(X, 1.0 + eps))]
     if name == "motivating":
         # middles inside the waist bands make the bi-clique type-2
         Xb, meta = motivating_normalized(eps, mid_x=(3.75, 6.25))
         cases.append((Xb, biclique_seed(Xb, meta)))
+    if name in ("line", "uniform3", "uniform8"):
+        # a dense seed with hundreds of type-2 edges
+        cases.append((X, build_net_tree_spanner(build_hierarchy(X), eps)))
     for Xc, E in cases:
-        assert classify_edges(Xc, E, eps) == _reference_classify(Xc, E, eps)
+        want = _reference_classify(Xc, E, eps)
+        for mask_edges in (prune._MASK_EDGES, 5):
+            monkeypatch.setattr(prune, "_MASK_EDGES", mask_edges)
+            assert classify_edges(Xc, E, eps) == want
 
 
 def test_classify_four_points_type2():
