@@ -240,14 +240,13 @@ def _ellipse_bands(s, t, coords: np.ndarray, eps: float, dsum: np.ndarray):
 
 
 def region_codes(s, t, coords: np.ndarray, eps: float) -> np.ndarray:
-    """Classify each row of ``coords`` against the (1+eps)-ellipse with
-    foci s and t.
-
-    OUTSIDE when |sx|+|xt| > (1+eps)|st|; otherwise IN_A / IN_B when the
-    projection fraction of x along st lies in the band around 3/8 resp.
-    5/8 (closed intervals, tolerance BAND_TOL), else INSIDE_NEITHER.
-    Points whose projection falls outside the segment are never IN_A /
-    IN_B.  Returns an int8 array of Region values.
+    """The Region of each row of ``coords`` against the (1+eps)-ellipse
+    with foci s and t, as an int8 array: OUTSIDE when |sx|+|xt| >
+    (1+eps)|st|; otherwise IN_A / IN_B when the projection fraction of x
+    along st lies in the band around 3/8 resp. 5/8 (closed intervals,
+    tolerance BAND_TOL; never past the segment's ends), else INSIDE_NEITHER.
+    The public one-segment form of :func:`_ellipse_bands`, which the
+    package runs itself, and the reference of the band tests.
     """
     s = np.asarray(s, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)

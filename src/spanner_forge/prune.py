@@ -22,8 +22,8 @@ from dataclasses import InitVar, dataclass, field, fields, replace
 import numpy as np
 from scipy.sparse.csgraph import dijkstra
 
-from .geom import PointSet, Region, _dot_lengths, _ellipse_bands, region_codes
-from .graph import GraphError, SpannerGraph, path_greedy
+from .geom import PointSet, _dot_lengths, _ellipse_bands
+from .graph import GraphError, SpannerGraph, path_greedy, symmetric_csr
 from .nets import build_cluster_graph, cluster_dist
 
 _RTOL = 1e-12
@@ -357,9 +357,8 @@ def phase1(
     alpha = params.alpha_value(X.dim)
     n = X.n
     bucket, power = _buckets(E.w)
-    is1 = np.fromiter((p in type1 for p in zip(E.u.tolist(), E.v.tolist())), bool, len(E.w))
     # type-1 edges by bucket; an edge is its position k in this order
-    t1 = np.flatnonzero(is1)
+    t1 = np.flatnonzero(np.isin(E.u * n + E.v, _pair_codes(type1, n)))
     t1 = t1[np.argsort(bucket[t1], kind="stable")]
     S, T = E.u[t1], E.v[t1]
     pos = dict(zip((S * n + T).tolist(), range(len(t1))))  # edge k at its pair's code
@@ -458,8 +457,7 @@ def phase1(
         report.measured_delta = max(0.0, float((detour / E.w[old] - 1.0).max()))
     # new pairs as sorted codes; one that is not a surviving old edge is added
     new = np.unique(keys[np.array(picks, dtype=np.intp)] % n2)
-    keep = np.ones(len(E.w), dtype=bool)
-    keep[old] = False
+    keep = np.isin(np.arange(len(E.w)), old, invert=True)
     add = new[~np.isin(new, E.u[keep] * n + E.v[keep])]
     au, av = add // n, add % n
     E1 = SpannerGraph.from_columns(
@@ -467,29 +465,35 @@ def phase1(
         np.concatenate([E.u[keep], au]),
         np.concatenate([E.v[keep], av]),
         np.concatenate([E.w[keep], _dot_lengths(c, au, av)]),
-        meta={"new_pairs": list(zip((new // n).tolist(), (new % n).tolist()))},
+        meta={"new_pairs": [divmod(p, n) for p in new.tolist()]},
     )
     return E1, report
 
 
-def _exact_helper(X: PointSet, u: int, v: int, eps: float):
-    codes = region_codes(X.coords[u], X.coords[v], X.coords, eps)
-    a_pts = np.nonzero(codes == Region.IN_A.value)[0]
-    b_pts = np.nonzero(codes == Region.IN_B.value)[0]
+def _pair_codes(pairs, n: int) -> np.ndarray:
+    """The codes u*n + v of pairs (u, v), such as a classification set."""
+    return np.array(list(pairs), dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
+
+
+def _helper(X: PointSet, u: int, v: int, eps: float):
+    """The helper edge (a, b, weight) of a kept type-2 edge (u, v): the
+    longest pair between its waist regions, the smallest on ties.  The
+    regions have :func:`region_codes`' bits, the weight
+    :meth:`PointSet.dist`'s."""
+    c, dist = X.coords, X.distances()
+    _, in_a, in_b = _ellipse_bands(c[[u]], c[[v]], c, eps, dist[[u]] + dist[[v]])
+    a_pts, b_pts = np.flatnonzero(in_a), np.flatnonzero(in_b)
     if len(a_pts) == 0 or len(b_pts) == 0:
-        raise InternalInconsistency(
-            f"kept type-2 edge ({u},{v}) has an empty witness region"
-        )
-    pd = X.distances()[np.ix_(a_pts, b_pts)]
+        raise InternalInconsistency(f"kept type-2 edge ({u},{v}) has an empty witness region")
+    pd = dist[np.ix_(a_pts, b_pts)]
     best = pd.max()
     # band geometry guarantees helpers at least a fifth of the edge
-    if best < 0.2 * X.dist(u, v):
+    if best < 0.2 * _dot_lengths(c, u, v):
         raise InternalInconsistency(f"short helper candidate for edge ({u},{v})")
-    cands = []
     ii, jj = np.nonzero(pd >= best * (1.0 - _RTOL))
-    for a, b in zip(a_pts[ii], b_pts[jj]):
-        cands.append((int(a), int(b)) if a < b else (int(b), int(a)))
-    return min(cands)
+    lo, hi = np.sort([a_pts[ii], b_pts[jj]], axis=0)
+    a, b = divmod(int((lo * X.n + hi).min()), X.n)
+    return a, b, float(_dot_lengths(c, a, b))
 
 
 def phase2(
@@ -505,74 +509,67 @@ def phase2(
     increasing weight (ties lexicographic): an edge is dropped when its
     endpoints are already connected within (1+kappa^2 delta) times its
     length, otherwise it is kept and one helper edge joining its two
-    waist regions is added.  ``dist_backend`` chooses the distance
-    query: "exact" runs scipy's Dijkstra on the CSR of the growing
-    graph, rebuilt after each kept edge; "clusters" asks a bounded-hop
-    cluster graph at scale 2^i, i = floor(log2 w), rebuilt from the
-    shorter kept edges whenever i changes (the scan is sorted by weight,
-    so each scale is one run), and accepts a detour d when d + eps^2 2^i
-    is within (1+eps)(1+kappa^2 delta) times the length.
+    waist regions is added.  The kept edges are columns in E1's order,
+    then in the order kept; a helper kept again keeps its place.
+    ``dist_backend`` chooses the distance query: "exact" runs scipy's
+    Dijkstra on the CSR of the kept edges, rebuilt after each kept
+    edge; "clusters" asks a bounded-hop cluster graph at scale 2^i,
+    i = floor(log2 w), rebuilt from the shorter kept edges whenever i
+    changes (the scan is sorted by weight, so each scale is one run),
+    and accepts a detour d when d + eps^2 2^i is within
+    (1+eps)(1+kappa^2 delta) times the length.
     """
     if dist_backend not in ("exact", "clusters"):
         raise PruneError(f"unknown distance backend {dist_backend!r}")
     exact = dist_backend == "exact"
-    eps = params.eps
-    _, type2 = classification
-    new_pairs = set(map(tuple, E1.meta.get("new_pairs", [])))
-    weights = dict(zip(zip(E1.u.tolist(), E1.v.tolist()), E1.w.tolist()))
-    type2_old = sorted(
-        (w, u, v)
-        for (u, v), w in weights.items()
-        if (u, v) in type2 and (u, v) not in new_pairs
-    )
-    kept_edges = {p: w for p, w in weights.items() if p not in type2 or p in new_pairs}
-    report = PhaseReport(phase=2, type2_total=len(type2_old))
-    added_pairs = set(new_pairs)
-    thr_mult = 1.0 + params.kappa * params.kappa * params.delta_value
-    if not exact:
-        thr_mult = (1.0 + eps) * thr_mult
+    eps, n = params.eps, X.n
+    code = E1.u * n + E1.v
+    new = _pair_codes(E1.meta.get("new_pairs", []), n)
+    old2 = np.isin(code, _pair_codes(classification[1], n)) & ~np.isin(code, new)
+    scan = np.flatnonzero(old2)[np.lexsort((E1.v[old2], E1.u[old2], E1.w[old2]))]
+    report = PhaseReport(phase=2, type2_total=len(scan))
+    # the kept edges are the first m entries of ku, kv, kw, the one of a
+    # pair at[its code]; a kept type-2 edge adds itself and its helper
+    pad = np.zeros(2 * len(scan), dtype=np.int64)
+    ku, kv, kw = (np.concatenate([col[~old2], pad]) for col in (E1.u, E1.v, E1.w))
+    at = {c: k for k, c in enumerate(code[~old2].tolist())}
+    m, helpers = len(at), []
+    bound = 1.0 + params.kappa * params.kappa * params.delta_value
+    thr_mult = bound if exact else (1.0 + eps) * bound
     csr = F = None  # the exact backend's graph, the clusters backend's graph
-
-    def kept_graph(meta=None):
-        return SpannerGraph(X.n, [(*p, w) for p, w in kept_edges.items()], meta=meta)
-
-    def keep(a, b, w):
-        # a kept edge joins the output and the distance query's graph
-        nonlocal csr
-        kept_edges[(a, b)] = w
-        if exact:
-            csr = None  # rebuilt at the next query
-        else:
-            F.add_bridge(a, b, w)
-
-    for w, u, v in type2_old:
+    for w, u, v in zip(*(col[scan].tolist() for col in (E1.w, E1.u, E1.v))):
         limit = thr_mult * w * (1.0 + _RTOL)
         if exact:
             if csr is None:
-                csr = kept_graph().as_csr()
+                csr = symmetric_csr(n, ku[:m], kv[:m], kw[:m])
             d, slack = float(dijkstra(csr, indices=u, limit=limit)[v]), 0.0
         else:
             i = int(math.floor(math.log2(w)))
             if F is None or F.level != i:
-                below = [
-                    (a, b, wab)
-                    for (a, b), wab in kept_edges.items()
-                    if wab < 2.0**i * (1.0 - _RTOL)
-                ]
-                F = build_cluster_graph(SpannerGraph(X.n, below), i, eps, contract=True)
+                low = np.flatnonzero(kw[:m] < 2.0**i * (1.0 - _RTOL))
+                below = SpannerGraph.from_columns(n, ku[low], kv[low], kw[low])
+                F = build_cluster_graph(below, i, eps, contract=True)
             d, slack = cluster_dist(F, u, v), eps * eps * 2.0**i
         if d + slack <= limit:
             report.type2_dropped += 1
             report.measured_delta = max(report.measured_delta, d / w - 1.0)
             continue
         report.type2_kept += 1
-        keep(u, v, w)
-        hk = _exact_helper(X, u, v, eps)
-        if hk not in kept_edges:
-            keep(*hk, X.dist(*hk))
+        a, b, wab = _helper(X, u, v, eps)
+        kept = [(u, v, w)]
+        if a * n + b not in at:
+            kept.append((a, b, wab))
             report.helpers_added += 1
-            added_pairs.add(hk)
-    return kept_graph({"new_pairs": sorted(added_pairs)}), report
+            helpers.append(a * n + b)
+        for s, t, wst in kept:  # each joins the output and the query's graph
+            k = at.setdefault(s * n + t, m)
+            ku[k], kv[k], kw[k] = s, t, wst
+            m = len(at)
+            if not exact:
+                F.add_bridge(s, t, wst)
+        csr = None  # rebuilt at the next query
+    meta = {"new_pairs": [divmod(p, n) for p in sorted(set(new.tolist() + helpers))]}
+    return SpannerGraph.from_columns(n, ku[:m], kv[:m], kw[:m], meta=meta), report
 
 
 def update_params(params: PruneParams) -> PruneParams:
@@ -609,6 +606,8 @@ def greedy_prune(
         raise PruneError("iteration count must be nonnegative")
     if dist_backend not in ("exact", "clusters"):
         raise PruneError(f"unknown distance backend {dist_backend!r}")
+    if seed_spanner is not None and seed_spanner.n != X.n:
+        raise PruneError("seed spanner and point set sizes differ")
     if params is None:
         params = PruneParams(eps=eps)
     if abs(params.eps - eps) > _RTOL * eps:

@@ -3,10 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from spanner_forge.geom import PointSet, Region, normalize, region_codes
 from spanner_forge.graph import SpannerGraph, path_greedy, verify_stretch
-from spanner_forge.nets import build_hierarchy, build_net_tree_spanner
+from spanner_forge.nets import (
+    build_cluster_graph,
+    build_hierarchy,
+    build_net_tree_spanner,
+    cluster_dist,
+)
 from spanner_forge.instances import (
     gen_lightness_lb_x,
     gen_motivating,
@@ -20,6 +26,7 @@ from spanner_forge.prune import (
     PhaseReport,
     PruneParams,
     PruneError,
+    _helper,
     classify_edges,
     delta_growth,
     greedy_prune,
@@ -37,8 +44,9 @@ def motivating_normalized(eps=0.01, mid_x=(3.0, 7.0)):
     return normalize(inst.points), inst.meta
 
 
-def biclique_seed(X, meta):
-    """Columns + middle connections + the full bi-clique."""
+def biclique_seed(X, meta, middles=True):
+    """Columns + the full bi-clique, and the middle connections when
+    ``middles``."""
     xs, ys = meta["x_indices"], meta["y_indices"]
     zi, wi = meta["z_index"], meta["w_index"]
     pairs = set()
@@ -46,7 +54,8 @@ def biclique_seed(X, meta):
         pairs.add((xs[i], xs[i + 1]))
         pairs.add((ys[i], ys[i + 1]))
     pairs |= {(a, b) for a in xs for b in ys}
-    pairs |= {(a, zi) for a in xs} | {(b, wi) for b in ys} | {(zi, wi)}
+    if middles:
+        pairs |= {(a, zi) for a in xs} | {(b, wi) for b in ys} | {(zi, wi)}
     return SpannerGraph.from_pairs(X, sorted(pairs))
 
 
@@ -240,12 +249,7 @@ def test_phase2_keep_drop_and_helper(dist_backend):
     X, meta = motivating_normalized(mid_x=(3.75, 6.25))
     xs, ys = meta["x_indices"], meta["y_indices"]
     zi, wi = meta["z_index"], meta["w_index"]
-    pairs = set()
-    for i in range(len(xs) - 1):
-        pairs.add((xs[i], xs[i + 1]))
-        pairs.add((ys[i], ys[i + 1]))
-    pairs |= {(a, b) for a in xs for b in ys}
-    E1 = SpannerGraph.from_pairs(X, sorted(pairs))
+    E1 = biclique_seed(X, meta, middles=False)
     params = PruneParams(eps=0.01)
     cls = classify_edges(X, E1, 0.01)
     _, type2 = cls
@@ -761,6 +765,216 @@ def test_candidate_triples_match_reference(name, monkeypatch):
     for j, edges in by_bucket.items():
         want = _reference_candidates(X.coords, edges, weights, BETA**j / 25.0, 1.0 + eps)
         assert got.get(j, {}) == want, j
+
+
+# Reference phase 2 as it was before the edge columns: tuple dicts for
+# the kept edges, a SpannerGraph rebuilt from their rows for every query,
+# and the helper from region_codes and PointSet.dist.
+def _reference_helper(X, u, v, eps):
+    codes = region_codes(X.coords[u], X.coords[v], X.coords, eps)
+    a_pts = np.nonzero(codes == Region.IN_A.value)[0]
+    b_pts = np.nonzero(codes == Region.IN_B.value)[0]
+    if len(a_pts) == 0 or len(b_pts) == 0:
+        raise InternalInconsistency(
+            f"kept type-2 edge ({u},{v}) has an empty witness region"
+        )
+    pd = X.distances()[np.ix_(a_pts, b_pts)]
+    best = pd.max()
+    if best < 0.2 * X.dist(u, v):
+        raise InternalInconsistency(f"short helper candidate for edge ({u},{v})")
+    cands = []
+    ii, jj = np.nonzero(pd >= best * (1.0 - 1e-12))
+    for a, b in zip(a_pts[ii], b_pts[jj]):
+        cands.append((int(a), int(b)) if a < b else (int(b), int(a)))
+    return min(cands)
+
+
+def _reference_phase2(X, E1, params, classification, dist_backend="exact"):
+    exact = dist_backend == "exact"
+    eps = params.eps
+    _, type2 = classification
+    new_pairs = set(map(tuple, E1.meta.get("new_pairs", [])))
+    weights = dict(zip(zip(E1.u.tolist(), E1.v.tolist()), E1.w.tolist()))
+    type2_old = sorted(
+        (w, u, v)
+        for (u, v), w in weights.items()
+        if (u, v) in type2 and (u, v) not in new_pairs
+    )
+    kept_edges = {p: w for p, w in weights.items() if p not in type2 or p in new_pairs}
+    report = PhaseReport(phase=2, type2_total=len(type2_old))
+    added_pairs = set(new_pairs)
+    thr_mult = 1.0 + params.kappa * params.kappa * params.delta_value
+    if not exact:
+        thr_mult = (1.0 + eps) * thr_mult
+    csr = F = None
+
+    def kept_graph(meta=None):
+        return SpannerGraph(X.n, [(*p, w) for p, w in kept_edges.items()], meta=meta)
+
+    def keep(a, b, w):
+        nonlocal csr
+        kept_edges[(a, b)] = w
+        if exact:
+            csr = None
+        else:
+            F.add_bridge(a, b, w)
+
+    for w, u, v in type2_old:
+        limit = thr_mult * w * (1.0 + 1e-12)
+        if exact:
+            if csr is None:
+                csr = kept_graph().as_csr()
+            d, slack = float(dijkstra(csr, indices=u, limit=limit)[v]), 0.0
+        else:
+            i = int(math.floor(math.log2(w)))
+            if F is None or F.level != i:
+                below = [
+                    (a, b, wab)
+                    for (a, b), wab in kept_edges.items()
+                    if wab < 2.0**i * (1.0 - 1e-12)
+                ]
+                F = build_cluster_graph(SpannerGraph(X.n, below), i, eps, contract=True)
+            d, slack = cluster_dist(F, u, v), eps * eps * 2.0**i
+        if d + slack <= limit:
+            report.type2_dropped += 1
+            report.measured_delta = max(report.measured_delta, d / w - 1.0)
+            continue
+        report.type2_kept += 1
+        keep(u, v, w)
+        hk = _reference_helper(X, u, v, eps)
+        if hk not in kept_edges:
+            keep(*hk, X.dist(*hk))
+            report.helpers_added += 1
+            added_pairs.add(hk)
+    return kept_graph({"new_pairs": sorted(added_pairs)}), report
+
+
+def _net_tree_phase2_input(X, eps):
+    """Phase 2's input from the net-tree seed of X: phase 1's output and
+    the seed's classification."""
+    E = build_net_tree_spanner(build_hierarchy(X), eps)
+    cls = classify_edges(X, E, eps)
+    return phase1(X, E, PruneParams(eps=eps), classification=cls)[0], cls
+
+
+def _arc_phase2_input():
+    X = normalize(gen_lightness_lb_x(0.025, 2.0).points)
+    E = path_greedy(X, 1.025)
+    cls = classify_edges(X, E, 0.025)
+    return X, phase1(X, E, PruneParams(eps=0.025), classification=cls)[0], cls, 0.025
+
+
+def _biclique_phase2_input():
+    X, meta = motivating_normalized(mid_x=(3.75, 6.25))
+    E1 = biclique_seed(X, meta, middles=False)
+    return X, E1, classify_edges(X, E1, 0.01), 0.01
+
+
+def _uniform3_phase2_input():
+    X = normalize(gen_random(120, 3, "uniform", 1).points)
+    return X, *_net_tree_phase2_input(X, 0.1), 0.1
+
+
+# name -> (the maker of (X, E1, classification, eps), the type-2 edges
+# phase 2 scans)
+PHASE2_INPUTS = {
+    "arc": (_arc_phase2_input, 33),
+    "biclique": (_biclique_phase2_input, None),
+    "net-tree-uniform3": (_uniform3_phase2_input, 567),
+}
+
+
+def _assert_phase2_matches_reference(X, E1, cls, eps, dist_backend):
+    params = PruneParams(eps=eps)
+    got, got_rep = phase2(X, E1, params, cls, dist_backend=dist_backend)
+    want, want_rep = _reference_phase2(X, E1, params, cls, dist_backend=dist_backend)
+    for col in ("u", "v", "w"):
+        assert getattr(got, col).tolist() == getattr(want, col).tolist()
+    assert got.meta == want.meta
+    assert got_rep.__dict__ == want_rep.__dict__
+    return got_rep
+
+
+@pytest.mark.parametrize("dist_backend", ["exact", "clusters"])
+@pytest.mark.parametrize("name", sorted(PHASE2_INPUTS))
+def test_phase2_matches_reference(name, dist_backend):
+    make, type2_total = PHASE2_INPUTS[name]
+    rep = _assert_phase2_matches_reference(*make(), dist_backend)
+    if type2_total is not None:
+        assert rep.type2_total == type2_total
+    if name == "arc":
+        assert rep.type2_dropped == type2_total
+    if name == "biclique":
+        assert (rep.type2_kept, rep.helpers_added) == (1, 1)
+
+
+def _clustered3_sparse():
+    # at eps=0.9 its net-tree seed is phase 1's output with few type-2 edges
+    return normalize(gen_random(60, 3, "clustered", 1).points)
+
+
+@pytest.mark.parametrize("dist_backend, kept", [("exact", 4), ("clusters", 7)])
+def test_phase2_helper_that_is_an_old_type2_edge(dist_backend, kept):
+    # the helper (3, 33) of the kept edge (21, 56) is an old type-2 edge
+    # later in the scan: it keeps the place it took as a helper, and a
+    # second keep gives it its E1 weight
+    X = _clustered3_sparse()
+    E1, cls = _net_tree_phase2_input(X, 0.9)
+    assert _helper(X, 21, 56, 0.9)[:2] == (3, 33)
+    assert {(21, 56), (3, 33)} <= cls[1] and (3, 33) not in E1.meta["new_pairs"]
+    weight = dict(zip(zip(E1.u.tolist(), E1.v.tolist()), E1.w.tolist()))
+    assert weight[(21, 56)] < weight[(3, 33)]
+    rep = _assert_phase2_matches_reference(X, E1, cls, 0.9, dist_backend)
+    assert (rep.type2_kept, rep.helpers_added) == (kept, kept - 1)
+
+
+@pytest.mark.parametrize("dist_backend", ["exact", "clusters"])
+def test_greedy_prune_rounds_match_reference_pipeline(dist_backend, monkeypatch):
+    # round 2 reads round 1's output in its edge order.  The second round
+    # disconnects this spanner (ROADMAP item 1), so each phase's output is
+    # recorded as greedy_prune runs it and compared with the reference's.
+    import spanner_forge.prune as prune
+
+    rounds = []
+
+    def record(phase):
+        def run(*args, **kwargs):
+            rounds.append(phase(*args, **kwargs))
+            return rounds[-1]
+
+        return run
+
+    monkeypatch.setattr(prune, "phase1", record(prune.phase1))
+    monkeypatch.setattr(prune, "phase2", record(prune.phase2))
+    X, eps = _clustered3_sparse(), 0.9
+    seed = build_net_tree_spanner(build_hierarchy(X), eps)
+    with pytest.raises(PruneError, match="lost connectivity"):
+        greedy_prune(X, eps, 2, seed_spanner=seed, dist_backend=dist_backend)
+    params = PruneParams(eps=eps, alpha=PruneParams(eps=eps).alpha_value(X.dim))
+    E, want = seed, []
+    for it in (1, 2):
+        cls = _reference_classify(X, E, eps)
+        E1, r1 = _reference_phase1(X, E, params, cls)
+        E, r2 = _reference_phase2(X, E1, params, cls, dist_backend)
+        r1.iteration = r2.iteration = it
+        want += [(E1, r1), (E, r2)]
+        params = update_params(params)
+    assert not E.is_connected()
+    assert len(rounds) == len(want)
+    for (got, got_rep), (ref, ref_rep) in zip(rounds, want):
+        for col in ("u", "v", "w"):
+            assert getattr(got, col).tolist() == getattr(ref, col).tolist()
+        assert got.meta == ref.meta
+        assert got_rep.__dict__ == ref_rep.__dict__
+
+
+@pytest.mark.parametrize("n_seed", [40, 20])
+@pytest.mark.parametrize("k", [0, 1])
+def test_greedy_prune_rejects_seed_over_other_points(n_seed, k):
+    X = random_points(30, 2, 34)
+    seed = path_greedy(random_points(n_seed, 2, 34), 1.1)
+    with pytest.raises(PruneError, match="sizes differ"):
+        greedy_prune(X, 0.1, k, seed_spanner=seed)
 
 
 # classification inputs beyond phase 1's: d=8, where numpy's sums go pairwise
