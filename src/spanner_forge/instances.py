@@ -45,6 +45,35 @@ def _rot(v, angle):
     return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
 
 
+def _rectangle(family, eps, alpha, spacing, points, pq_edge, **own) -> GeneratedInstance:
+    """Witness, shared metadata and instance of both rectangle families.
+
+    ``points`` lists the k left and the k right side points, each row
+    from its top corner, then c, p and q; ``pq_edge`` closes the witness's
+    p-c-q into the triangle cpq.  ``own`` holds the family's own metadata.
+    """
+    k = (len(points) - 3) // 2
+    ci, pi, qi = 2 * k, 2 * k + 1, 2 * k + 2
+    witness = [e for i in range(k - 1) for e in ((i, i + 1), (k + i, k + i + 1))]
+    witness += [(pi, ci), (ci, qi)] + ([(pi, qi)] if pq_edge else [])
+    witness += [(i, hub) for hub in (pi, ci, qi) for i in range(2 * k)]
+    meta = {
+        "family": family,
+        "eps": eps,
+        **own,
+        "alpha": alpha,
+        "k": k,
+        "spacing": spacing,
+        "a_indices": list(range(k)),
+        "b_indices": list(range(k, 2 * k)),
+        "c_index": ci,
+        "p_index": pi,
+        "q_index": qi,
+        "diameter": math.hypot(1.0, math.tan(alpha)),
+    }
+    return GeneratedInstance(PointSet(np.array(points)), witness, meta)
+
+
 def gen_sparsity_lb(eps: float) -> GeneratedInstance:
     """Rectangle instance separating greedy from the sparsest spanner.
 
@@ -64,39 +93,11 @@ def gen_sparsity_lb(eps: float) -> GeneratedInstance:
     diam = math.tan(alpha / 10.0)
     k = int(math.floor(diam / (2.0 * eps))) + 1
     spacing = diam / (k - 1) if k > 1 else 0.0
-    pts = []
-    for i in range(k):  # indices 0..k-1: left side, top down
-        pts.append((0.0, height - i * spacing))
-    for i in range(k):  # indices k..2k-1: right side
-        pts.append((1.0, height - i * spacing))
-    c = (0.5, height / 2.0)
+    pts = [(0.0, height - i * spacing) for i in range(k)]
+    pts += [(1.0, height - i * spacing) for i in range(k)]
     leg = (1.0 + eps) ** 2 / 4.0
-    p = (0.5 - leg, height / 2.0)
-    q = (0.5 + leg, height / 2.0)
-    pts.extend([c, p, q])
-    ci, pi, qi = 2 * k, 2 * k + 1, 2 * k + 2
-    witness = []
-    for i in range(k - 1):
-        witness.append((i, i + 1))
-        witness.append((k + i, k + i + 1))
-    witness.extend([(pi, ci), (ci, qi)])
-    for hub in (pi, ci, qi):
-        for i in range(2 * k):
-            witness.append((i, hub))
-    meta = {
-        "family": "sparsity-lb",
-        "eps": eps,
-        "alpha": alpha,
-        "k": k,
-        "spacing": spacing,
-        "a_indices": list(range(k)),
-        "b_indices": list(range(k, 2 * k)),
-        "c_index": ci,
-        "p_index": pi,
-        "q_index": qi,
-        "diameter": math.hypot(1.0, height),
-    }
-    return GeneratedInstance(PointSet(np.array(pts)), witness, meta)
+    pts += [(0.5, height / 2.0), (0.5 - leg, height / 2.0), (0.5 + leg, height / 2.0)]
+    return _rectangle("sparsity-lb", eps, alpha, spacing, pts, False)
 
 
 def gen_sparsity_lb_x(eps: float, x: float = 1.0) -> GeneratedInstance:
@@ -132,31 +133,7 @@ def gen_sparsity_lb_x(eps: float, x: float = 1.0) -> GeneratedInstance:
     pts = [tuple(a1 + i * spacing * dir_a) for i in range(k)]
     pts += [tuple(b1 + i * spacing * dir_b) for i in range(k)]
     pts += [tuple(c), tuple(p), tuple(q)]
-    ci, pi, qi = 2 * k, 2 * k + 1, 2 * k + 2
-    witness = []
-    for i in range(k - 1):
-        witness.append((i, i + 1))
-        witness.append((k + i, k + i + 1))
-    witness.extend([(pi, ci), (ci, qi), (pi, qi)])
-    for hub in (pi, ci, qi):
-        for i in range(2 * k):
-            witness.append((i, hub))
-    meta = {
-        "family": "sparsity-lb-x",
-        "eps": eps,
-        "x": x,
-        "alpha": alpha,
-        "beta_iso": beta_iso,
-        "k": k,
-        "spacing": spacing,
-        "a_indices": list(range(k)),
-        "b_indices": list(range(k, 2 * k)),
-        "c_index": ci,
-        "p_index": pi,
-        "q_index": qi,
-        "diameter": math.hypot(1.0, height),
-    }
-    return GeneratedInstance(PointSet(np.array(pts)), witness, meta)
+    return _rectangle("sparsity-lb-x", eps, alpha, spacing, pts, True, x=x, beta_iso=beta_iso)
 
 
 def solve_arc_angle(eps: float) -> float:
@@ -197,6 +174,31 @@ def _arc_points(eps: float, beta: float, alpha: float):
     return np.array(thetas), anchors, (m1, m2)
 
 
+def _arc(family: str, eps: float, x: float = 1.0):
+    """Angles, points and shared metadata of both arc families.
+
+    beta is solved at x*eps (x = 1 for the base family), alpha = beta/10,
+    and the point spacing follows eps alone.
+    """
+    beta = solve_arc_angle(x * eps)
+    alpha = beta / 10.0
+    thetas, anchors, (m1, m2) = _arc_points(eps, beta, alpha)
+    pts = np.column_stack([np.cos(thetas), np.sin(thetas)])
+    meta = {
+        "family": family,
+        "eps": eps,
+        "beta": beta,
+        "alpha": alpha,
+        "m1": m1,
+        "m2": m2,
+        "anchors": list(anchors),
+        "chord_p1p3": 2.0 * math.sin(beta / 2.0),
+        "heavy_count_target": int(math.floor(alpha / (2.0 * x * eps * beta))),
+        "diameter": 2.0 * math.sin((alpha + beta) / 2.0),
+    }
+    return thetas, PointSet(pts), meta
+
+
 def gen_lightness_lb(eps: float) -> GeneratedInstance:
     """Circular-arc instance separating greedy from the lightest spanner.
 
@@ -208,28 +210,11 @@ def gen_lightness_lb(eps: float) -> GeneratedInstance:
     """
     if not 0.0 < eps <= 0.05:
         raise ConstructionDegenerate("eps must lie in (0, 0.05]")
-    beta = solve_arc_angle(eps)
-    alpha = beta / 10.0
-    thetas, anchors, (m1, m2) = _arc_points(eps, beta, alpha)
-    pts = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    n = len(thetas)
-    witness = [(i, i + 1) for i in range(n - 1)]
-    witness.append((anchors[1], anchors[2]))
-    chord13 = 2.0 * math.sin(beta / 2.0)
-    meta = {
-        "family": "lightness-lb",
-        "eps": eps,
-        "beta": beta,
-        "alpha": alpha,
-        "m1": m1,
-        "m2": m2,
-        "anchors": list(anchors),
-        "chord_p1p3": chord13,
-        "heavy_count_target": int(math.floor(alpha / (2.0 * eps * beta))),
-        "witness_weight_bound": 2.0 * beta,
-        "diameter": 2.0 * math.sin((alpha + beta) / 2.0),
-    }
-    return GeneratedInstance(PointSet(pts), witness, meta)
+    thetas, X, meta = _arc("lightness-lb", eps)
+    p2, p3 = meta["anchors"][1:3]
+    witness = [(i, i + 1) for i in range(len(thetas) - 1)] + [(p2, p3)]
+    meta["witness_weight_bound"] = 2.0 * meta["beta"]
+    return GeneratedInstance(X, witness, meta)
 
 
 def gen_lightness_lb_x(eps: float, x: float = 2.0) -> GeneratedInstance:
@@ -245,13 +230,9 @@ def gen_lightness_lb_x(eps: float, x: float = 2.0) -> GeneratedInstance:
         raise ConstructionDegenerate("x must be at least 2")
     if not 0.0 < eps or x * eps > 0.05:
         raise ConstructionDegenerate("x*eps too large for the construction")
-    beta = solve_arc_angle(x * eps)
-    alpha = beta / 10.0
-    thetas, anchors, (m1, m2) = _arc_points(eps, beta, alpha)
-    pts = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    n = len(thetas)
-    span = alpha + beta
-    witness = {(i, i + 1) for i in range(n - 1)}
+    thetas, X, meta = _arc("lightness-lb-x", eps, x)
+    span, diameter = meta["alpha"] + meta["beta"], meta["diameter"]
+    witness = {(i, i + 1) for i in range(len(thetas) - 1)}
     tau = 1.0 + 1.0 / (10.0 * x)
     base = math.sqrt(24.0 * eps)
     i_max = 2 * math.ceil(10.0 * x * math.log(1.2 * math.sqrt(x)))
@@ -259,7 +240,7 @@ def gen_lightness_lb_x(eps: float, x: float = 2.0) -> GeneratedInstance:
     i_level = -2
     while i_level <= i_max:
         ell = base * tau ** (i_level / 2.0)
-        if ell >= 2.0 * math.sin(span / 2.0):
+        if ell >= diameter:
             break
         arc_len = 2.0 * math.asin(ell / 2.0)
         window = span - arc_len
@@ -272,29 +253,14 @@ def gen_lightness_lb_x(eps: float, x: float = 2.0) -> GeneratedInstance:
             a_idx = int(np.argmin(np.abs(thetas - start)))
             b_idx = int(np.argmin(np.abs(thetas - (start + arc_len))))
             if a_idx != b_idx:
-                key = (a_idx, b_idx) if a_idx < b_idx else (b_idx, a_idx)
-                witness.add(key)
+                witness.add((min(a_idx, b_idx), max(a_idx, b_idx)))
                 placed = True
             start += step
         if placed:
             levels_used += 1
         i_level += 1
-    meta = {
-        "family": "lightness-lb-x",
-        "eps": eps,
-        "x": x,
-        "beta": beta,
-        "alpha": alpha,
-        "tau": tau,
-        "m1": m1,
-        "m2": m2,
-        "anchors": list(anchors),
-        "chord_levels": levels_used,
-        "chord_p1p3": 2.0 * math.sin(beta / 2.0),
-        "heavy_count_target": int(math.floor(alpha / (2.0 * x * eps * beta))),
-        "diameter": 2.0 * math.sin(span / 2.0),
-    }
-    return GeneratedInstance(PointSet(pts), sorted(witness), meta)
+    meta.update(x=x, tau=tau, chord_levels=levels_used)
+    return GeneratedInstance(X, sorted(witness), meta)
 
 
 def gen_motivating(eps: float, mid_x=(3.0, 7.0)) -> GeneratedInstance:

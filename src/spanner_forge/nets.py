@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .geom import GEOM_RTOL, GeomError, PointSet
@@ -108,14 +107,12 @@ class ClusterGraph:
     and all distances live on the quotient.
     """
 
-    def __init__(self, level, eps, centers, membership, inter, rep, radius):
+    def __init__(self, level, centers, membership, inter, rep):
         self.level = level
-        self.eps = eps
         self.centers = centers
         self.membership = membership  # rep point -> list of (center, dist)
         self.inter = inter  # (c1, c2) with c1 < c2 -> weight
         self.rep = rep  # original point -> representative
-        self.radius = radius
 
     def add_bridge(self, s: int, t: int, w: float) -> None:
         """Register a new source-graph edge (s, t) of weight w as
@@ -155,8 +152,7 @@ def build_cluster_graph(
     rep = np.arange(n)
     if contract and n:  # an empty graph has nothing to contract
         short = ew <= scale * eps * eps / n * (1.0 + GEOM_RTOL)
-        csr = csr_matrix((ew[short], (eu[short], ev[short])), shape=(n, n))
-        _, labels = connected_components(csr, directed=False)
+        _, labels = connected_components(symmetric_csr(n, eu[short], ev[short], ew[short]))
         # a point's representative is the smallest index in its component
         _, first = np.unique(labels, return_index=True)
         rep = first[labels]
@@ -190,7 +186,7 @@ def build_cluster_graph(
     i1, i2 = np.nonzero(np.triu(d < np.inf, k=1))
     inter = dict(zip(zip(c[i1].tolist(), c[i2].tolist()), d[i1, i2].tolist()))
     # bridge inter edges through existing edges between clusters
-    F = ClusterGraph(i, eps, centers, membership, inter, rep.tolist(), radius)
+    F = ClusterGraph(i, centers, membership, inter, rep.tolist())
     for u, v, w in zip(eu[cross].tolist(), ev[cross].tolist(), ew[cross].tolist()):
         F.add_bridge(u, v, w)
     return F

@@ -198,6 +198,24 @@ def test_edge_index_out_of_range_exits_2(tmp_path, capsys, line):
     assert main(["compare", "--in", inst, "--eps", "0.5", "--builders", "greedy"]) == 2
 
 
+@pytest.mark.parametrize("points, edges, bad, message", [
+    ("", "", "pts.txt", "line 1: empty file"),
+    ("2 two\n", "", "pts.txt", "line 1: header must be two integers"),
+    ("2 2\n0 0\n1\n", "", "pts.txt", "line 3: expected 2 coordinates"),
+    ("2 2\n0 0\n1 z\n", "", "pts.txt", "line 3: bad coordinate"),
+    ("2 1\n\n0 0\n1 1\n", "", "pts.txt", "line 4: more than 1 rows"),  # blank lines count
+    ("2 2\n0 0\n1 1\n", "0 1 1\n", "e.edges", "line 1: expected 'u v'"),
+    ("2 2\n0 0\n1 1\n", "# u v\n0 one\n", "e.edges", "line 2: bad index"),
+])
+def test_malformed_input_files_exit_2_with_line(tmp_path, capsys, points, edges, bad, message):
+    (tmp_path / "pts.txt").write_text(points)
+    (tmp_path / "e.edges").write_text(edges)
+    argv = ["verify", "--in", str(tmp_path / "pts.txt"), "--edges", str(tmp_path / "e.edges"),
+            "--t", "1.5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / bad}: {message}\n"
+
+
 def test_reports_record_resolved_prune_params(tmp_path):
     cfg = tmp_path / "prune.cfg"
     cfg.write_text("constant_mode = theoretical\n")

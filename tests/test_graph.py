@@ -106,6 +106,8 @@ def test_verify_stretch_collinear_path():
     G = SpannerGraph.from_pairs(X, [(0, 1), (1, 2)])
     ms, _ = verify_stretch(G, X)
     assert ms == pytest.approx(1.0)
+    X1 = PointSet(np.array([[0.0]]))  # one point: no pair to stretch
+    assert verify_stretch(SpannerGraph.from_pairs(X1, []), X1) == (1.0, (0, 0))
 
 
 def test_verify_stretch_square_boundary():
@@ -496,9 +498,11 @@ def test_symmetric_csr_of_contracted_quotient_matches_coo_route(monkeypatch):
     rows = [(0, 1, 0.01), (2, 3, 0.01), (0, 2, 0.9), (1, 3, 0.4), (3, 4, 0.4)]
     F = build_cluster_graph(SpannerGraph(5, rows), 1, 0.25, contract=True)
     assert F.rep == [0, 0, 2, 2, 4]
-    (args,) = seen
-    assert len(args[1]) == 2  # the quotient's two edges
-    assert_same_csr(symmetric_csr(*args), coo_symmetric_csr(*args))
+    contracted, quotient = seen
+    assert contracted[1].tolist() == [0, 2]  # the short edges 0-1 and 2-3
+    assert len(quotient[1]) == 2  # the quotient's two edges
+    for args in seen:
+        assert_same_csr(symmetric_csr(*args), coo_symmetric_csr(*args))
 
 
 def test_brute_force_collinear():
@@ -583,6 +587,15 @@ def test_brute_force_rejects_bad_eps_before_any_work(eps):
         with pytest.raises(GraphError, match="eps"):
             brute_force_optimal(X, eps)
     assert X._dist is None  # the distance matrix was not built
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda X: verify_stretch(path_greedy(random_points(5, 2, 19), 1.5), X), "sizes differ"),
+    (lambda X: brute_force_optimal(X, 0.5, "bogus"), "unknown objective 'bogus'"),
+], ids=["verify-size-mismatch", "oracle-objective"])
+def test_graph_functions_reject_bad_arguments(call, match):
+    with pytest.raises(GraphError, match=match):
+        call(random_points(6, 2, 19))
 
 
 def test_edge_list_round_trip(tmp_path):

@@ -207,6 +207,16 @@ def test_random_instances():
     assert ms <= 1.2 + 1e-9
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: gen_random(1, 2), "n >= 2"),
+    (lambda: gen_random(10, 2, "bogus"), "unknown distribution 'bogus'"),
+    (lambda: tile_copies(gen_sparsity_lb(0.02), 0), "m must be at least 1"),
+], ids=["random-n1", "random-distribution", "tile-m0"])
+def test_random_and_tiling_reject_bad_arguments(call, match):
+    with pytest.raises(ConstructionDegenerate, match=match):
+        call()
+
+
 def test_tile_copies_identity_and_counts():
     inst = gen_sparsity_lb(0.02)
     assert tile_copies(inst, 1) is inst

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spanner_forge.geom import PointSet, normalize
+from spanner_forge.geom import GeomError, PointSet, normalize
 from spanner_forge.graph import SpannerGraph, path_greedy, verify_stretch
 from spanner_forge.nets import (
     build_cluster_graph,
@@ -23,6 +23,16 @@ from conftest import (
     random_points,
     shortest_dist,
 )
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: build_hierarchy(PointSet(np.array([[0.0], [3.0], [7.0]]))), "normalized"),
+    (lambda: build_net_tree_spanner(build_hierarchy(random_points(10, 2, 3)), 0.0), "eps"),
+    (lambda: build_net_tree_spanner(build_hierarchy(random_points(10, 2, 3)), 1.0), "eps"),
+], ids=["unnormalized", "eps=0", "eps=1"])
+def test_hierarchy_and_net_tree_reject_bad_input(call, match):
+    with pytest.raises(GeomError, match=match):
+        call()
 
 
 def test_hierarchy_two_points():

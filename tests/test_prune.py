@@ -85,6 +85,7 @@ def test_params_validation():
 @pytest.mark.parametrize(
     "kw",
     [
+        {"eps": 0.0},
         {"eps": math.inf},
         {"delta": math.nan},
         {"delta": math.inf},
@@ -123,6 +124,9 @@ def test_params_config_file(tmp_path):
     assert p.kappa == 5000
     assert p.constant_mode == "theoretical"
     assert p.alpha is None
+    path.write_text("# comment\neps 0.05\n")
+    with pytest.raises(PruneError, match="line 2: expected key=value"):
+        PruneParams.from_config_file(path)
 
 
 def test_params_config_file_round_trip(tmp_path):
@@ -297,6 +301,8 @@ def test_update_params_values_and_property():
     p2 = update_params(p)
     assert p2.delta == pytest.approx(delta_growth(10.0, 0.02))
     assert p2.alpha == pytest.approx(max(4.0 * math.log(1e6), 4.0))
+    with pytest.raises(PruneError, match="alpha must be resolved"):
+        update_params(PruneParams(eps=0.01))
 
 
 def test_greedy_prune_zero_iterations_returns_seed():
@@ -316,6 +322,15 @@ def test_greedy_prune_rejects_unknown_backend_up_front(k, monkeypatch):
     X = random_points(40, 2, 34)
     with pytest.raises(PruneError, match="bogus"):
         greedy_prune(X, 0.1, k, dist_backend="bogus")
+
+
+@pytest.mark.parametrize("k, params, match", [
+    (-1, None, "nonnegative"),
+    (1, PruneParams(eps=0.2), "params.eps disagrees"),
+])
+def test_greedy_prune_rejects_bad_rounds_and_params(k, params, match):
+    with pytest.raises(PruneError, match=match):
+        greedy_prune(random_points(40, 2, 34), 0.1, k, params=params)
 
 
 def test_greedy_prune_builds_distances_once(monkeypatch):

@@ -38,6 +38,7 @@ MATRIX = (
     " --out c.txt",
     "generate --family sparsity-lb --eps 0.02 --out s.txt",
     "generate --family lightness-lb-x --eps 0.02 --x 2.5 --out l.txt",
+    "generate --family sparsity-lb-x --eps 2.5e-05 --x 2 --out sx.txt",
     "build --builder greedy --eps 0.5 --in r.txt --out r.greedy.edges",
     "build --builder net-tree --eps 0.5 --in r.txt --out r.net-tree.edges",
     "build --builder prune --eps 0.3 --kappa 20 --in r.txt --out r.prune.edges",
@@ -50,6 +51,7 @@ MATRIX = (
     "compare --in c.txt --eps 0.3 --x 2 --builders greedy,net-tree --out c.cmp.csv",
     "compare --in l.txt --eps 0.02 --x 2.5 --builders witness,greedy --out l.cmp.json",
     "compare --in l.txt --eps 0.02 --k 2 --builders prune --out l.prune.json",
+    "compare --in sx.txt --eps 2.5e-05 --x 2 --builders witness,greedy --out sx.cmp.json",
     "sweep --family lightness-lb --eps-list 0.04,0.02 --out sw.csv --gnuplot sw.gp"
     " --summary-out sw.json",
     "sweep --family lightness-lb-x --eps-list 0.02,0.01 --x-list 2,2.5 --out swx.csv"
