@@ -3,8 +3,12 @@
 Exact all-pairs stretch verification, Euclidean MST weight, summary
 metrics, the path-greedy builder, and an exact branch-and-bound oracle
 for the sparsest / lightest (1+eps)-spanner on tiny inputs.  Verification
-runs scipy's csgraph Dijkstra on a CSR; the oracle runs a dense
-Floyd-Warshall (:func:`_apsp_small`) on its at most ten points.
+runs scipy's csgraph Dijkstra on a CSR.  On a graph with more than one
+block of sources that holds at least half of all pairs, it first bounds
+each source's ratios by direct edges and two-hop paths, on a dense n x n
+weight matrix, and searches only the sources whose bound can still win.
+The oracle runs a dense Floyd-Warshall (:func:`_apsp_small`) on its at
+most ten points.
 """
 
 from __future__ import annotations
@@ -184,15 +188,27 @@ class MetricsReport:
 def verify_stretch(G: SpannerGraph, X: PointSet):
     """Exact maximum stretch of G over X, with an argmax witness pair.
 
-    Runs one single-source computation per vertex, 64 sources per scipy
-    call.  The CSR already holds both arcs of every edge, so scipy runs it
-    as a directed graph: each edge is relaxed once from each side, with no
-    transposed copy per call, and the labels are those of the undirected
-    search.  The lengths and ratios of a block's pairs right of the
-    diagonal are taken in one array pass, so beside the graph only
-    (64, n) blocks are held.  Ties break to the lexicographically
+    Runs single-source computations, 64 sources per scipy call.  The CSR
+    already holds both arcs of every edge, so scipy runs it as a directed
+    graph: each edge is relaxed once from each side, with no transposed
+    copy per call, and the labels are those of the undirected search.
+    The lengths and ratios of a block's pairs right of the diagonal are
+    taken in one array pass.  Ties break to the lexicographically
     smallest pair.  Raises :class:`Disconnected` (carrying the first
     unreachable pair) when G is not connected.
+
+    A graph with more than one block of sources (n - 1 > 64) and at
+    least as many edges as missing pairs is screened first: each source
+    s gets an upper bound on the ratios of its row, from w(s, v) for an
+    edge and the shortest two-hop sum for a missing pair
+    (:func:`_stretch_bounds`).  Sources without a bound are searched
+    first, in order, so a disconnected graph raises the same pair.  The
+    others follow, highest bound first, while a bound can still beat the
+    best ratio found or tie it at a smaller pair.  The screen holds one
+    dense n x n weight matrix while it runs, at most about 4/3 of the
+    graph's own CSR.  Every other graph searches every source in order
+    and holds only (64, n) blocks beside the graph.  Both routes return
+    the same result, bit for bit.
     """
     if G.n != X.n:
         raise GraphError("graph and point set sizes differ")
@@ -202,24 +218,88 @@ def verify_stretch(G: SpannerGraph, X: PointSet):
     csr = G.as_csr()
     best = -1.0
     witness = None
-    for lo in range(0, n - 1, _ROW_BLOCK):
-        sources = np.arange(lo, min(lo + _ROW_BLOCK, n - 1))
-        # every column left of lo + 1 is below the diagonal for the whole block
-        cols = np.arange(lo + 1, n)
-        gr = _csgraph_dijkstra(csr, directed=True, indices=sources)[:, lo + 1 :]
-        upper = cols > sources[:, None]
-        gone = np.isinf(gr) & upper
-        if gone.any():
-            i, j = np.unravel_index(np.argmax(gone), gone.shape)
-            raise Disconnected((int(sources[i]), int(cols[j])))
-        eu = _lengths(X.coords, sources[:, None], cols)
-        ratio = np.divide(gr, eu, out=np.zeros_like(gr), where=upper)
-        # the row-major first maximum is the lexicographically smallest pair
-        k = int(np.argmax(ratio))
-        if ratio.flat[k] > best:
+
+    def search(sources):
+        """Scan the rows of ``sources`` (ascending), a block per call."""
+        nonlocal best, witness
+        for lo in range(0, len(sources), _ROW_BLOCK):
+            block = sources[lo : lo + _ROW_BLOCK]
+            # every column left of first + 1 is below the diagonal for the whole block
+            first = int(block[0])
+            cols = np.arange(first + 1, n)
+            gr = _csgraph_dijkstra(csr, directed=True, indices=block)[:, first + 1 :]
+            upper = cols > block[:, None]
+            gone = np.isinf(gr) & upper
+            if gone.any():
+                i, j = np.unravel_index(np.argmax(gone), gone.shape)
+                raise Disconnected((int(block[i]), int(cols[j])))
+            eu = _lengths(X.coords, block[:, None], cols)
+            ratio = np.divide(gr, eu, out=np.zeros_like(gr), where=upper)
+            # the row-major first maximum is the block's lexicographically smallest pair
+            k = int(np.argmax(ratio))
             i, j = divmod(k, len(cols))
-            best, witness = float(ratio.flat[k]), (int(sources[i]), int(cols[j]))
+            r, pair = float(ratio.flat[k]), (int(block[i]), int(cols[j]))
+            if r > best or (r == best and pair < witness):
+                best, witness = r, pair
+
+    if n - 1 <= _ROW_BLOCK or 4 * len(G.u) < n * (n - 1):
+        search(np.arange(n - 1))
+        return best, witness
+    ub = _stretch_bounds(G, X.coords)
+    # a vertex unreachable from 0 leaves source 0 unbounded, so a
+    # disconnected graph raises the same first pair as the full scan
+    search(np.flatnonzero(np.isinf(ub)))
+    finite = np.flatnonzero(np.isfinite(ub))
+    ranked = finite[np.argsort(-ub[finite], kind="stable")]  # by (-ub, source)
+    batch = 1  # the top source alone, so that later calls are screened against it
+    while len(ranked):
+        head = ranked[:batch]
+        # a source can still win with a larger ratio, or an equal one at a smaller pair
+        src = n if witness is None else witness[0]
+        wins = (ub[head] > best) | ((ub[head] == best) & (head < src))
+        # the winners are a prefix: bounds fall along the ranking, sources rise within a tie
+        m = len(head) if wins.all() else int(np.argmin(wins))
+        if m == 0:
+            break
+        search(np.sort(head[:m]))
+        ranked = ranked[m:]
+        batch = _ROW_BLOCK
     return best, witness
+
+
+def _stretch_bounds(G: SpannerGraph, c: np.ndarray) -> np.ndarray:
+    """For each source s < n - 1, an upper bound on the ratios
+    :func:`verify_stretch` computes for the pairs (s, v), v > s.
+
+    scipy's label for (s, v) is at most the left-to-right float sum of
+    any s-v path, since float addition rounds monotonically.  So it is
+    at most w(s, v) for an edge, and at most min_x w(s, x) + w(x, v) for
+    a missing pair; float division keeps the order, so dividing either
+    by the pair's length bounds its ratio.  A source with a pair that
+    has neither bound gets inf.  The weights are held in one dense n x n
+    matrix, inf off the edges; it is exactly symmetric, so the two-hop
+    sums are rows ``W[s] + W[v]``, taken for (64, n) chunks of missing
+    pairs.  Ratios are taken over the same (64, n) row blocks as the
+    search.
+    """
+    n = G.n
+    W = np.full((n, n), np.inf)
+    W[G.u, G.v] = G.w
+    W[G.v, G.u] = G.w
+    ub = np.empty(n - 1)
+    for lo in range(0, n - 1, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n - 1)
+        rows = np.arange(lo, hi)
+        cols = np.arange(lo + 1, n)
+        upper = cols > rows[:, None]
+        bound = W[lo:hi, lo + 1 :].copy()
+        i, j = np.nonzero(np.isinf(bound) & upper)
+        for k in range(0, len(i), _ROW_BLOCK):
+            a, b = i[k : k + _ROW_BLOCK], j[k : k + _ROW_BLOCK]
+            bound[a, b] = (W[rows[a]] + W[cols[b]]).min(axis=1)
+        eu = _lengths(c, rows[:, None], cols)
+        ub[lo:hi] = np.divide(bound, eu, out=np.zeros_like(bound), where=upper).max(axis=1)
+    return ub
 
 
 def emst_weight(X: PointSet) -> float:

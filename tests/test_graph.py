@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from spanner_forge.geom import PointSet, normalize
 from spanner_forge.graph import (
@@ -191,6 +192,146 @@ def test_verify_stretch_disconnected_past_first_block(cut):
     with pytest.raises(Disconnected) as want:
         verify_stretch_rows(H, X)
     assert got.value.pair == want.value.pair == (0, cut)
+
+
+def dense_graph(X, seed, drop, thin=0, parts=None):
+    """X's pairs less a random share ``drop`` of them.  ``thin`` random
+    vertices keep only two pairs, to vertices not thinned, so that some
+    pairs need three or more hops.  ``parts`` labels the vertices, and
+    only pairs with equal labels stay."""
+    rng = np.random.default_rng(seed)
+    iu, iv = np.triu_indices(X.n, 1)
+    keep = rng.random(len(iu)) >= drop
+    if parts is not None:
+        keep &= parts[iu] == parts[iv]
+    thinned = rng.choice(X.n, thin, replace=False)
+    for x in thinned:
+        at = np.flatnonzero((iu == x) | (iv == x))
+        keep[at] = False
+        to = np.flatnonzero(~np.isin(iu[at] + iv[at] - x, thinned))
+        keep[at[rng.choice(to, 2, replace=False)]] = True
+    return SpannerGraph.from_pairs(X, np.column_stack((iu[keep], iv[keep])))
+
+
+def screened(G):
+    """verify_stretch bounds the sources of G before searching them."""
+    return G.n - 1 > 64 and 4 * len(G.u) >= G.n * (G.n - 1)
+
+
+def near_collinear(n, seed):
+    rng = np.random.default_rng(seed)
+    c = np.zeros((n, 2))
+    c[:, 0] = rng.permutation(n)
+    c[:, 1] = 1e-6 * rng.random(n)
+    return normalize(c)
+
+
+# name: (points, share of pairs dropped, vertices thinned)
+DENSE_CASES = {
+    "uniform2-66": (lambda: random_points(66, 2, 1), 0.35, 3),
+    "uniform2-130": (lambda: random_points(130, 2, 2), 0.3, 5),
+    "uniform3-97": (lambda: random_points(97, 3, 3), 0.1, 2),
+    "uniform2-110-two-hops": (lambda: random_points(110, 2, 4), 0.4, 0),
+    "grid9x9": (lambda: int_grid(9, 2), 0.3, 4),  # tied ratios
+    "grid11x11": (lambda: int_grid(11, 2), 0.4, 0),
+    "grid5x5x5": (lambda: int_grid(5, 3), 0.2, 6),
+    "near-collinear-80": (lambda: near_collinear(80, 5), 0.35, 2),
+    "near-collinear-128": (lambda: near_collinear(128, 6), 0.2, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(DENSE_CASES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_verify_stretch_matches_undirected_rows_on_dense_graphs(case, seed):
+    points, drop, thin = DENSE_CASES[case]
+    X = points()
+    G = dense_graph(X, seed, drop, thin)
+    assert screened(G) and G.is_connected()
+    assert verify_stretch(G, X) == verify_stretch_rows(G, X)
+
+
+@pytest.mark.parametrize("n", [66, 100, 130])
+def test_verify_stretch_complete_graph_witness_is_one_ulp(n):
+    # edge weights and the lengths of the ratios come from different
+    # kernels, so some edge pair reads one ulp above 1
+    X = random_points(n, 2, n)
+    G = dense_graph(X, 0, 0.0)
+    ms, wit = verify_stretch(G, X)
+    assert (ms, wit) == verify_stretch_rows(G, X)
+    assert ms == np.nextafter(1.0, 2.0)
+    assert wit in G.edge_set()
+
+
+@pytest.mark.parametrize("side, d", [(9, 2), (5, 3)])
+def test_verify_stretch_complete_grid_ties_every_ratio(side, d):
+    # integer lengths are exact in both kernels: every ratio is 1, every
+    # source ties the best bound, and the first pair is the witness
+    X = int_grid(side, d)
+    G = dense_graph(X, 0, 0.0)
+    assert verify_stretch(G, X) == verify_stretch_rows(G, X) == (1.0, (0, 1))
+
+
+# name: (n, the vertices cut off from vertex 0, the first of them)
+DENSE_CUTS = {
+    "isolated-past-first-block": (120, [100], 100),
+    "tail-past-first-block": (120, range(90, 120), 90),
+    "scattered-from-first-block": (110, [40, 77, 93, 108], 40),
+    "small-head": (120, range(30, 120), 30),
+}
+
+
+@pytest.mark.parametrize("case", list(DENSE_CUTS))
+def test_verify_stretch_disconnected_pair_matches_undirected_rows_on_dense_graphs(case):
+    n, cut, first = DENSE_CUTS[case]
+    X = random_points(n, 2, 8)
+    parts = np.zeros(n, dtype=np.int64)
+    parts[list(cut)] = 1
+    G = dense_graph(X, 3, 0.1, parts=parts)
+    assert screened(G)
+    with pytest.raises(Disconnected) as got:
+        verify_stretch(G, X)
+    with pytest.raises(Disconnected) as want:
+        verify_stretch_rows(G, X)
+    assert got.value.pair == want.value.pair == (0, first)
+
+
+def counted_sources(monkeypatch):
+    """The sources verify_stretch passes to scipy, a list per call."""
+    calls = []
+
+    def counting(csr, **kwargs):
+        calls.append(np.atleast_1d(kwargs["indices"]).tolist())
+        return dijkstra(csr, **kwargs)
+
+    monkeypatch.setattr("spanner_forge.graph._csgraph_dijkstra", counting)
+    return calls
+
+
+def test_verify_stretch_searches_few_sources_of_a_complete_net_tree(monkeypatch):
+    X = normalize(gen_random(80, 3, "uniform", 4).points)  # VERIFY_CASES' net-tree-d3
+    G = build_net_tree_spanner(build_hierarchy(X), 0.5)
+    assert len(G.u) == 80 * 79 // 2
+    calls = counted_sources(monkeypatch)
+    assert verify_stretch(G, X) == verify_stretch_rows(G, X)
+    assert sum(map(len, calls)) <= 64  # at most one call's worth
+
+
+@pytest.mark.parametrize(
+    "n, make",
+    [
+        (150, lambda X: path_greedy(X, 1.1)),
+        (150, lambda X: dense_graph(X, 0, 0.55)),  # a little under half of all pairs
+        (65, lambda X: dense_graph(X, 0, 0.0)),  # complete, one block of sources
+    ],
+    ids=["greedy", "random-under-half", "complete-one-block"],
+)
+def test_verify_stretch_searches_every_source_in_order_unless_screened(n, make, monkeypatch):
+    X = random_points(n, 2, 3)
+    G = make(X)
+    assert not screened(G)
+    calls = counted_sources(monkeypatch)
+    assert verify_stretch(G, X) == verify_stretch_rows(G, X)
+    assert calls == [list(range(lo, min(lo + 64, n - 1))) for lo in range(0, n - 1, 64)]
 
 
 @pytest.mark.parametrize(
