@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .geom import GEOM_RTOL, GeomError, PointSet
+from .geom import _ROW_BLOCK, GEOM_RTOL, GeomError, PointSet, _dot_lengths
 from .graph import GraphError, SpannerGraph, symmetric_csr
 
 # Cross-edge radius multiplier at level i is CROSS_RADIUS(eps) * 2^i.
@@ -43,7 +43,11 @@ def build_hierarchy(X: PointSet) -> NetHierarchy:
     """Greedy nested nets over a normalized point set.
 
     Points are scanned in index order at every level, which makes the
-    construction deterministic.
+    construction deterministic: a point of level i-1 joins level i when
+    no center chosen before it lies within 2^i.  A boolean vector marks
+    the points some center already covers, and each new center u ORs in
+    the row ``D[u] <= 2^i`` of the distance matrix, which is symmetric
+    bit for bit (each entry squares the same coordinate differences).
     """
     if X.n < 1:
         raise GeomError("empty point set")
@@ -59,11 +63,12 @@ def build_hierarchy(X: PointSet) -> NetHierarchy:
     while len(levels[-1]) > 1:
         level += 1
         r = 2.0**level
-        prev = levels[-1]
+        covered = np.zeros(X.n, dtype=bool)
         chosen: list = []
-        for u in prev.tolist():
-            if not chosen or float(D[u, chosen].min()) > r:
+        for u in levels[-1].tolist():
+            if not covered[u]:
                 chosen.append(u)
+                covered |= D[u] <= r
         levels.append(np.array(chosen, dtype=np.int64))
         if level > max_levels:  # pragma: no cover - safety net
             raise GeomError("hierarchy failed to converge")
@@ -74,21 +79,42 @@ def build_net_tree_spanner(H: NetHierarchy, eps: float) -> SpannerGraph:
     """Union over levels of all cross edges.
 
     A cross edge at level i joins two level-i net points at distance at
-    most (4/eps + 32) * 2^i.  Each level ORs its members' block of the
-    distance matrix, compared with that limit, into one n x n mask; the
-    edges are the mask's upper triangle, in (u, v) order.
+    most (4/eps + 32) * 2^i.  The levels must be nested (``GeomError``
+    otherwise), so a pair shares every level up to the lower of its two
+    points' top levels, L, and the limit only grows with i: the pair is
+    an edge exactly when its distance is at most (4/eps + 32) * 2^L.
+    That one test runs over the upper triangle in row blocks, so the
+    edges come in (u, v) order; their weights have the bits of
+    :meth:`PointSet.dist`.
     """
     if not 0.0 < eps < 1.0:
         raise GeomError("eps must lie in (0, 1)")
     R = cross_radius_const(eps)
-    D = H.points.distances()
-    cross = np.zeros(D.shape, dtype=bool)
+    n = H.points.n
+    # limit[x] is the cross radius at x's top level; -inf outside every level
+    limit = np.full(n, -np.inf)
     for i, members in enumerate(H.levels):
-        block = np.ix_(members, members)
-        cross[block] |= D[block] <= R * H.radius(i)
-    return SpannerGraph.from_pairs(
-        H.points,
-        np.argwhere(np.triu(cross, k=1)),
+        if i and not np.isin(members, H.levels[i - 1]).all():
+            raise GeomError(f"net level {i} is not a subset of level {i - 1}")
+        limit[members] = R * H.radius(i)
+    D = H.points.distances()
+    us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, n - 1, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n - 1)
+        rows = np.arange(lo, hi)[:, None]
+        cols = np.arange(lo + 1, n)
+        near = D[lo:hi, lo + 1 :] <= np.minimum(limit[rows], limit[cols])
+        r, c = np.nonzero(near & (cols > rows))
+        us.append(r + lo)
+        vs.append(c + (lo + 1))
+    u = np.concatenate(us)
+    v = np.concatenate(vs)
+    del us, vs  # the blocks' parts, before the weight pass
+    return SpannerGraph.from_columns(
+        n,
+        u,
+        v,
+        _dot_lengths(H.points.coords, u, v),
         meta={"builder": "net_tree", "eps": eps, "radius_const": R},
     )
 

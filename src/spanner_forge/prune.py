@@ -281,11 +281,14 @@ def _candidate_triples(dist, S, T, W, min_len, factor):
     looked up in ``dist``, the matrix of :meth:`PointSet.distances`.
     Returns the arrays ``(x, y, e)``, grouped by edge in input order and
     each edge's pairs in (x, y) order, so edges sorted by bucket give
-    triples sorted by bucket.
+    triples sorted by bucket.  They are int32 when the point and edge
+    indices fit, as they hold one entry per triple.
     """
     budget = factor * W * (1.0 + _RTOL)
     shortest = min_len * (1.0 - _RTOL)
-    parts = [(np.zeros(0, dtype=np.intp),) * 3]
+    small = max(len(dist), len(S)) <= np.iinfo(np.int32).max
+    dtype = np.int32 if small else np.intp
+    parts = tuple([np.zeros(0, dtype=dtype)] for _ in range(3))  # x, y, e
     for lo, mask in _ellipse_masks(dist, S, T, budget):
         rows, pts = np.nonzero(mask)  # each edge's points in ascending order
         count = np.bincount(rows, minlength=len(mask))
@@ -311,9 +314,14 @@ def _candidate_triples(dist, S, T, W, min_len, factor):
                 | (dsb + pd + dta <= B)
                 | (dtb + pd + dsa <= B)
             )
-            parts.append((a[ok], b[ok], e[ok]))
+            for part, col in zip(parts, (a, b, e)):
+                part.append(col[ok].astype(dtype, copy=False))
             r0 = r1
-    return tuple(np.concatenate(c) for c in zip(*parts))
+    out = []
+    for part in parts:  # each column's parts are freed before the next is joined
+        out.append(np.concatenate(part))
+        part.clear()
+    return tuple(out)
 
 
 def phase1(
@@ -347,7 +355,8 @@ def phase1(
     size differs from its id's count, and the top is the best pair once
     it is current.  A bucket is skipped without a visit when it holds
     fewer live edges than the threshold, or when its cover loop last
-    stopped with a best cover below it.
+    stopped with a best cover below it; the loop stops as soon as the
+    bucket holds no live edge, as every count in it is then 0.
     """
     eps = params.eps
     if classification is None:
@@ -365,17 +374,32 @@ def phase1(
     order, rank, n_live = np.unique(bucket[t1], return_inverse=True, return_counts=True)
     dist = X.distances()
     xs, ys, ks = _candidate_triples(dist, S, T, E.w[t1], power[t1] / 25.0, 1.0 + eps)
-    # a pair id per (bucket rank, x, y) key, in key order; count[p] is the
-    # number of live edges that pair p covers
+    # each triple's key (bucket rank, x, y) as rank*n^2 + x*n + y, in place
     n2 = n * n
-    keys, pair, count = np.unique(
-        rank[ks] * n2 + xs * n + ys, return_inverse=True, return_counts=True
-    )
+    key = rank[ks]
+    key *= n
+    key += xs
+    key *= n
+    key += ys
+    del xs, ys  # arrays of one entry per triple go as soon as they are used
+    # a pair id per key, in key order: a stable sort puts each pair's
+    # triples together, in edge order; count[p] is the number of live
+    # edges that pair p covers
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    new = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    cover_at = np.append(np.flatnonzero(new), len(key))
+    keys, count = key[cover_at[:-1]], np.diff(cover_at)
+    del key
+    pair = np.empty(len(ks), dtype=np.intp)
+    pair[by_key] = np.cumsum(new) - 1
+    del new
     # pair p covers the edges covers[cover_at[p] : cover_at[p + 1]], edge k
     # is covered by the pairs pair[pairs_at[k] : pairs_at[k + 1]], and the
     # pairs of bucket order[r] are the ids from bucket_at[r] to bucket_at[r + 1]
-    covers = ks[np.argsort(pair, kind="stable")]
-    cover_at = np.concatenate(([0], np.cumsum(count)))
+    covers = ks[by_key]
+    del by_key
     pairs_at = np.searchsorted(ks, np.arange(len(t1) + 1)).tolist()
     bucket_at = np.searchsorted(keys, np.arange(len(order) + 1) * n2).tolist()
     count, rank, n_live = count.tolist(), rank.tolist(), n_live.tolist()
@@ -391,7 +415,10 @@ def phase1(
     picks: list = []  # the pair of each substitution
     gone: list = []  # the pruned edges, by position k
     gone_by: list = []  # the pair that pruned each of them
-    heaps = [None] * len(order)  # per bucket rank, its heap of (-cover size, pair)
+    # per bucket rank, its heap of entries pair - size * n_pairs, which
+    # order as the tuples (-cover size, pair) would, in one int each
+    n_pairs = len(keys)
+    heaps = [None] * len(order)
     best_left = [math.inf] * len(order)  # best cover size when its loop last stopped
     n_sub = max(1, math.ceil(math.log2(max(alpha, 2.0))))
     for i in range(1, n_sub + 1):
@@ -405,14 +432,14 @@ def phase1(
                 # ties.  Counts only fall, so a stored size is an upper
                 # bound: the top is the best pair once its size is current.
                 lo, hi = bucket_at[r], bucket_at[r + 1]
-                heap = heaps[r] = [(-c, p) for p, c in enumerate(count[lo:hi], lo) if c]
+                heap = heaps[r] = [p - c * n_pairs for p, c in enumerate(count[lo:hi], lo) if c]
                 heapq.heapify(heap)
-            while heap:
-                neg_size, best = heap[0]
+            while heap and n_live[r]:
+                neg_size, best = divmod(heap[0], n_pairs)
                 size = count[best]
                 if size != -neg_size:
                     if size:
-                        heapq.heapreplace(heap, (-size, best))
+                        heapq.heapreplace(heap, best - size * n_pairs)
                     else:
                         heapq.heappop(heap)
                     continue
@@ -432,7 +459,7 @@ def phase1(
                     leave(k)
                 gone += others
                 gone_by += [best] * len(others)
-            best_left[r] = -heap[0][0] if heap else 0
+            best_left[r] = -(heap[0] // n_pairs) if heap else 0
     report.substitutes_added = len(picks)
     report.type1_pruned = len(gone)
     old = t1[np.array(gone, dtype=np.intp)]  # the pruned edges' positions in E

@@ -15,11 +15,11 @@ def test_matrix_outputs_without_timestamps_and_configs_apart(tmp_path):
     assert [run.split("\n")[0] for run in runs] == list(cli_outputs.MATRIX)
     codes = [int(run.split("\n")[1].removeprefix("exit ")) for run in runs]
     # pruned rows may exceed 1 + eps (exit 1); every rejected input exits 2
-    assert codes == [0] * 14 + [1, 0, 1, 0, 0, 1, 0, 0, 0, 1] + [2] * 5
+    assert codes == [0] * 16 + [1, 0, 1, 0, 0, 1, 0, 0, 0, 1] + [2] * 5
     assert "wrote 40 points to c.txt" in runs[2]  # --copies 2 of 20 points
     reports = [p for p in out.glob("*.json") if not p.name.endswith(".config.json")]
     configs = sorted(out.glob("*.config.json"))
-    assert len(configs) == 16  # 7 instances, 2 verify, 5 compare, 2 sweep summaries
+    assert len(configs) == 17  # 8 instances, 2 verify, 5 compare, 2 sweep summaries
     for path in reports:
         doc = json.loads(path.read_text())
         assert not isinstance(doc, dict) or not {"config", "timestamp"} & set(doc)

@@ -6,6 +6,7 @@ import pytest
 from spanner_forge.geom import GeomError, PointSet, normalize
 from spanner_forge.graph import SpannerGraph, path_greedy, verify_stretch
 from spanner_forge.nets import (
+    NetHierarchy,
     build_cluster_graph,
     build_hierarchy,
     build_net_tree_spanner,
@@ -96,42 +97,90 @@ def test_net_tree_spanner_grid_edge_count():
     assert per_point <= X.n  # sanity: never beyond the complete graph
 
 
-def loop_net_tree_edges(H, eps):
-    """Net-tree edges from a set of per-level cross pairs, one norm per
-    pair: the reference for build_net_tree_spanner's mask."""
+def loop_hierarchy(X):
+    """The greedy nested nets, one min over the chosen centers per point:
+    the reference for build_hierarchy's covered vector."""
+    if X.n == 1:
+        return [np.array([0])]
+    D = X.distances()
+    levels = [np.arange(X.n, dtype=np.int64)]
+    level = 0
+    while len(levels[-1]) > 1:
+        level += 1
+        r = 2.0**level
+        chosen: list = []
+        for u in levels[-1].tolist():
+            if not chosen or float(D[u, chosen].min()) > r:
+                chosen.append(u)
+        levels.append(np.array(chosen, dtype=np.int64))
+    return levels
+
+
+def loop_net_tree_spanner(H, eps):
+    """Net-tree edge columns from one n x n mask that each level ORs its
+    members' block into, with one norm per edge: the reference for
+    build_net_tree_spanner's top-level test."""
     R = cross_radius_const(eps)
     D = H.points.distances()
-    pairs = set()
+    cross = np.zeros(D.shape, dtype=bool)
     for i, members in enumerate(H.levels):
-        if len(members) < 2:
-            continue
-        d = D[np.ix_(members, members)]
-        ii, jj = np.nonzero(np.triu(d <= R * H.radius(i), k=1))
-        for a, b in zip(members[ii], members[jj]):
-            u, v = (int(a), int(b)) if a < b else (int(b), int(a))
-            pairs.add((u, v))
+        block = np.ix_(members, members)
+        cross[block] |= D[block] <= R * H.radius(i)
+    u, v = np.nonzero(np.triu(cross, k=1))
     c = H.points.coords
-    return [(u, v, float(np.linalg.norm(c[u] - c[v]))) for u, v in sorted(pairs)]
+    w = np.array([np.linalg.norm(c[a] - c[b]) for a, b in zip(u, v)], dtype=np.float64)
+    return u.astype(np.int64), v.astype(np.int64), w
+
+
+def relabeled_uniform(n, d, seed):
+    """A workload-style uniform instance: generator seed 0, rows permuted."""
+    points = gen_random(n, d, "uniform", 0).points.coords
+    return normalize(points[np.random.default_rng(seed).permutation(n)])
+
+
+NET_INPUTS = {
+    **{f"uniform-d{d}-n{n}": (lambda n=n, d=d: random_points(n, d, 60 + d))
+       for n in (60, 250) for d in (1, 2, 3, 4)},
+    "uniform-d2-n129": lambda: random_points(129, 2, 7),
+    "relabeled-d2-n300": lambda: relabeled_uniform(300, 2, 3),
+    "relabeled-d3-n300": lambda: relabeled_uniform(300, 3, 3),
+    "clustered-d2-n300": lambda: normalize(gen_random(300, 2, "clustered", 7).points),
+    "grid8x8": lambda: int_grid(8, 2),
+    "n1": lambda: PointSet(np.zeros((1, 2))),
+    "n2": lambda: PointSet(np.array([[0.0, 0.0], [1.0, 0.0]])),
+}
 
 
 @pytest.mark.parametrize(
-    "make",
-    [lambda d=d, n=n: random_points(n, d, 60 + d) for n in (60, 250) for d in (1, 2, 3, 4)]
-    + [
-        lambda: normalize(gen_random(300, 2, "clustered", 7).points),
-        lambda: int_grid(8, 2),
-        lambda: PointSet(np.zeros((1, 2))),
-        lambda: PointSet(np.array([[0.0, 0.0], [1.0, 0.0]])),
-    ],
-    ids=[f"uniform-d{d}-n{n}" for n in (60, 250) for d in (1, 2, 3, 4)]
-    + ["clustered-d2-n300", "grid8x8", "n1", "n2"],
+    "make", list(NET_INPUTS.values()) + [lambda: PointSet(np.arange(40.0)[:, None])],
+    ids=list(NET_INPUTS) + ["line40"],
 )
+def test_hierarchy_matches_loop(make):
+    # the unit-spaced line and the grid put points at exactly r = 2^i
+    X = make()
+    got, want = build_hierarchy(X).levels, loop_hierarchy(X)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("make", list(NET_INPUTS.values()), ids=list(NET_INPUTS))
 def test_net_tree_spanner_matches_loop(make):
     H = build_hierarchy(make())
     for eps in (0.1, 0.5):
-        got = build_net_tree_spanner(H, eps).edges
-        assert got == loop_net_tree_edges(H, eps)
-        assert all(tuple(map(type, e)) == (int, int, float) for e in got)
+        G = build_net_tree_spanner(H, eps)
+        for got, want in zip((G.u, G.v, G.w), loop_net_tree_spanner(H, eps)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert all(tuple(map(type, e)) == (int, int, float) for e in G.edges)
+
+
+def test_net_tree_spanner_rejects_levels_that_are_not_nested():
+    X = PointSet(np.arange(4.0)[:, None])
+    levels = [np.arange(4), np.array([0, 2]), np.array([1])]
+    with pytest.raises(GeomError, match="level 2 is not a subset of level 1"):
+        build_net_tree_spanner(NetHierarchy(X, levels, 3.0), 0.5)
 
 
 def test_approximate_edge_direct_cross_edge():

@@ -747,6 +747,21 @@ def test_phase1_matches_reference_integer_thresholds(name):
     _assert_phase1_matches_reference(name, [{"alpha": 40.0}])
 
 
+def test_phase1_pops_each_pick_once_on_the_relaxed_arc(monkeypatch):
+    # a drained bucket is left at once: its remaining entries all have
+    # cover 0, and popping them one by one was most of the heap work
+    import spanner_forge.prune as prune
+
+    pops = []
+    heappop = prune.heapq.heappop
+    monkeypatch.setattr(prune.heapq, "heappop", lambda h: pops.append(1) or heappop(h))
+    eps = 0.025
+    X = normalize(gen_lightness_lb_x(eps, 2).points)
+    _, report = phase1(X, path_greedy(X, 1.0 + eps), PruneParams(eps=eps))
+    assert report.substitutes_added == 303
+    assert len(pops) == 303
+
+
 @pytest.mark.parametrize("name", sorted(PHASE1_INPUTS))
 def test_candidate_triples_match_reference(name, monkeypatch):
     # a cap of 5 pairs per pass puts every edge with four or more points

@@ -3,10 +3,10 @@
     python3 tools/cli_outputs.py DIR
 
 The commands cover all five subcommands, every builder, JSON and CSV
-reports, ``--x-list``, ``--copies`` and ``--gnuplot``, the verification
-of a dense net tree, and a few inputs the CLI rejects.  They run in
-``DIR``, which must be empty or absent, with the ``spanner_forge`` of the
-checkout this file belongs to.
+reports, ``--x-list``, ``--copies`` and ``--gnuplot``, a net tree of 300
+points at eps = 0.1, the verification of a dense net tree, and a few
+inputs the CLI rejects.  They run in ``DIR``, which must be empty or
+absent, with the ``spanner_forge`` of the checkout this file belongs to.
 ``DIR/runs.txt`` lists each command with its exit code and stdout.
 Every JSON file loses its ``timestamp``, and its ``config`` moves to
 ``<file>.config.json``, so that
@@ -41,11 +41,13 @@ MATRIX = (
     "generate --family lightness-lb-x --eps 0.02 --x 2.5 --out l.txt",
     "generate --family sparsity-lb-x --eps 2.5e-05 --x 2 --out sx.txt",
     "generate --family random --n 100 --d 3 --seed 3 --out b.txt",
+    "generate --family random --n 300 --seed 1 --out m.txt",
     "build --builder greedy --eps 0.5 --in r.txt --out r.greedy.edges",
     "build --builder net-tree --eps 0.5 --in r.txt --out r.net-tree.edges",
     "build --builder prune --eps 0.3 --kappa 20 --in r.txt --out r.prune.edges",
     "build --builder witness --eps 0.02 --in s.txt --out s.witness.edges",
     "build --builder net-tree --eps 0.5 --in b.txt --out b.net-tree.edges",
+    "build --builder net-tree --eps 0.1 --in m.txt --out m.net-tree.edges",
     "verify --in r.txt --edges r.greedy.edges --t 1.5 --out v.json",
     # a net tree holding more than half of all pairs: the screened verification
     "verify --in b.txt --edges b.net-tree.edges --t 1.5 --out bv.json",
