@@ -127,9 +127,6 @@ class PointSet:
     def __len__(self) -> int:
         return self.n
 
-    def dist(self, i: int, j: int) -> float:
-        return float(np.linalg.norm(self.coords[i] - self.coords[j]))
-
     def distances(self) -> np.ndarray:
         """n x n Euclidean distances, built in row blocks on first use.
 
@@ -201,9 +198,9 @@ def normalize(raw) -> PointSet:
 
 def _dot_lengths(c: np.ndarray, a, b) -> np.ndarray:
     """Lengths between the rows of ``c`` at the index arrays ``a`` and
-    ``b``, each equal to :meth:`PointSet.dist` bit for bit: vecdot runs
-    the dot kernel that ``np.linalg.norm`` uses on one vector, which
-    ``norm(axis=1)`` does not."""
+    ``b``, each equal bit for bit to ``np.linalg.norm(c[i] - c[j])`` of
+    its pair (i, j): vecdot runs the dot kernel that ``np.linalg.norm``
+    uses on one vector, which ``norm(axis=1)`` does not."""
     diff = c[a] - c[b]
     return np.sqrt(np.vecdot(diff, diff))
 

@@ -85,7 +85,7 @@ def build_net_tree_spanner(H: NetHierarchy, eps: float) -> SpannerGraph:
     an edge exactly when its distance is at most (4/eps + 32) * 2^L.
     That one test runs over the upper triangle in row blocks, so the
     edges come in (u, v) order; their weights have the bits of
-    :meth:`PointSet.dist`.
+    :func:`geom._dot_lengths`.
     """
     if not 0.0 < eps < 1.0:
         raise GeomError("eps must lie in (0, 1)")

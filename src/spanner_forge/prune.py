@@ -7,7 +7,8 @@ phase 2 re-adds region-bearing (type-2) edges only when their distance
 is not already approximately preserved, pairing each kept edge with a
 helper edge drawn from the two regions.  Iterating the phases with the
 documented parameter updates trades a bounded stretch increase for
-sparsity and weight reductions.
+sparsity and weight reductions.  The knobs are eps, delta, alpha and the
+one constant kappa (:class:`PruneParams`).
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ _PASS_PAIRS = 1 << 14
 BETA = 1.01
 # Sparsity update after a round: alpha -> max(ALPHA_LOG_CONST * ln(alpha), 4).
 ALPHA_LOG_CONST = 4.0
-# Small-eps gate of the theoretical constants:
-# eps * 2^(LOGSTAR_CONST * log*(d/eps)) < kappa^-5.
-LOGSTAR_CONST = 1.0
-# kappa when PruneParams leaves it unset, per constant mode.
-DEFAULT_KAPPA = {"practical": 10.0, "theoretical": 1.0e4}
 
 
 class PruneError(GraphError):
@@ -49,15 +45,6 @@ class PruneError(GraphError):
 
 class InternalInconsistency(PruneError):
     """A kept type-2 edge turned out to have an empty witness region."""
-
-
-def log_star(x: float) -> int:
-    """Iterated-logarithm count: applications of log2 until <= 1."""
-    cnt = 0
-    while x > 1.0:
-        x = math.log2(x)
-        cnt += 1
-    return cnt
 
 
 def _product_minus_one(terms) -> float:
@@ -78,13 +65,12 @@ class PruneParams:
 
     ``kappa`` is the one constant of the construction: phase 1 prunes at
     thresholds alpha/(2^i kappa) and phase 2 accepts detours up to
-    (1 + kappa^2 delta).  Left unset it resolves by ``constant_mode``:
-    the analysis constant 1e4 in "theoretical" mode, to which the proven
-    stretch/size guarantees attach, and 10 in "practical" mode, which
-    makes the pruning observable on small instances.  The update
-    constant :data:`ALPHA_LOG_CONST`, the gate constant
-    :data:`LOGSTAR_CONST` and the bucket ratio :data:`BETA` are fixed.
-    Every value must be finite; ``alpha`` must be positive.
+    (1 + kappa^2 delta).  The analysis constant, to which the proven
+    stretch/size guarantees attach, is kappa = 1e4; the default 10 makes
+    the pruning observable on small instances.  The update constant
+    :data:`ALPHA_LOG_CONST` and the bucket ratio :data:`BETA` are fixed.
+    Every value must be finite; ``alpha`` must be positive and ``kappa``
+    at least 2.
 
     The number of rounds is ``greedy_prune``'s ``k``.  The keyword
     ``iterations`` is still accepted so that existing callers keep
@@ -94,8 +80,7 @@ class PruneParams:
     eps: float
     delta: float | None = None  # defaults to eps
     alpha: float | None = None  # defaults to eps^(-2 d) when the dimension is known
-    kappa: float | None = None  # defaults to DEFAULT_KAPPA[constant_mode]
-    constant_mode: str = "practical"  # "practical" | "theoretical"
+    kappa: float = 10.0
     iterations: InitVar[int | None] = None
 
     def __post_init__(self, iterations):
@@ -105,10 +90,6 @@ class PruneParams:
                 DeprecationWarning,
                 stacklevel=3,
             )
-        if self.constant_mode not in DEFAULT_KAPPA:
-            raise PruneError(f"unknown constant mode {self.constant_mode!r}")
-        if self.kappa is None:
-            self.kappa = DEFAULT_KAPPA[self.constant_mode]
         for name in ("eps", "delta", "alpha", "kappa"):
             val = getattr(self, name)
             if val is not None and not math.isfinite(val):
@@ -130,20 +111,6 @@ class PruneParams:
         if self.alpha is not None:
             return self.alpha
         return float(self.eps) ** (-2 * dim)
-
-    def check_parameter_gate(self, dim: int) -> bool:
-        """Sanity gate for theoretical constants; warns when violated."""
-        if self.constant_mode != "theoretical":
-            return True
-        lhs = self.eps * 2.0 ** (LOGSTAR_CONST * log_star(dim / self.eps))
-        ok = lhs < self.kappa ** (-5.0)
-        if not ok:
-            warnings.warn(
-                f"eps={self.eps} fails the small-eps gate for kappa={self.kappa}; "
-                "theoretical guarantees do not apply at this scale",
-                stacklevel=2,
-            )
-        return ok
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -346,7 +313,7 @@ def phase1(
     picks and the edges they prune: the report's counts, the detours
     behind ``measured_delta`` and the output graph come from array passes
     after it, the weights of new pairs and the detours with the bits of
-    :meth:`PointSet.dist`.  Each pair of a bucket gets an
+    :func:`geom._dot_lengths`.  Each pair of a bucket gets an
     id, in (bucket, x, y) order, and an exact count of the live edges it
     covers.  A count drops when one of its edges leaves ``live``, pruned
     or protected as an old edge that coincides with a new pair, and
@@ -505,8 +472,8 @@ def _pair_codes(pairs, n: int) -> np.ndarray:
 def _helper(X: PointSet, u: int, v: int, eps: float):
     """The helper edge (a, b, weight) of a kept type-2 edge (u, v): the
     longest pair between its waist regions, the smallest on ties.  The
-    regions have :func:`region_codes`' bits, the weight
-    :meth:`PointSet.dist`'s."""
+    regions have :func:`region_codes`' bits, and the weight comes from
+    :func:`geom._dot_lengths`."""
     c, dist = X.coords, X.distances()
     _, in_a, in_b = _ellipse_bands(c[[u]], c[[v]], c, eps, dist[[u]] + dist[[v]])
     a_pts, b_pts = np.flatnonzero(in_a), np.flatnonzero(in_b)
@@ -641,7 +608,6 @@ def greedy_prune(
         raise PruneError("params.eps disagrees with eps argument")
     if params.alpha is None:
         params = replace(params, alpha=params.alpha_value(X.dim))
-    params.check_parameter_gate(X.dim)
     E = seed_spanner if seed_spanner is not None else path_greedy(X, 1.0 + eps)
     reports: list = []
     for it in range(1, k + 1):

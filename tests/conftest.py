@@ -33,10 +33,16 @@ def int_grid(side, d):
     return PointSet(np.array(list(itertools.product(range(side), repeat=d)), dtype=float))
 
 
+def point_dist(X, i, j) -> float:
+    """Euclidean distance between points i and j of X, one ``norm`` call:
+    the reference for the bits of ``geom._dot_lengths``."""
+    return float(np.linalg.norm(X.coords[i] - X.coords[j]))
+
+
 def validate_weights(G, X):
     """Every edge weight of G equals the Euclidean length of its pair."""
     for u, v, w in G.edges:
-        d = float(np.linalg.norm(X.coords[u] - X.coords[v]))
+        d = point_dist(X, u, v)
         assert abs(w - d) <= GEOM_RTOL * max(1.0, d), f"edge ({u},{v}) weight {w} != distance {d}"
 
 

@@ -45,6 +45,7 @@ from conftest import (
     check_invariants,
     lemma_sequence,
     low_angle_weight,
+    point_dist,
     random_points,
     reconciles,
     shortest_dist,
@@ -226,7 +227,7 @@ def test_criterion5_prune_validity():
     for name, X, eps in _criterion5_cases():
         seed = path_greedy(X, 1 + eps)
         for k in (1, 2):
-            params = PruneParams(eps=eps, constant_mode="practical")
+            params = PruneParams(eps=eps)
             out, reports = greedy_prune(X, eps, k, params=params, seed_spanner=seed)
             ms, _ = verify_stretch(out, X)
             bound = 1 + (params.kappa + 1) ** (2 * k) * eps
@@ -241,7 +242,7 @@ def test_criterion6_prune_effectiveness_documented(tmp_path):
     inst = gen_motivating(eps)
     X = normalize(inst.points)
     seed = path_greedy(X, 1 + eps)
-    params = PruneParams(eps=eps, constant_mode="practical")
+    params = PruneParams(eps=eps)
     out, reports = greedy_prune(X, eps, 1, params=params, seed_spanner=seed)
     ms, _ = verify_stretch(out, X)
     ratio = len(out.edges) / len(seed.edges)
@@ -374,7 +375,7 @@ def test_criterion8_net_structures():
         if u == v:
             continue
         a, b, _ = approximate_edge(HZ, GZ, u, v)
-        d = Z.dist(u, v)
+        d = point_dist(Z, u, v)
         ok &= np.linalg.norm(Z.coords[a] - Z.coords[u]) <= eps * d + 1e-12
         ok &= np.linalg.norm(Z.coords[b] - Z.coords[v]) <= eps * d + 1e-12
         count += 1
@@ -394,7 +395,7 @@ def test_criterion9_cluster_oracle_sandwich():
         S = path_greedy(X, 1 + eps)
         rng = np.random.default_rng(4100 + rep)
         sample = [
-            X.dist(int(a), int(b))
+            point_dist(X, int(a), int(b))
             for a, b in rng.integers(0, X.n, (80, 2))
             if a != b
         ]
@@ -412,7 +413,7 @@ def test_criterion9_cluster_oracle_sandwich():
             u, v = (int(z) for z in rng.integers(0, X.n, 2))
             if u == v:
                 continue
-            d_eu = X.dist(u, v)
+            d_eu = point_dist(X, u, v)
             if not scale <= d_eu < 2 * scale:
                 continue
             exact = shortest_dist(GB, u, v)

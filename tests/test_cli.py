@@ -218,21 +218,20 @@ def test_malformed_input_files_exit_2_with_line(tmp_path, capsys, points, edges,
 
 def test_reports_record_resolved_prune_params(tmp_path):
     cfg = tmp_path / "prune.cfg"
-    cfg.write_text("constant_mode = theoretical\n")
+    cfg.write_text("kappa = 10000\n")
     inst = str(tmp_path / "r.txt")
     main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", inst])
     rep = tmp_path / "cmp.json"
     main(["compare", "--in", inst, "--eps", "0.1", "--builders", "greedy,prune",
           "--config", str(cfg), "--out", str(rep)])
     assert json.loads(rep.read_text())["config"]["prune"] == {
-        "delta": None, "alpha": None, "kappa": 1e4, "constant_mode": "theoretical",
-        "config": str(cfg),
+        "delta": None, "alpha": None, "kappa": 1e4, "config": str(cfg),
     }
     summary = tmp_path / "sweep.json"
     main(["sweep", "--family", "random", "--n", "30", "--eps-list", "0.3,0.2",
           "--builders", "greedy,prune", "--kappa", "20", "--summary-out", str(summary)])
     assert json.loads(summary.read_text())["config"]["prune"] == {
-        "delta": None, "alpha": None, "kappa": 20.0, "constant_mode": "practical",
+        "delta": None, "alpha": None, "kappa": 20.0,
     }
     # without a prune builder a report records only the flags given
     main(["compare", "--in", inst, "--eps", "0.1", "--builders", "greedy",
@@ -271,7 +270,7 @@ def test_report_configs_pinned(tmp_path, monkeypatch):
     assert config("c.json") == {
         "command": "compare", "instance": "r.txt", "eps": 0.3, "x": None, "k": 1,
         "builders": ["greedy", "prune"], "witness": None, "out": "c.json",
-        "prune": {"delta": None, "alpha": None, "kappa": 20.0, "constant_mode": "practical"},
+        "prune": {"delta": None, "alpha": None, "kappa": 20.0},
     }
     assert config("s.json") == {
         "command": "sweep", "family": "random", "eps_list": [0.3, 0.2], "x_list": None,
@@ -287,31 +286,16 @@ def test_report_configs_pinned(tmp_path, monkeypatch):
 
 def test_prune_flags_override_config_file(tmp_path):
     cfg = tmp_path / "prune.cfg"
-    cfg.write_text("eps = 0.05\nconstant_mode = theoretical\nkappa = 20\n")
+    cfg.write_text("eps = 0.05\ndelta = 0.2\nkappa = 20\n")
     args = _build_parser().parse_args(
         ["compare", "--in", "inst.txt", "--eps", "0.1", "--k", "2",
-         "--builders", "prune", "--config", str(cfg), "--constant-mode", "practical"]
+         "--builders", "prune", "--config", str(cfg), "--kappa", "30"]
     )
     p = _prune_params_from_args(args, args.eps)
-    assert p.constant_mode == "practical"  # flag beats file
+    assert p.kappa == 30.0  # flag beats file
     assert p.eps == 0.1  # --eps beats file
-    assert p.kappa == 20.0  # file-only keys survive
-    assert p.delta is None  # untouched default
-
-
-def test_prune_mode_flag_resolves_default_kappa(tmp_path):
-    # the file's mode must not fix kappa before the flag's mode applies
-    cfg = tmp_path / "prune.cfg"
-    cfg.write_text("constant_mode = theoretical\n")
-    base = ["compare", "--in", "inst.txt", "--eps", "0.1", "--builders", "prune",
-            "--config", str(cfg)]
-    ap = _build_parser()
-    assert _prune_params_from_args(ap.parse_args(base), 0.1).kappa == 1e4
-    flagged = ap.parse_args(base + ["--constant-mode", "practical"])
-    assert _prune_params_from_args(flagged, 0.1).kappa == 10.0
-    # the report records typed flag values
-    assert flagged.constant_mode == "practical"
-    assert ap.parse_args(base + ["--kappa", "20"]).kappa == 20.0
+    assert p.delta == 0.2  # file-only keys survive
+    assert p.alpha is None  # untouched default
 
 
 def test_prune_flags_are_params_fields():
@@ -323,7 +307,9 @@ def test_prune_flags_are_params_fields():
     assert set(vars(args)) - other == {f.name for f in fields(PruneParams)} - {"eps"}
 
 
-@pytest.mark.parametrize("flag", ["--kappa-eff", "--alpha-log-const", "--logstar-const"])
+@pytest.mark.parametrize(
+    "flag", ["--kappa-eff", "--alpha-log-const", "--logstar-const", "--constant-mode"]
+)
 def test_removed_prune_flags_exit_2(flag):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--in", "inst.txt", "--eps", "0.1", "--builders", "prune",
@@ -331,8 +317,16 @@ def test_removed_prune_flags_exit_2(flag):
     assert exc.value.code == 2
 
 
+def test_kappa_none_exits_2():
+    # "none" clears delta or alpha, but kappa is always a number
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--in", "inst.txt", "--eps", "0.1", "--builders", "prune",
+              "--kappa", "none"])
+    assert exc.value.code == 2
+
+
 def test_kappa_flag_reaches_pipeline(tmp_path, monkeypatch):
-    # practical mode used to replace an explicit kappa by its own 10
+    # an explicit kappa reaches the delta chain unchanged
     seen = []
 
     def spy(kappa, delta):
@@ -348,7 +342,7 @@ def test_kappa_flag_reaches_pipeline(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--alpha", "0"], ["--delta", "nan"], ["--constant-mode", "bogus"]]
+    "flags", [["--alpha", "0"], ["--delta", "nan"], ["--kappa", "1"]]
 )
 def test_bad_prune_values_exit_2_before_building(tmp_path, monkeypatch, flags):
     def no_seed(*args, **kwargs):

@@ -39,6 +39,7 @@ from conftest import (
     bounded_dijkstra,
     coo_symmetric_csr,
     int_grid,
+    point_dist,
     prim_weight_rows,
     random_points,
     shortest_dist,
@@ -355,7 +356,7 @@ def test_verify_stretch_matches_dijkstra_oracle():
     G = path_greedy(X, 1.4)
     ms, wit = verify_stretch(G, X)
     u, v = wit
-    assert shortest_dist(G, u, v) / X.dist(u, v) == pytest.approx(ms, rel=1e-12)
+    assert shortest_dist(G, u, v) / point_dist(X, u, v) == pytest.approx(ms, rel=1e-12)
     d = floyd_warshall(X.n, G.edges)
     eu = np.linalg.norm(X.coords[:, None, :] - X.coords[None, :, :], axis=2)
     iu, iv = np.triu_indices(X.n, 1)
@@ -388,7 +389,7 @@ def test_emst_square_vs_enumeration():
     X = square_corners()
     # enumerate all 16 spanning trees of K4 (Cayley: 4^2)
     pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    w = {p: X.dist(*p) for p in pairs}
+    w = {p: point_dist(X, *p) for p in pairs}
     best = math.inf
     for tree in itertools.combinations(pairs, 3):
         parent = list(range(4))
@@ -421,7 +422,7 @@ def test_emst_not_above_random_spanning_trees():
         wsum = 0.0
         for i in range(1, X.n):
             j = perm[int(rng.integers(0, i))]
-            wsum += X.dist(int(perm[i]), int(j))
+            wsum += point_dist(X, int(perm[i]), int(j))
         assert base <= wsum + 1e-9
 
 
@@ -445,7 +446,7 @@ def test_metrics_mst_and_complete():
     X = random_points(12, 2, 13)
     # MST edges via dense search against emst_weight
     pairs = [(u, v) for u in range(X.n) for v in range(u + 1, X.n)]
-    sorted_pairs = sorted(pairs, key=lambda p: X.dist(*p))
+    sorted_pairs = sorted(pairs, key=lambda p: point_dist(X, *p))
     parent = list(range(X.n))
 
     def find(x):
@@ -662,8 +663,10 @@ def test_brute_force_square_vs_full_enumeration():
     best = None
     for r in range(7):
         for sub in itertools.combinations(pairs, r):
-            d = floyd_warshall(4, [(u, v, X.dist(u, v)) for u, v in sub])
-            eu = np.array([[X.dist(u, v) if u != v else 1.0 for v in range(4)] for u in range(4)])
+            d = floyd_warshall(4, [(u, v, point_dist(X, u, v)) for u, v in sub])
+            eu = np.array(
+                [[point_dist(X, u, v) if u != v else 1.0 for v in range(4)] for u in range(4)]
+            )
             if np.all(d <= (1 + eps) * eu * (1 + 1e-12)):
                 best = set(sub)
                 break
@@ -681,12 +684,12 @@ def test_brute_force_vs_full_enumeration_random():
     for u in range(5):
         for v in range(5):
             if u != v:
-                eu[u, v] = X.dist(u, v)
+                eu[u, v] = point_dist(X, u, v)
     sizes = []
     for r in range(len(pairs) + 1):
         found = False
         for sub in itertools.combinations(pairs, r):
-            d = floyd_warshall(5, [(u, v, X.dist(u, v)) for u, v in sub])
+            d = floyd_warshall(5, [(u, v, point_dist(X, u, v)) for u, v in sub])
             if np.all(d <= (1 + eps) * eu * (1 + 1e-12)):
                 found = True
                 break

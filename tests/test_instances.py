@@ -17,7 +17,7 @@ from spanner_forge.instances import (
     tile_copies,
 )
 
-from conftest import shortest_dist
+from conftest import point_dist, shortest_dist
 
 
 def witness_graph(inst):
@@ -192,7 +192,7 @@ def test_motivating_witness_cross_pairs_good_within_columns_bad():
     for i in inst.meta["x_indices"][:3]:
         for j in inst.meta["y_indices"][:3]:
             d = shortest_dist(W, i, j)
-            assert d <= (1 + eps) * X.dist(i, j)
+            assert d <= (1 + eps) * point_dist(X, i, j)
 
 
 def test_random_instances():

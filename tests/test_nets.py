@@ -21,6 +21,7 @@ from conftest import (
     check_invariants,
     int_grid,
     net_parent,
+    point_dist,
     random_points,
     shortest_dist,
 )
@@ -203,7 +204,7 @@ def test_approximate_edge_displacement_bound():
         if u == v:
             continue
         a, b, lvl = approximate_edge(H, G, u, v)
-        d = X.dist(u, v)
+        d = point_dist(X, u, v)
         assert np.linalg.norm(X.coords[a] - X.coords[u]) <= eps * d + 1e-12
         assert np.linalg.norm(X.coords[b] - X.coords[v]) <= eps * d + 1e-12
         checked += 1
@@ -292,7 +293,7 @@ def test_cluster_dist_sandwich():
     S = path_greedy(X, 1.0 + eps)
     rng = np.random.default_rng(8)
     med = np.median(
-        [X.dist(int(a), int(b)) for a, b in rng.integers(0, X.n, (60, 2)) if a != b]
+        [point_dist(X, int(a), int(b)) for a, b in rng.integers(0, X.n, (60, 2)) if a != b]
     )
     i = int(math.floor(math.log2(med)))
     below = [(u, v, w) for u, v, w in S.edges if w < 2.0**i]
@@ -306,7 +307,7 @@ def test_cluster_dist_sandwich():
         u, v = (int(z) for z in rng.integers(0, X.n, 2))
         if u == v:
             continue
-        d_eu = X.dist(u, v)
+        d_eu = point_dist(X, u, v)
         if not 2.0**i <= d_eu < 2.0 ** (i + 1):
             continue
         exact = shortest_dist(GB, u, v)

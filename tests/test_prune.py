@@ -30,13 +30,12 @@ from spanner_forge.prune import (
     classify_edges,
     delta_growth,
     greedy_prune,
-    log_star,
     phase1,
     phase2,
     update_params,
 )
 
-from conftest import int_grid, random_points, reconciles, shortest_dist
+from conftest import int_grid, point_dist, random_points, reconciles, shortest_dist
 
 
 def motivating_normalized(eps=0.01, mid_x=(3.0, 7.0)):
@@ -59,13 +58,6 @@ def biclique_seed(X, meta, middles=True):
     return SpannerGraph.from_pairs(X, sorted(pairs))
 
 
-def test_log_star():
-    assert log_star(1.0) == 0
-    assert log_star(2.0) == 1
-    assert log_star(16.0) == 3
-    assert log_star(65536.0) == 4
-
-
 def test_params_validation():
     with pytest.raises(PruneError):
         PruneParams(eps=0.1, delta=0.05)
@@ -73,13 +65,8 @@ def test_params_validation():
         PruneParams(eps=0.1, kappa=1.0)
     p = PruneParams(eps=0.1)
     assert p.kappa == 10.0
-    assert PruneParams(eps=0.1, constant_mode="theoretical").kappa == 1e4
-    # an explicit kappa is used in either mode
     assert PruneParams(eps=0.1, kappa=20).kappa == 20.0
-    assert PruneParams(eps=0.1, kappa=20, constant_mode="theoretical").kappa == 20.0
     assert p.alpha_value(2) == pytest.approx(0.1**-4)
-    with pytest.raises(PruneError, match="constant mode"):
-        PruneParams(eps=0.1, constant_mode="bogus")
 
 
 @pytest.mark.parametrize(
@@ -105,24 +92,12 @@ def test_params_reject_non_finite_and_non_positive(kw):
         PruneParams(**{"eps": 0.1, **kw})
 
 
-def test_params_theoretical_gate_warns():
-    p = PruneParams(eps=0.1, constant_mode="theoretical")
-    with pytest.warns(UserWarning):
-        assert not p.check_parameter_gate(2)
-    tiny = PruneParams(eps=1e-22, constant_mode="theoretical")
-    assert tiny.check_parameter_gate(2)
-
-
 def test_params_config_file(tmp_path):
     path = tmp_path / "prune.cfg"
-    path.write_text(
-        "eps = 0.05\nkappa = 5000\nconstant_mode = theoretical\n"
-        "# comment\nalpha = none\n"
-    )
+    path.write_text("eps = 0.05\nkappa = 5000\n# comment\nalpha = none\n")
     p = PruneParams.from_config_file(path)
     assert p.eps == 0.05
     assert p.kappa == 5000
-    assert p.constant_mode == "theoretical"
     assert p.alpha is None
     path.write_text("# comment\neps 0.05\n")
     with pytest.raises(PruneError, match="line 2: expected key=value"):
@@ -134,7 +109,6 @@ def test_params_config_file_round_trip(tmp_path):
         eps=0.05,
         delta=0.07,
         kappa=5000.0,
-        constant_mode="theoretical",
     )
     path = tmp_path / "prune.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in p.to_dict().items()))
@@ -164,7 +138,8 @@ def test_params_iterations_keyword_is_ignored():
 
 
 @pytest.mark.parametrize(
-    "key", ["iterations", "hop_cap", "kappa_eff", "alpha_log_const", "logstar_const"]
+    "key",
+    ["iterations", "hop_cap", "kappa_eff", "alpha_log_const", "logstar_const", "constant_mode"],
 )
 def test_params_config_file_rejects_removed_keys(tmp_path, key):
     path = tmp_path / "prune.cfg"
@@ -266,8 +241,8 @@ def test_phase2_keep_drop_and_helper(dist_backend):
     assert helper in E2.edge_set()
     assert reconciles(rep)
     # helper geometry: both endpoints between the waist bands keeps it long
-    w_len = X.dist(zi, wi)
-    first_len = X.dist(xs[0], ys[0])
+    w_len = point_dist(X, zi, wi)
+    first_len = point_dist(X, xs[0], ys[0])
     assert w_len >= 0.2 * first_len
 
 
@@ -479,14 +454,14 @@ def test_phase1_candidate_map_matches_brute_force():
     c = X.coords
     for x in range(X.n):
         for y in range(x + 1, X.n):
-            dxy = X.dist(x, y)
+            dxy = point_dist(X, x, y)
             expected = set()
             if dxy >= min_len * (1 - 1e-12):
                 for (s, t) in live:
                     w = weights[(s, t)]
                     budget = (1 + eps) * w * (1 + 1e-12)
-                    a = X.dist(s, x) + dxy + X.dist(y, t)
-                    b = X.dist(s, y) + dxy + X.dist(x, t)
+                    a = point_dist(X, s, x) + dxy + point_dist(X, y, t)
+                    b = point_dist(X, s, y) + dxy + point_dist(X, x, t)
                     if min(a, b) <= budget:
                         expected.add((s, t))
             got = cand.get((x, y), set())
@@ -668,7 +643,7 @@ PHASE1_INPUTS = {
     "uniform3": (lambda: normalize(gen_random(120, 3, "uniform", 1).points), 0.1),
     "clustered2": (lambda: normalize(gen_random(200, 2, "clustered", 1).points), 0.1),
     # covers shrink under the best pair here: taking a stale heap size
-    # for the current one picks another pair in theoretical mode
+    # for the current one picks another pair at kappa = 1e4
     "clustered2-small": (lambda: normalize(gen_random(80, 2, "clustered", 0).points), 0.3),
     "grid2": (lambda: int_grid(15, 2), 0.1),
     "grid3": (lambda: int_grid(6, 3), 0.2),
@@ -677,6 +652,9 @@ PHASE1_INPUTS = {
     "rectangle": (lambda: normalize(gen_sparsity_lb_x(1e-3, 2).points), 1e-3),
     "arc": (lambda: normalize(gen_lightness_lb_x(0.025, 2).points), 0.025),
 }
+
+# The default kappa and the analysis constant.
+KAPPAS = [{"kappa": 10.0}, {"kappa": 1e4}]
 
 
 def _assert_phase1_matches_reference(name, param_sets, relabel=None, by_pair=False):
@@ -704,8 +682,7 @@ def _assert_phase1_matches_reference(name, param_sets, relabel=None, by_pair=Fal
 
 @pytest.mark.parametrize("name", sorted(PHASE1_INPUTS))
 def test_phase1_matches_reference(name):
-    modes = [{"constant_mode": "practical"}, {"constant_mode": "theoretical"}]
-    _assert_phase1_matches_reference(name, modes)
+    _assert_phase1_matches_reference(name, KAPPAS)
 
 
 @pytest.mark.parametrize("relabel", [1, 2, 3])
@@ -713,16 +690,14 @@ def test_phase1_matches_reference(name):
 def test_phase1_matches_reference_relabeled(name, relabel):
     # ties between equal covers go to the smallest pair, so they follow
     # the point labels
-    modes = [{"constant_mode": "practical"}, {"constant_mode": "theoretical"}]
-    _assert_phase1_matches_reference(name, modes, relabel)
+    _assert_phase1_matches_reference(name, KAPPAS, relabel)
 
 
 @pytest.mark.parametrize("name", ["arc", "clustered2-small"])
 def test_phase1_matches_reference_seed_by_pair(name):
     # report.levels lists the buckets in the order of their first edge,
     # which a seed sorted by weight cannot tell from bucket order
-    modes = [{"constant_mode": "practical"}, {"constant_mode": "theoretical"}]
-    _assert_phase1_matches_reference(name, modes, by_pair=True)
+    _assert_phase1_matches_reference(name, KAPPAS, by_pair=True)
 
 
 @pytest.mark.parametrize("name", ["arc", "clustered2-small", "uniform3"])
@@ -731,8 +706,8 @@ def test_phase1_repeat_calls_agree(name):
     make, eps = PHASE1_INPUTS[name]
     X = make()
     E = path_greedy(X, 1.0 + eps)
-    for mode in ("practical", "theoretical"):
-        params = PruneParams(eps=eps, constant_mode=mode)
+    for kwargs in KAPPAS:
+        params = PruneParams(eps=eps, **kwargs)
         first, first_rep = phase1(X, E, params)
         again, again_rep = phase1(X, E, params)
         assert again.edges == first.edges
@@ -799,7 +774,7 @@ def test_candidate_triples_match_reference(name, monkeypatch):
 
 # Reference phase 2 as it was before the edge columns: tuple dicts for
 # the kept edges, a SpannerGraph rebuilt from their rows for every query,
-# and the helper from region_codes and PointSet.dist.
+# and the helper from region_codes and point_dist.
 def _reference_helper(X, u, v, eps):
     codes = region_codes(X.coords[u], X.coords[v], X.coords, eps)
     a_pts = np.nonzero(codes == Region.IN_A.value)[0]
@@ -810,7 +785,7 @@ def _reference_helper(X, u, v, eps):
         )
     pd = X.distances()[np.ix_(a_pts, b_pts)]
     best = pd.max()
-    if best < 0.2 * X.dist(u, v):
+    if best < 0.2 * point_dist(X, u, v):
         raise InternalInconsistency(f"short helper candidate for edge ({u},{v})")
     cands = []
     ii, jj = np.nonzero(pd >= best * (1.0 - 1e-12))
@@ -873,7 +848,7 @@ def _reference_phase2(X, E1, params, classification, dist_backend="exact"):
         keep(u, v, w)
         hk = _reference_helper(X, u, v, eps)
         if hk not in kept_edges:
-            keep(*hk, X.dist(*hk))
+            keep(*hk, point_dist(X, *hk))
             report.helpers_added += 1
             added_pairs.add(hk)
     return kept_graph({"new_pairs": sorted(added_pairs)}), report

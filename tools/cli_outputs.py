@@ -53,7 +53,7 @@ MATRIX = (
     "verify --in b.txt --edges b.net-tree.edges --t 1.5 --out bv.json",
     "verify --in r.txt --edges r.greedy.edges --t 1.0000001",
     "compare --in s.txt --eps 0.02 --builders greedy,witness,prune,net-tree --out s.cmp.json",
-    "compare --in k.txt --eps 0.3 --builders greedy,prune --constant-mode theoretical"
+    "compare --in k.txt --eps 0.3 --builders greedy,prune --kappa 10000"
     " --out k.cmp.json",
     "compare --in c.txt --eps 0.3 --x 2 --builders greedy,net-tree --out c.cmp.csv",
     "compare --in l.txt --eps 0.02 --x 2.5 --builders witness,greedy --out l.cmp.json",
