@@ -240,8 +240,7 @@ def _loglog_slope(inv_eps, values) -> float:
 def _cmd_generate(args) -> int:
     inst: GeneratedInstance = _FAMILIES[args.family](args)
     args.x = inst.meta.get("x")  # the config records the x the family used
-    if args.copies > 1:
-        inst = tile_copies(inst, args.copies)
+    inst = tile_copies(inst, args.copies)
     write_pointset(inst.points, args.out)
     if inst.witness_pairs is not None:
         W = SpannerGraph.from_pairs(inst.points, inst.witness_pairs)

@@ -8,7 +8,8 @@ block of sources that holds at least half of all pairs, it first bounds
 each source's ratios by direct edges and two-hop paths, on a dense n x n
 weight matrix, and searches only the sources whose bound can still win.
 The oracle runs a dense Floyd-Warshall (:func:`_apsp_small`) on its at
-most ten points.
+most ten points.  scipy is imported inside the functions that build or
+search a CSR, so that importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .geom import _ROW_BLOCK, PointSet, _dot_lengths, _lengths
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 # Greedy skip guard: a pair is skipped when the current graph distance is
 # within this relative slack of t*|uv|.  Keeps knife-edge equalities (which
@@ -89,6 +91,8 @@ def symmetric_csr(n: int, u, v, w) -> csr_matrix:
     COO-to-CSR conversion.  Searches run on it as a directed graph: each
     edge is then relaxed once from each side, with no transposed copy.
     """
+    from scipy.sparse import csr_matrix
+
     rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
     order = np.argsort(rows * n + cols, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -164,11 +168,20 @@ class SpannerGraph:
         return self._csr
 
     def is_connected(self) -> bool:
+        from scipy.sparse.csgraph import connected_components
+
         # scipy counts 0 components when n = 0
         return self.n <= 1 or connected_components(self.as_csr(), directed=False)[0] == 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpannerGraph(n={self.n}, m={len(self.u)})"
+
+
+def _csgraph_dijkstra(csr, **kwargs):
+    """scipy's csgraph Dijkstra, the one search :func:`verify_stretch` runs."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(csr, **kwargs)
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 A geometric net hierarchy, the cross-edge spanner it induces, and the
 bounded-hop cluster-graph distance oracle behind the "clusters" phase-2
-backend of the pruning pipeline.
+backend of the pruning pipeline.  scipy is imported inside
+:func:`build_cluster_graph`, its only user here.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .geom import _ROW_BLOCK, GEOM_RTOL, GeomError, PointSet, _dot_lengths
 from .graph import GraphError, SpannerGraph, symmetric_csr
@@ -170,6 +170,8 @@ def build_cluster_graph(
     the quotient, whose source distances undercut the uncontracted ones
     by at most 2^i * eps^2 along any simple path.
     """
+    from scipy.sparse.csgraph import connected_components, dijkstra
+
     scale = 2.0**i
     n, eu, ev, ew = G_below.n, G_below.u, G_below.v, G_below.w
     too_long = np.flatnonzero(ew >= scale * (1.0 + GEOM_RTOL))

@@ -8,7 +8,8 @@ is not already approximately preserved, pairing each kept edge with a
 helper edge drawn from the two regions.  Iterating the phases with the
 documented parameter updates trades a bounded stretch increase for
 sparsity and weight reductions.  The knobs are eps, delta, alpha and the
-one constant kappa (:class:`PruneParams`).
+one constant kappa (:class:`PruneParams`).  scipy is imported inside
+:func:`phase2`, whose exact backend runs its Dijkstra.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from itertools import compress
 from dataclasses import InitVar, dataclass, field, fields, replace
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra
 
 from .geom import PointSet, _dot_lengths, _ellipse_bands
 from .graph import GraphError, SpannerGraph, path_greedy, symmetric_csr
@@ -142,7 +142,11 @@ class PruneParams:
                 key, val = (p.strip() for p in line.split("=", 1))
                 if key not in names:
                     raise PruneError(f"{path}: line {lineno}: unknown key {key!r}")
-                raw[key] = cls.convert(key, val)
+                try:
+                    raw[key] = cls.convert(key, val)
+                except ValueError as exc:
+                    msg = f"{path}: line {lineno}: bad value for {key}: {exc}"
+                    raise PruneError(msg) from None
         return cls(**{**raw, **overrides})
 
 
@@ -513,6 +517,8 @@ def phase2(
     and accepts a detour d when d + eps^2 2^i is within
     (1+eps)(1+kappa^2 delta) times the length.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     if dist_backend not in ("exact", "clusters"):
         raise PruneError(f"unknown distance backend {dist_backend!r}")
     exact = dist_backend == "exact"

@@ -1,7 +1,10 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -325,6 +328,21 @@ def test_kappa_none_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("line", ["alpha = abc", "kappa = none"])
+def test_config_file_bad_value_exits_2_naming_file_and_line(tmp_path, capsys, line):
+    cfg = tmp_path / "prune.cfg"
+    cfg.write_text(f"# pruning\n{line}\n")
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", inst])
+    capsys.readouterr()
+    assert main(["compare", "--in", inst, "--eps", "0.3", "--builders", "prune",
+                 "--config", str(cfg)]) == 2
+    key, value = (p.strip() for p in line.split("="))
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: line 2: bad value for {key}: "
+        f"could not convert string to float: '{value}'\n")
+
+
 def test_kappa_flag_reaches_pipeline(tmp_path, monkeypatch):
     # an explicit kappa reaches the delta chain unchanged
     seen = []
@@ -427,6 +445,15 @@ def test_generate_x_only_for_x_families(tmp_path):
     for extra, want in (([], 2.0), (["--x", "3"], 3.0)):
         assert main(argv + extra) == 0
         assert json.load(open(str(out) + ".meta.json"))["config"]["x"] == want
+
+
+@pytest.mark.parametrize("copies", ["0", "-1"])
+def test_generate_copies_below_one_exits_2_without_writing(tmp_path, capsys, copies):
+    out = tmp_path / "r.txt"
+    assert main(["generate", "--family", "random", "--n", "30", "--seed", "1",
+                 "--copies", copies, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -608,3 +635,36 @@ def test_greedy_built_once_per_instance_and_seeds_prune(tmp_path, monkeypatch, b
                       for name in ("greedy", "prune")}
         for name, got in by_builder.items():
             assert got == alone[command, name]
+
+
+# Run in a fresh interpreter, since this one has loaded scipy already:
+# generate and the builds that search no graph leave scipy unloaded, and
+# verify and compare load it.  argv[1] is the source directory.
+_STARTUP_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import spanner_forge, spanner_forge.cli as cli
+def scipy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+build = ["build", "--eps", "0.5", "--in", "r.txt", "--builder"]
+light = [cli.main(argv) for argv in (
+    ["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", "r.txt"],
+    build + ["greedy", "--out", "g.edges"],
+    build + ["net-tree", "--out", "t.edges"],
+    build + ["witness", "--witness", "g.edges", "--out", "w.edges"],
+)]
+before = scipy()
+heavy = [cli.main(argv) for argv in (
+    ["verify", "--in", "r.txt", "--edges", "g.edges", "--t", "1.5"],
+    ["compare", "--in", "r.txt", "--eps", "0.5", "--builders", "greedy,net-tree"],
+)]
+print(json.dumps({"light": light, "before": before, "heavy": heavy, "after": bool(scipy())}))
+"""
+
+
+def test_scipy_loads_only_for_commands_that_search_a_graph(tmp_path):
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_CHILD, str(src)], cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got == {"light": [0, 0, 0, 0], "before": [], "heavy": [0, 0], "after": True}

@@ -67,6 +67,7 @@ MATRIX = (
     " --builders greedy,net-tree,prune --kappa 20 --out swr.json",
     # rejected inputs
     "generate --family sparsity-lb --x 2 --out bad.txt",
+    "generate --family random --n 30 --seed 1 --copies 0 --out bad0.txt",
     "compare --in r.txt --eps 0.5 --builders greedy,witness --out bad.json",
     "compare --in r.txt --eps 0.5 --builders greedy,bogus --out bad.json",
     "sweep --family random --n 20 --eps-list 0.5 --out bad.csv",
