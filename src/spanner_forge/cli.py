@@ -438,11 +438,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # Stretch bounds, eps and x: refused before any work when NaN or +-inf;
-# x also when not positive, or when the family takes none.
+# x also when not positive, or when the family takes none.  --copies
+# below 1 too.
 _FINITE_FLAGS = ("t", "eps", "x", "eps_list", "x_list")
 
 
 def _check_values(args) -> None:
+    if getattr(args, "copies", 1) < 1:
+        raise ValueError(f"--copies must be at least 1, got {args.copies}")
     for name in _FINITE_FLAGS:
         value = getattr(args, name, None)
         values = [v for v in (value if isinstance(value, list) else [value]) if v is not None]

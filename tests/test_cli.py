@@ -448,11 +448,17 @@ def test_generate_x_only_for_x_families(tmp_path):
 
 
 @pytest.mark.parametrize("copies", ["0", "-1"])
-def test_generate_copies_below_one_exits_2_without_writing(tmp_path, capsys, copies):
+def test_generate_copies_below_one_exits_2_without_writing(tmp_path, monkeypatch, capsys,
+                                                          copies):
+    # refused before the instance is generated
+    def no_instance(*args, **kwargs):
+        raise AssertionError("instance generated before --copies was checked")
+
+    monkeypatch.setattr(cli, "gen_random", no_instance)
     out = tmp_path / "r.txt"
     assert main(["generate", "--family", "random", "--n", "30", "--seed", "1",
                  "--copies", copies, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: --copies must be at least 1, got {copies}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,13 +7,7 @@ cli_startup = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_startup)
 
 
-def test_generate_timed_once_without_scipy(capsys):
-    assert cli_startup.main(["--runs", "1", "--commands", "generate"]) == 0
-    table = capsys.readouterr().out.splitlines()
-    assert table[0] == "| command | median s (min-max), 1 runs | exit | scipy loaded |"
-    [row] = table[2:]
-    name, times, code, scipy = (cell.strip() for cell in row.strip("|").split("|"))
-    assert (name, code, scipy) == ("generate", "0", "no")
-    median, low, high = map(float, times.replace("(", " ").replace(")", " ")
-                            .replace("-", " ").split())
-    assert 0 < low == median == high
+def test_generate_timed_once_without_scipy(tmp_path):
+    [row] = cli_startup.measure(["generate"], 1, tmp_path)
+    assert (row["command"], row["exit"], row["scipy"]) == ("generate", [0], [False])
+    assert 0 < row["min_s"] == row["median_s"] == row["max_s"]

@@ -1,6 +1,6 @@
 """Time each CLI subcommand from a cold start, in fresh interpreters.
 
-    python3 tools/cli_startup.py [--runs N] [--commands NAME,...]
+    python3 tools/cli_startup.py [--runs N]
 
 Every run starts a new Python process that imports ``spanner_forge.cli``
 from the checkout this file belongs to, runs one command through
@@ -10,10 +10,9 @@ start-up included, so it is what a shell user waits for one command.
 The commands run in a temporary directory on a fixed instance (uniform
 random, n = 300, d = 2, generator seed 1, eps = 0.1).  Before any
 timed run, ``generate`` writes the instance and ``build-greedy`` the
-edge list that the other commands read, also as the witness, so any
-subset of ``COMMANDS`` can be timed.  The table gives, per command, the
-median and range of N runs, the exit codes and whether scipy was
-loaded.
+edge list that the other commands read, also as the witness.  The
+table gives, per command in ``COMMANDS``, the median and range of N
+runs, the exit codes and whether scipy was loaded.
 """
 
 from __future__ import annotations
@@ -84,25 +83,14 @@ def measure(names: list, runs: int, cwd: Path) -> list:
     return rows
 
 
-def _names(value: str) -> list:
-    names = value.split(",")
-    for name in names:
-        if name not in COMMANDS:
-            raise argparse.ArgumentTypeError(
-                f"unknown command {name!r} (choose from {', '.join(COMMANDS)})")
-    return names
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="Cold-start wall time of each CLI subcommand.")
     ap.add_argument("--runs", type=int, default=5, help="fresh-interpreter runs per command")
-    ap.add_argument("--commands", type=_names, default=list(COMMANDS),
-                    help="comma-separated names, timed in the order given")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
-        rows = measure(args.commands, args.runs, Path(tmp))
+        rows = measure(list(COMMANDS), args.runs, Path(tmp))
     print(f"| command | median s (min-max), {args.runs} runs | exit | scipy loaded |")
     print("|---|---|---|---|")
     for r in rows:
