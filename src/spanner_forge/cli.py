@@ -318,7 +318,7 @@ def _cmd_sweep(args) -> int:
         at = "" if x is None else f" at x={x:g}"
         print(f"log-log slope of greedy/witness {ratio_kind} ratio vs 1/eps{at}: {slope:.3f}")
         slopes.append({"x": x, "slope": slope})
-    if args.gnuplot and args.out:
+    if args.gnuplot:
         _write_gnuplot(args.gnuplot, args.out, ratio_kind, args.builders, args.x_list)
     _write_run_report(args, args.summary_out, slope=slopes, rows=rows)
     return 0 if all(row["ok"] for row in rows) else 1
@@ -439,13 +439,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Stretch bounds, eps and x: refused before any work when NaN or +-inf;
 # x also when not positive, or when the family takes none.  --copies
-# below 1 too.
+# below 1 too, and a --gnuplot script without a CSV --out to plot.
 _FINITE_FLAGS = ("t", "eps", "x", "eps_list", "x_list")
 
 
 def _check_values(args) -> None:
     if getattr(args, "copies", 1) < 1:
         raise ValueError(f"--copies must be at least 1, got {args.copies}")
+    if getattr(args, "gnuplot", None) and not (args.out or "").endswith(".csv"):
+        raise ValueError(f"--gnuplot plots the rows of a CSV --out, got --out {args.out}")
     for name in _FINITE_FLAGS:
         value = getattr(args, name, None)
         values = [v for v in (value if isinstance(value, list) else [value]) if v is not None]

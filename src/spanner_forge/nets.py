@@ -2,7 +2,9 @@
 
 A geometric net hierarchy, the cross-edge spanner it induces, and the
 bounded-hop cluster-graph distance oracle behind the "clusters" phase-2
-backend of the pruning pipeline.  scipy is imported inside
+backend of the pruning pipeline: a cluster graph keeps its inter-cluster
+edges as ``(a, b, w)`` columns, and :func:`cluster_dist` relaxes them
+over paths of at most ``HOP_CAP`` edges.  scipy is imported inside
 :func:`build_cluster_graph`, its only user here.
 """
 
@@ -15,12 +17,13 @@ import numpy as np
 from .geom import _ROW_BLOCK, GEOM_RTOL, GeomError, PointSet, _dot_lengths
 from .graph import GraphError, SpannerGraph, symmetric_csr
 
-# Cross-edge radius multiplier at level i is CROSS_RADIUS(eps) * 2^i.
+# The cross-edge radius at level i is cross_radius_const(eps) * 2^i.
 def cross_radius_const(eps: float) -> float:
     return 4.0 / eps + 32.0
 
 
-DEFAULT_HOP_CAP = 20
+# The most edges a cluster_dist path may have, intra edges included.
+HOP_CAP = 20
 
 
 class NetHierarchy:
@@ -129,29 +132,33 @@ class ClusterGraph:
     Built from a source graph whose edges are all shorter than 2^level.
     Points are covered by radius eps*2^level balls in the graph metric;
     intra edges join members to their centers, inter edges join nearby
-    centers.  With contraction, ultra-short edges are collapsed first
-    and all distances live on the quotient.
+    centers.  ``inter`` holds the inter edges as columns (a, b, w) of
+    center ids and weights; a center pair may appear more than once.
+    With contraction, ultra-short edges are collapsed first and all
+    distances live on the quotient.
     """
 
     def __init__(self, level, centers, membership, inter, rep):
         self.level = level
         self.centers = centers
         self.membership = membership  # rep point -> list of (center, dist)
-        self.inter = inter  # (c1, c2) with c1 < c2 -> weight
+        self.inter = inter  # columns (a, b, w)
         self.rep = rep  # original point -> representative
 
     def add_bridge(self, s: int, t: int, w: float) -> None:
         """Register a new source-graph edge (s, t) of weight w as
         inter-cluster edges between every pair of containing clusters."""
-        rs, rt = self.rep[s], self.rep[t]
-        for c1, d1 in self.membership.get(rs, ()):
-            for c2, d2 in self.membership.get(rt, ()):
-                if c1 == c2:
-                    continue
-                key = (c1, c2) if c1 < c2 else (c2, c1)
-                cand = d1 + w + d2
-                if cand < self.inter.get(key, math.inf):
-                    self.inter[key] = cand
+        self._add_bridges([s], [t], [w])
+
+    def _add_bridges(self, us, vs, ws) -> None:
+        """add_bridge for each source edge (u, v, w), in one concatenation."""
+        m, rep = self.membership, self.rep
+        rows = [(c1, c2, d1 + w + d2) for u, v, w in zip(us, vs, ws)
+                for c1, d1 in m[rep[u]] for c2, d2 in m[rep[v]] if c1 != c2]
+        new = zip(*rows) if rows else ((), (), ())
+        self.inter = tuple(
+            np.concatenate([col, np.array(x, dtype=col.dtype)]) for col, x in zip(self.inter, new)
+        )
 
 
 def build_cluster_graph(
@@ -212,44 +219,32 @@ def build_cluster_graph(
     d = dijkstra(csr, indices=c, limit=scale * (1.0 + GEOM_RTOL))[:, c]
     d = np.minimum(d, d.T)
     i1, i2 = np.nonzero(np.triu(d < np.inf, k=1))
-    inter = dict(zip(zip(c[i1].tolist(), c[i2].tolist()), d[i1, i2].tolist()))
+    F = ClusterGraph(i, centers, membership, (c[i1], c[i2], d[i1, i2]), rep.tolist())
     # bridge inter edges through existing edges between clusters
-    F = ClusterGraph(i, centers, membership, inter, rep.tolist())
-    for u, v, w in zip(eu[cross].tolist(), ev[cross].tolist(), ew[cross].tolist()):
-        F.add_bridge(u, v, w)
+    F._add_bridges(eu[cross].tolist(), ev[cross].tolist(), ew[cross].tolist())
     return F
 
 
-def cluster_dist(F: ClusterGraph, s: int, t: int, hop_cap: int = DEFAULT_HOP_CAP) -> float:
+def cluster_dist(F: ClusterGraph, s: int, t: int) -> float:
     """Bounded-hop distance through the cluster graph.
 
-    Minimum weight of a path of at most ``hop_cap`` edges whose only
+    Minimum weight of a path of at most ``HOP_CAP`` edges whose only
     intra-cluster edges are the first and the last; +inf when no such
-    path exists.
+    path exists.  Of the inter entries of one center pair the lightest
+    decides, since rounding is monotone: x + min(w) is min(x + w).
     """
     rs, rt = F.rep[s], F.rep[t]
     if rs == rt:
         return 0.0
-    start = F.membership.get(rs, ())
-    goal = F.membership.get(rt, ())
-    if not start or not goal:
-        return math.inf
-    idx = {c: k for k, c in enumerate(F.centers)}
-    dist = np.full(len(F.centers), np.inf)
-    for c, d in start:
-        dist[idx[c]] = min(dist[idx[c]], d)
-    if F.inter:
-        e_a = np.fromiter((idx[a] for a, _ in F.inter), dtype=np.int64, count=len(F.inter))
-        e_b = np.fromiter((idx[b] for _, b in F.inter), dtype=np.int64, count=len(F.inter))
-        e_w = np.fromiter(F.inter.values(), dtype=np.float64, count=len(F.inter))
-        for _ in range(max(0, hop_cap - 2)):
-            nd = dist.copy()
-            np.minimum.at(nd, e_b, dist[e_a] + e_w)
-            np.minimum.at(nd, e_a, dist[e_b] + e_w)
-            if not (nd < dist).any():
-                break
-            dist = nd
-    best = math.inf
-    for c, d in goal:
-        best = min(best, dist[idx[c]] + d)
-    return float(best)
+    a, b, w = F.inter
+    dist = np.full(len(F.rep), np.inf)
+    for c, d in F.membership[rs]:
+        dist[c] = d
+    for _ in range(HOP_CAP - 2):
+        nd = dist.copy()
+        np.minimum.at(nd, b, dist[a] + w)
+        np.minimum.at(nd, a, dist[b] + w)
+        if not (nd < dist).any():
+            break
+        dist = nd
+    return float(min(dist[c] + d for c, d in F.membership[rt]))

@@ -462,6 +462,19 @@ def test_generate_copies_below_one_exits_2_without_writing(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", [None, "s.json"])
+def test_sweep_gnuplot_without_csv_out_exits_2_without_writing(tmp_path, monkeypatch, capsys,
+                                                               out):
+    # the script reads comma-separated rows, which only a .csv --out holds
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--family", "lightness-lb", "--eps-list", "0.04,0.02",
+            "--builders", "greedy,witness", "--gnuplot", "g.gp"]
+    assert main(argv + (["--out", out] if out else [])) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --gnuplot plots the rows of a CSV --out, got --out {out}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from spanner_forge.geom import GeomError, PointSet, normalize
-from spanner_forge.graph import SpannerGraph, path_greedy, verify_stretch
+from spanner_forge import nets
+from spanner_forge.geom import GEOM_RTOL, GeomError, PointSet, normalize
+from spanner_forge.graph import SpannerGraph, path_greedy, symmetric_csr, verify_stretch
 from spanner_forge.nets import (
     NetHierarchy,
     build_cluster_graph,
@@ -215,16 +216,19 @@ def test_cluster_graph_empty_edges():
     G = SpannerGraph(X.n, [])
     F = build_cluster_graph(G, 2, 0.25)
     assert sorted(F.centers) == list(range(X.n))
-    assert F.inter == {}
+    assert [(len(col), col.dtype) for col in F.inter] == [
+        (0, np.int64), (0, np.int64), (0, np.float64)
+    ]
     for u in range(X.n):
         assert F.membership[u] == [(u, 0.0)]
 
 
 def test_cluster_graph_of_empty_graph_is_empty_with_and_without_contraction():
     # the contraction threshold divides by n, which is 0 here
-    F, Fc = (build_cluster_graph(SpannerGraph(0, []), 1, 0.25, contract=c) for c in (False, True))
-    assert vars(Fc) == vars(F)
-    assert (F.centers, F.membership, F.inter, F.rep) == ([], {}, {}, [])
+    for c in (False, True):
+        F = build_cluster_graph(SpannerGraph(0, []), 1, 0.25, contract=c)
+        assert (F.level, F.centers, F.membership, F.rep) == (1, [], {}, [])
+        assert [col.tolist() for col in F.inter] == [[], [], []]
 
 
 def test_contraction_keeps_lighter_of_parallel_quotient_edges():
@@ -239,7 +243,12 @@ def test_contraction_keeps_lighter_of_parallel_quotient_edges():
         2: [(0, pytest.approx(0.4)), (4, pytest.approx(0.4))],
         4: [(4, 0.0)],
     }
-    assert F.inter == {(0, 4): pytest.approx(0.8)}
+    # every inter entry joins 0 and 4: the centers' own link (0.8) and the
+    # bridges through 0-2 (1.3), 1-3 and 3-4 (0.8 each); the lightest counts
+    a, b, w = F.inter
+    assert sorted(zip(a.tolist(), b.tolist())) == [(0, 4)] * 4
+    assert sorted(w.tolist()) == pytest.approx([0.8, 0.8, 0.8, 1.3])
+    assert cluster_dist(F, 0, 4) == pytest.approx(0.8)
 
 
 def test_cluster_graph_path_radii():
@@ -394,8 +403,10 @@ def test_cluster_graph_rejects_long_edges():
         build_cluster_graph(G, 0, 0.25)
 
 
-def test_cluster_dist_matches_bounded_hop_enumeration():
-    # independent oracle: depth-limited search over inter-cluster edges
+def test_cluster_dist_matches_bounded_hop_enumeration(monkeypatch):
+    # independent oracle: depth-limited search over inter-cluster edges,
+    # with a hop cap that binds
+    monkeypatch.setattr(nets, "HOP_CAP", 8)
     X = random_points(60, 2, 42)
     S = path_greedy(X, 1.3)
     i = 4
@@ -403,7 +414,7 @@ def test_cluster_dist_matches_bounded_hop_enumeration():
     GB = SpannerGraph(X.n, below)
     F = build_cluster_graph(GB, i, 0.25)
     nbrs = {}
-    for (a, b), w in F.inter.items():
+    for a, b, w in zip(*(col.tolist() for col in F.inter)):
         nbrs.setdefault(a, []).append((b, w))
         nbrs.setdefault(b, []).append((a, w))
 
@@ -432,9 +443,138 @@ def test_cluster_dist_matches_bounded_hop_enumeration():
     rng = np.random.default_rng(43)
     for _ in range(60):
         s, t = (int(z) for z in rng.integers(0, X.n, 2))
-        got = cluster_dist(F, s, t, hop_cap=8)
+        got = cluster_dist(F, s, t)
         want = oracle(s, t, 8)
         if math.isinf(want):
             assert math.isinf(got)
         else:
             assert got == pytest.approx(want, rel=1e-12)
+
+
+class DictClusterGraph:
+    """The cluster graph with its inter edges in a dict: (c1, c2) with
+    c1 < c2 -> the lightest weight.  The reference for the columns."""
+
+    def __init__(self, level, centers, membership, inter, rep):
+        self.level = level
+        self.centers = centers
+        self.membership = membership
+        self.inter = inter
+        self.rep = rep
+
+    def add_bridge(self, s, t, w):
+        rs, rt = self.rep[s], self.rep[t]
+        for c1, d1 in self.membership.get(rs, ()):
+            for c2, d2 in self.membership.get(rt, ()):
+                if c1 == c2:
+                    continue
+                key = (c1, c2) if c1 < c2 else (c2, c1)
+                cand = d1 + w + d2
+                if cand < self.inter.get(key, math.inf):
+                    self.inter[key] = cand
+
+
+def dict_cluster_graph(G_below, i, eps, contract=False):
+    """build_cluster_graph, one dict update per inter edge."""
+    from scipy.sparse.csgraph import connected_components, dijkstra
+
+    scale = 2.0**i
+    n, eu, ev, ew = G_below.n, G_below.u, G_below.v, G_below.w
+    rep = np.arange(n)
+    if contract and n:
+        short = ew <= scale * eps * eps / n * (1.0 + GEOM_RTOL)
+        _, labels = connected_components(symmetric_csr(n, eu[short], ev[short], ew[short]))
+        _, first = np.unique(labels, return_index=True)
+        rep = first[labels]
+    ru, rv = rep[eu], rep[ev]
+    cross = ru != rv
+    a, b, w = np.minimum(ru, rv)[cross], np.maximum(ru, rv)[cross], ew[cross]
+    order = np.argsort(w, kind="stable")
+    _, first = np.unique((a * n + b)[order], return_index=True)
+    lightest = order[first]
+    csr = symmetric_csr(n, a[lightest], b[lightest], w[lightest])
+    nodes = np.unique(rep).tolist()
+    radius = eps * scale
+    centers, membership = [], {u: [] for u in nodes}
+    nearest = np.full(n, np.inf)
+    for u in nodes:
+        if nearest[u] <= radius * (1.0 + GEOM_RTOL):
+            continue
+        centers.append(u)
+        d = dijkstra(csr, indices=u, limit=radius * (1.0 + GEOM_RTOL))
+        ball = np.flatnonzero(d < np.inf)
+        for v, dv in zip(ball.tolist(), d[ball].tolist()):
+            membership[v].append((u, dv))
+        np.minimum(nearest, d, out=nearest)
+    c = np.array(centers, dtype=np.int64)
+    d = dijkstra(csr, indices=c, limit=scale * (1.0 + GEOM_RTOL))[:, c]
+    d = np.minimum(d, d.T)
+    i1, i2 = np.nonzero(np.triu(d < np.inf, k=1))
+    inter = dict(zip(zip(c[i1].tolist(), c[i2].tolist()), d[i1, i2].tolist()))
+    F = DictClusterGraph(i, centers, membership, inter, rep.tolist())
+    for u, v, w in zip(eu[cross].tolist(), ev[cross].tolist(), ew[cross].tolist()):
+        F.add_bridge(u, v, w)
+    return F
+
+
+def dict_cluster_dist(F, s, t, hop_cap=20):
+    """cluster_dist over a DictClusterGraph: a center -> position map and
+    the inter columns rebuilt from the dict on every query."""
+    rs, rt = F.rep[s], F.rep[t]
+    if rs == rt:
+        return 0.0
+    start = F.membership.get(rs, ())
+    goal = F.membership.get(rt, ())
+    if not start or not goal:
+        return math.inf
+    idx = {c: k for k, c in enumerate(F.centers)}
+    dist = np.full(len(F.centers), np.inf)
+    for c, d in start:
+        dist[idx[c]] = min(dist[idx[c]], d)
+    if F.inter:
+        e_a = np.fromiter((idx[a] for a, _ in F.inter), dtype=np.int64, count=len(F.inter))
+        e_b = np.fromiter((idx[b] for _, b in F.inter), dtype=np.int64, count=len(F.inter))
+        e_w = np.fromiter(F.inter.values(), dtype=np.float64, count=len(F.inter))
+        for _ in range(max(0, hop_cap - 2)):
+            nd = dist.copy()
+            np.minimum.at(nd, e_b, dist[e_a] + e_w)
+            np.minimum.at(nd, e_a, dist[e_b] + e_w)
+            if not (nd < dist).any():
+                break
+            dist = nd
+    best = math.inf
+    for c, d in goal:
+        best = min(best, dist[idx[c]] + d)
+    return float(best)
+
+
+def hexes(dist, F, pairs):
+    return [dist(F, s, t).hex() for s, t in pairs]
+
+
+@pytest.mark.parametrize("distribution, seed", [("uniform", 1), ("clustered", 2), ("uniform", 3)])
+def test_cluster_dist_matches_dict_reference_bit_for_bit(distribution, seed):
+    X = normalize(gen_random(80, 2, distribution, seed).points)
+    S = path_greedy(X, 1.1)
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, X.n, (40, 2)).tolist()
+    levels = range(1, int(math.log2(X.spread())) + 2)
+    for i in levels:
+        GB = SpannerGraph(X.n, [e for e in S.edges if e[2] < 2.0**i])
+        for contract in (False, True):
+            F = build_cluster_graph(GB, i, 0.2, contract)
+            R = dict_cluster_graph(GB, i, 0.2, contract)
+            assert (F.centers, F.membership, F.rep) == (R.centers, R.membership, R.rep)
+            lightest = {}
+            for a, b, w in zip(*(col.tolist() for col in F.inter)):
+                key = (min(a, b), max(a, b))
+                lightest[key] = min(w, lightest.get(key, math.inf))
+            assert lightest == R.inter
+            assert hexes(cluster_dist, F, pairs) == hexes(dict_cluster_dist, R, pairs)
+            # and after bridges through new edges, as phase 2 adds its kept ones
+            for s, t in rng.integers(0, X.n, (3, 2)).tolist():
+                if s != t:
+                    w = point_dist(X, s, t)
+                    F.add_bridge(s, t, w)
+                    R.add_bridge(s, t, w)
+                assert hexes(cluster_dist, F, pairs) == hexes(dict_cluster_dist, R, pairs)

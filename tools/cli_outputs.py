@@ -7,7 +7,8 @@ reports, ``--x-list``, ``--copies`` and ``--gnuplot``, a net tree of 300
 points at eps = 0.1, the verification of a dense net tree, and a few
 inputs the CLI rejects.  They run in ``DIR``, which must be empty or
 absent, with the ``spanner_forge`` of the checkout this file belongs to.
-``DIR/runs.txt`` lists each command with its exit code and stdout.
+``DIR/runs.txt`` lists each command with its exit code and stdout; each
+``MATRIX`` entry holds the code its command is expected to exit with.
 Every JSON file loses its ``timestamp``, and its ``config`` moves to
 ``<file>.config.json``, so that
 
@@ -32,46 +33,48 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from spanner_forge import cli  # noqa: E402
 
+# (exit code, command): a pruned row above 1 + eps or a failed
+# verification exits 1, a rejected input 2
 MATRIX = (
-    "generate --family random --n 30 --seed 1 --out r.txt",
-    "generate --family random --n 20 --d 3 --seed 2 --distribution clustered --out k.txt",
-    "generate --family random --n 20 --d 3 --seed 2 --distribution clustered --copies 2"
-    " --out c.txt",
-    "generate --family sparsity-lb --eps 0.02 --out s.txt",
-    "generate --family lightness-lb-x --eps 0.02 --x 2.5 --out l.txt",
-    "generate --family sparsity-lb-x --eps 2.5e-05 --x 2 --out sx.txt",
-    "generate --family random --n 100 --d 3 --seed 3 --out b.txt",
-    "generate --family random --n 300 --seed 1 --out m.txt",
-    "build --builder greedy --eps 0.5 --in r.txt --out r.greedy.edges",
-    "build --builder net-tree --eps 0.5 --in r.txt --out r.net-tree.edges",
-    "build --builder prune --eps 0.3 --kappa 20 --in r.txt --out r.prune.edges",
-    "build --builder witness --eps 0.02 --in s.txt --out s.witness.edges",
-    "build --builder net-tree --eps 0.5 --in b.txt --out b.net-tree.edges",
-    "build --builder net-tree --eps 0.1 --in m.txt --out m.net-tree.edges",
-    "verify --in r.txt --edges r.greedy.edges --t 1.5 --out v.json",
+    (0, "generate --family random --n 30 --seed 1 --out r.txt"),
+    (0, "generate --family random --n 20 --d 3 --seed 2 --distribution clustered --out k.txt"),
+    (0, "generate --family random --n 20 --d 3 --seed 2 --distribution clustered --copies 2"
+        " --out c.txt"),
+    (0, "generate --family sparsity-lb --eps 0.02 --out s.txt"),
+    (0, "generate --family lightness-lb-x --eps 0.02 --x 2.5 --out l.txt"),
+    (0, "generate --family sparsity-lb-x --eps 2.5e-05 --x 2 --out sx.txt"),
+    (0, "generate --family random --n 100 --d 3 --seed 3 --out b.txt"),
+    (0, "generate --family random --n 300 --seed 1 --out m.txt"),
+    (0, "build --builder greedy --eps 0.5 --in r.txt --out r.greedy.edges"),
+    (0, "build --builder net-tree --eps 0.5 --in r.txt --out r.net-tree.edges"),
+    (0, "build --builder prune --eps 0.3 --kappa 20 --in r.txt --out r.prune.edges"),
+    (0, "build --builder witness --eps 0.02 --in s.txt --out s.witness.edges"),
+    (0, "build --builder net-tree --eps 0.5 --in b.txt --out b.net-tree.edges"),
+    (0, "build --builder net-tree --eps 0.1 --in m.txt --out m.net-tree.edges"),
+    (0, "verify --in r.txt --edges r.greedy.edges --t 1.5 --out v.json"),
     # a net tree holding more than half of all pairs: the screened verification
-    "verify --in b.txt --edges b.net-tree.edges --t 1.5 --out bv.json",
-    "verify --in r.txt --edges r.greedy.edges --t 1.0000001",
-    "compare --in s.txt --eps 0.02 --builders greedy,witness,prune,net-tree --out s.cmp.json",
-    "compare --in k.txt --eps 0.3 --builders greedy,prune --kappa 10000"
-    " --out k.cmp.json",
-    "compare --in c.txt --eps 0.3 --x 2 --builders greedy,net-tree --out c.cmp.csv",
-    "compare --in l.txt --eps 0.02 --x 2.5 --builders witness,greedy --out l.cmp.json",
-    "compare --in l.txt --eps 0.02 --k 2 --builders prune --out l.prune.json",
-    "compare --in sx.txt --eps 2.5e-05 --x 2 --builders witness,greedy --out sx.cmp.json",
-    "sweep --family lightness-lb --eps-list 0.04,0.02 --out sw.csv --gnuplot sw.gp"
-    " --summary-out sw.json",
-    "sweep --family lightness-lb-x --eps-list 0.02,0.01 --x-list 2,2.5 --out swx.csv"
-    " --gnuplot swx.gp --summary-out swx.json",
-    "sweep --family random --n 30 --d 3 --distribution clustered --eps-list 0.5,0.3"
-    " --builders greedy,net-tree,prune --kappa 20 --out swr.json",
+    (0, "verify --in b.txt --edges b.net-tree.edges --t 1.5 --out bv.json"),
+    (1, "verify --in r.txt --edges r.greedy.edges --t 1.0000001"),
+    (0, "compare --in s.txt --eps 0.02 --builders greedy,witness,prune,net-tree --out s.cmp.json"),
+    (1, "compare --in k.txt --eps 0.3 --builders greedy,prune --kappa 10000 --out k.cmp.json"),
+    (0, "compare --in c.txt --eps 0.3 --x 2 --builders greedy,net-tree --out c.cmp.csv"),
+    (0, "compare --in l.txt --eps 0.02 --x 2.5 --builders witness,greedy --out l.cmp.json"),
+    (1, "compare --in l.txt --eps 0.02 --k 2 --builders prune --out l.prune.json"),
+    (0, "compare --in sx.txt --eps 2.5e-05 --x 2 --builders witness,greedy --out sx.cmp.json"),
+    (0, "sweep --family lightness-lb --eps-list 0.04,0.02 --out sw.csv --gnuplot sw.gp"
+        " --summary-out sw.json"),
+    (0, "sweep --family lightness-lb-x --eps-list 0.02,0.01 --x-list 2,2.5 --out swx.csv"
+        " --gnuplot swx.gp --summary-out swx.json"),
+    (1, "sweep --family random --n 30 --d 3 --distribution clustered --eps-list 0.5,0.3"
+        " --builders greedy,net-tree,prune --kappa 20 --out swr.json"),
     # rejected inputs
-    "generate --family sparsity-lb --x 2 --out bad.txt",
-    "generate --family random --n 30 --seed 1 --copies 0 --out bad0.txt",
-    "compare --in r.txt --eps 0.5 --builders greedy,witness --out bad.json",
-    "compare --in r.txt --eps 0.5 --builders greedy,bogus --out bad.json",
-    "sweep --family random --n 20 --eps-list 0.5 --out bad.csv",
-    "sweep --family lightness-lb --eps-list 0.02 --x-list 2 --out bad.csv",
+    (2, "generate --family sparsity-lb --x 2 --out bad.txt"),
+    (2, "generate --family random --n 30 --seed 1 --copies 0 --out bad0.txt"),
+    (2, "compare --in r.txt --eps 0.5 --builders greedy,witness --out bad.json"),
+    (2, "compare --in r.txt --eps 0.5 --builders greedy,bogus --out bad.json"),
+    (2, "sweep --family random --n 20 --eps-list 0.5 --out bad.csv"),
+    (2, "sweep --family lightness-lb --eps-list 0.02 --x-list 2 --out bad.csv"),
+    (2, "sweep --family lightness-lb --eps-list 0.04,0.02 --out bad.json --gnuplot bad.gp"),
 )
 
 
@@ -112,7 +115,7 @@ def main(argv=None) -> int:
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        for command in MATRIX:
+        for _, command in MATRIX:
             code, stdout = run(command.split())
             log.append(f"$ spanner-forge {command}\nexit {code}\n{stdout}")
     finally:
