@@ -8,7 +8,8 @@ block of sources that holds at least half of all pairs, it first bounds
 each source's ratios by direct edges and two-hop paths, on a dense n x n
 weight matrix, and searches only the sources whose bound can still win.
 The oracle runs a dense Floyd-Warshall (:func:`_apsp_small`) on its at
-most ten points.  scipy is imported inside the functions that build or
+most ten points; it starts its search with no incumbent, so it builds no
+greedy spanner.  scipy is imported inside the functions that build or
 search a CSR, so that importing this module does not load it.
 """
 
@@ -466,7 +467,7 @@ _BIT = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 def _apsp_small(n: int, wmat: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Floyd-Warshall over the edges selected by mask (dense, tiny n)."""
     d = np.where(mask, wmat, np.inf)
-    np.fill_diagonal(d, 0.0)
+    d.flat[:: n + 1] = 0.0
     for k in range(n):
         np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :], out=d)
     return d
@@ -479,8 +480,9 @@ def brute_force_optimal(
 ) -> SpannerGraph:
     """Exact optimal (1+eps)-spanner for tiny point sets.
 
-    Branch-and-bound over all candidate pairs, seeded with the greedy
-    solution as incumbent.  Edges whose removal alone breaks
+    Branch-and-bound over all candidate pairs, longest first, with no
+    incumbent: the best cost is inf until the exclude-first search reaches
+    its first leaf.  Edges whose removal alone breaks
     feasibility are forced up front.  A node carries the distances ``d``
     of the chosen edges, updated incrementally on include, and ``da`` of
     the available ones (chosen and undecided), recomputed on exclude,
@@ -505,15 +507,13 @@ def brute_force_optimal(
     target = t * wmat * (1.0 + GREEDY_RTOL)
     np.fill_diagonal(target, np.inf)
 
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    # branch on long pairs first; excluding them early fails fast
-    pairs.sort(key=lambda p: (-wmat[p], p))
-
-    def cost_of(edges):
-        return len(edges) if objective == "min_edges" else float(sum(wmat[p] for p in edges))
-
-    best_set = sorted(path_greedy(X, t).edge_set())
-    best_cost = cost_of(best_set)
+    iu, iv = np.triu_indices(n, k=1)
+    tgt = target[iu, iv]
+    # branch on long pairs first, ties by (u, v); excluding them early
+    # fails fast
+    pw = wmat[iu, iv]
+    order = np.lexsort((iv, iu, -pw))
+    pu, pv, pw = iu[order], iv[order], pw[order]
 
     nodes = checks = 0
 
@@ -534,8 +534,12 @@ def brute_force_optimal(
     ks = np.arange(n)
     via[ks, ks, :] = via[:, ks, ks] = np.inf
     detour = via.min(axis=1, initial=np.inf)
-    forced = [p for p in pairs if detour[p] > target[p]]
-    free = [p for p in pairs if detour[p] <= target[p]]
+    is_forced = detour[pu, pv] > target[pu, pv]
+    forced = list(zip(pu[is_forced].tolist(), pv[is_forced].tolist()))
+    fp, fq, fw = pu[~is_forced], pv[~is_forced], pw[~is_forced]
+    free = list(zip(fp.tolist(), fq.tolist()))
+    fwl = fw.tolist()
+    min_free_w = min(fwl, default=0.0)
 
     def with_edge(d, u, v):
         # a -> u -> v -> b and a -> v -> u -> b may shorten d[a, b]
@@ -543,17 +547,21 @@ def brute_force_optimal(
         return np.minimum(np.minimum(d, via), via.T)
 
     d0 = np.full((n, n), np.inf)
-    np.fill_diagonal(d0, 0.0)
+    d0.flat[:: n + 1] = 0.0
+    # an edge whose ends d leaves apart joins two components
+    comps0 = n
     for u, v in forced:
+        comps0 -= math.isinf(d0[u, v])
         d0 = with_edge(d0, u, v)
     chosen = list(forced)
+    if objective == "min_edges":
+        cost0 = len(forced)
+    else:
+        # summed left to right, in pair order
+        cost0 = 0.0
+        for w in pw[is_forced].tolist():
+            cost0 += w
 
-    min_free_w = min((wmat[p] for p in free), default=0.0)
-    fp, fq = np.array(free, dtype=np.int64).reshape(-1, 2).T
-    fw = wmat[fp, fq]
-    fwl = fw.tolist()
-    iu, iv = np.triu_indices(n, k=1)
-    tgt = target[iu, iv]
     # widened so that rounding can only weaken the bound
     loose = tgt * (1.0 + 1e-9)
 
@@ -569,9 +577,9 @@ def brute_force_optimal(
         cand = (dp[a] + fw + dq[b] <= lim) | (dq[a] + fw + dp[b] <= lim)
         return dict(zip(bad.tolist(), (cand @ _BIT[: len(free)]).tolist()))
 
-    def lower_bound(cost, d, bad, idx, sets):
+    def lower_bound(cost, comps, bad, idx, sets):
         # connectivity: each missing component costs at least one edge
-        need = len(set(np.isfinite(d).argmax(axis=1).tolist())) - 1
+        need = comps - 1
         # pairs whose candidate sets are disjoint need distinct edges
         bits = [sets[i] >> idx for i in bad.tolist()]
         if not all(bits):
@@ -590,15 +598,22 @@ def brute_force_optimal(
             return cost + max(need, packed)
         return cost + max(need * min_free_w, wsum)
 
-    def rec(idx: int, d: np.ndarray, da: np.ndarray, avail_mask: np.ndarray, cost, sets=None):
+    best_cost, best_set = math.inf, None
+
+    def rec(
+        idx: int, d: np.ndarray, da: np.ndarray, avail_mask: np.ndarray, cost, comps: int, sets=None
+    ):
         nonlocal best_cost, best_set, nodes
         nodes += 1
-        eps_cmp = 1e-12 * abs(best_cost)
+        # no tie window until a leaf has set best_cost
+        eps_cmp = 1e-12 * best_cost if best_set is not None else 0.0
         bad = (d[iu, iv] > tgt).nonzero()[0]
         if sets is None:
             sets = candidates(bad, da)
-        # with no undecided edge left, an unmet pair makes the bound inf
-        if lower_bound(cost, d, bad, idx, sets) > best_cost + eps_cmp:
+        # with no undecided edge left, an unmet pair makes the bound inf,
+        # which must prune while best_cost is still inf too
+        lb = lower_bound(cost, comps, bad, idx, sets)
+        if lb == math.inf or lb > best_cost + eps_cmp:
             return
         # d and target are symmetric and the diagonal's target is inf, so
         # no unmet pair means d <= target everywhere
@@ -615,15 +630,17 @@ def brute_force_optimal(
         avail_mask[u, v] = avail_mask[v, u] = False
         dx = apsp(avail_mask)
         if bool(np.all(dx <= target)):
-            rec(idx + 1, d, dx, avail_mask, cost)
+            rec(idx + 1, d, dx, avail_mask, cost, comps)
         avail_mask[u, v] = avail_mask[v, u] = True
         # including leaves the available edges, da and the candidate sets
         # unchanged
         chosen.append((u, v))
-        rec(idx + 1, with_edge(d, u, v), da, avail_mask, cost + cost_of([(u, v)]), sets)
+        step = 1 if objective == "min_edges" else fwl[idx]
+        joins = math.isinf(d[u, v])
+        rec(idx + 1, with_edge(d, u, v), da, avail_mask, cost + step, comps - joins, sets)
         chosen.pop()
 
-    rec(0, d0, da0, full, cost_of(forced))
+    rec(0, d0, da0, full, cost0, comps0)
     meta = {"builder": "oracle", "objective": objective, "eps": eps}
     meta.update(nodes=nodes, feasibility_checks=checks)
     return SpannerGraph.from_pairs(X, best_set, meta=meta)

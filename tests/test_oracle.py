@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spanner_forge import graph
 from spanner_forge.geom import PointSet, normalize
 from spanner_forge.graph import (
     GREEDY_RTOL,
@@ -202,7 +203,12 @@ COUNTERS = [
     ("random-n10-s9", lambda: random2(10, 9), 0.2, (199, 108), (59, 32)),
     ("motivating-0.1", lambda: normalize(gen_motivating(0.1).points), 0.1, (83, 45), (65, 34)),
     ("random-n8-s1", lambda: random2(8, 1), 0.2, (280, 151), (37, 21)),
-    ("sparsity-lb-0.01", lambda: normalize(gen_sparsity_lb(0.01).points), 0.01, (10, 6), (10, 6)),
+    # the oracle seeds no incumbent, so here its search walks to a first
+    # leaf before it can prune; a greedy incumbent gave (10, 6) for both
+    ("sparsity-lb-0.01", lambda: normalize(gen_sparsity_lb(0.01).points), 0.01, (20, 13), (11, 7)),
+    # at eps = 0.5 the bound leans most on the candidate sets of each
+    # available graph; sets computed at the root only give 3293 and 426 nodes
+    ("random-n9-s2-eps0.5", lambda: random2(9, 2), 0.5, (1853, 954), (256, 131)),
 ]
 
 
@@ -214,6 +220,29 @@ def test_oracle_search_counters_are_pinned(make, eps, min_edges, min_weight):
     for objective, want in (("min_edges", min_edges), ("min_weight", min_weight)):
         meta = brute_force_optimal(X, eps, objective).meta
         assert (meta["nodes"], meta["feasibility_checks"]) == want, objective
+
+
+@pytest.mark.parametrize(
+    "make, eps",
+    [
+        (lambda: normalize(gen_motivating(0.1).points), 0.1),
+        (lambda: normalize(gen_sparsity_lb(0.01).points), 0.01),
+        (lambda: random2(8, 1), 0.2),
+        # lexicographic ties decide here
+        (lambda: int_grid(2, 3), 0.5),
+    ],
+    ids=["motivating-0.1", "sparsity-lb-0.01", "random-n8-s1", "grid-2x2x2"],
+)
+def test_oracle_builds_no_incumbent(monkeypatch, make, eps):
+    X = make()
+    wants = {o: reference_brute_force_optimal(X, eps, o).edges for o in ("min_edges", "min_weight")}
+
+    def no_greedy(*args, **kwargs):
+        raise AssertionError("the oracle called path_greedy")
+
+    monkeypatch.setattr(graph, "path_greedy", no_greedy)
+    for objective, want in wants.items():
+        assert brute_force_optimal(X, eps, objective).edges == want, objective
 
 
 @st.composite
