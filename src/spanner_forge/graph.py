@@ -557,7 +557,8 @@ def brute_force_optimal(
     if objective == "min_edges":
         cost0 = len(forced)
     else:
-        # summed left to right, in pair order
+        # summed left to right, in pair order (sum() compensates from
+        # Python 3.12 on, which would change the bits)
         cost0 = 0.0
         for w in pw[is_forced].tolist():
             cost0 += w
