@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import math
 import os
@@ -146,10 +145,7 @@ _PRUNE_FLAGS = tuple(f.name for f in fields(PruneParams) if f.name != "eps")
 
 def _prune_params_from_args(args, eps: float) -> PruneParams:
     flags = {k: getattr(args, k) for k in _PRUNE_FLAGS if getattr(args, k, None) is not None}
-    flags["eps"] = eps
-    if getattr(args, "config", None):
-        return PruneParams.from_config_file(args.config, **flags)
-    return PruneParams(**flags)
+    return PruneParams(eps=eps, **flags)
 
 
 def _pruned(X: PointSet, args, witness_pairs, seed=None) -> SpannerGraph:
@@ -360,7 +356,7 @@ def _config_of(args) -> dict:
     under ``prune``, the others at the top level."""
     config = dict(vars(args))
     del config["func"]
-    given = {k: config.pop(k, None) for k in _PRUNE_FLAGS + ("config",)}
+    given = {k: config.pop(k, None) for k in _PRUNE_FLAGS}
     prune = {k: v for k, v in given.items() if v is not None}
     if "prune" in config.get("builders", []):
         # the resolved fields do not depend on eps, so a sweep uses its first
@@ -388,11 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pruning = argparse.ArgumentParser(add_help=False)  # the rounds and PruneParams
     pruning.add_argument("--k", type=int, default=1)
-    pruning.add_argument("--config", help="key=value file with pruning parameters")
-    for name in _PRUNE_FLAGS:
-        convert = functools.partial(PruneParams.convert, name)
-        convert.__name__ = name  # argparse names it in "invalid <name> value"
-        pruning.add_argument("--" + name.replace("_", "-"), dest=name, type=convert)
+    for name in _PRUNE_FLAGS:  # plain numbers; a flag not given leaves its field's default
+        pruning.add_argument("--" + name.replace("_", "-"), dest=name, type=float)
 
     g = sub.add_parser("generate", parents=[family], help="emit an instance file")
     g.add_argument("--eps", type=float, default=0.01)

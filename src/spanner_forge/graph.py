@@ -56,10 +56,19 @@ class TooLarge(GraphError):
     pass
 
 
+class BadEdge(GraphError):
+    """An edge rejected by :func:`_ordered_pairs`; ``index`` is its
+    position in the input."""
+
+    def __init__(self, msg, index):
+        super().__init__(msg)
+        self.index = index
+
+
 def _ordered_pairs(n: int, u: np.ndarray, v: np.ndarray):
     """Endpoints of the edges u[k]-v[k] as (min, max) arrays.
 
-    Raises :class:`GraphError` for the first bad edge in input order,
+    Raises :class:`BadEdge` for the first bad edge in input order,
     checking each edge for a self-loop, then an endpoint outside
     [0, n), then an earlier edge on the same pair.
     """
@@ -76,10 +85,10 @@ def _ordered_pairs(n: int, u: np.ndarray, v: np.ndarray):
         k = int(np.argmax(bad))
         a, b = int(lo[k]), int(hi[k])
         if loop[k]:
-            raise GraphError(f"self-loop at vertex {a}")
+            raise BadEdge(f"self-loop at vertex {a}", k)
         if out[k]:
-            raise GraphError(f"edge ({a},{b}) out of range for n={n}")
-        raise GraphError(f"parallel edge ({a},{b})")
+            raise BadEdge(f"edge ({a},{b}) out of range for n={n}", k)
+        raise BadEdge(f"parallel edge ({a},{b})", k)
     return lo, hi
 
 
@@ -658,8 +667,9 @@ def write_edge_list(G: SpannerGraph, path) -> None:
 
 
 def read_edge_list(path, X: PointSet) -> SpannerGraph:
-    """Load an edge list; weights are recomputed from the coordinates."""
-    pairs = []
+    """Load an edge list; weights are recomputed from the coordinates.
+    Every rejected edge is reported with the file and its line."""
+    pairs, linenos = [], []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -672,7 +682,12 @@ def read_edge_list(path, X: PointSet) -> SpannerGraph:
                 u, v = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise GraphError(f"{path}: line {lineno}: bad index") from exc
+            # checked as Python ints: numpy cannot hold an index too long for int64
             if not (0 <= u < X.n and 0 <= v < X.n):
                 raise GraphError(f"{path}: line {lineno}: index out of range for n={X.n}")
             pairs.append((u, v))
-    return SpannerGraph.from_pairs(X, pairs)
+            linenos.append(lineno)
+    try:
+        return SpannerGraph.from_pairs(X, pairs)
+    except BadEdge as exc:
+        raise GraphError(f"{path}: line {linenos[exc.index]}: {exc}") from None

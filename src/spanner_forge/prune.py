@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import typing
 import warnings
 from itertools import compress
 from dataclasses import InitVar, dataclass, field, fields, replace
@@ -114,40 +113,6 @@ class PruneParams:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def convert(cls, name: str, text: str):
-        """Parse a value of field ``name`` by its annotated type; "none"
-        clears an optional field."""
-        hint = typing.get_type_hints(cls)[name]
-        # an optional field's annotation is "<type> | None"
-        kind, *rest = typing.get_args(hint) or (hint,)
-        if rest and text.lower() == "none":
-            return None
-        return kind(text)
-
-    @classmethod
-    def from_config_file(cls, path, **overrides) -> "PruneParams":
-        """Parse a key=value text file into parameters; keyword
-        ``overrides`` beat the file's values."""
-        names = {f.name for f in fields(cls)}
-        raw: dict = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise PruneError(f"{path}: line {lineno}: expected key=value")
-                key, val = (p.strip() for p in line.split("=", 1))
-                if key not in names:
-                    raise PruneError(f"{path}: line {lineno}: unknown key {key!r}")
-                try:
-                    raw[key] = cls.convert(key, val)
-                except ValueError as exc:
-                    msg = f"{path}: line {lineno}: bad value for {key}: {exc}"
-                    raise PruneError(msg) from None
-        return cls(**{**raw, **overrides})
 
 
 @dataclass

@@ -13,7 +13,6 @@ from spanner_forge import cli, graph, prune
 from spanner_forge.cli import (
     ParseError,
     _build_parser,
-    _prune_params_from_args,
     main,
     parse_pointset,
     write_pointset,
@@ -209,6 +208,8 @@ def test_edge_index_out_of_range_exits_2(tmp_path, capsys, line):
     ("2 1\n\n0 0\n1 1\n", "", "pts.txt", "line 4: more than 1 rows"),  # blank lines count
     ("2 2\n0 0\n1 1\n", "0 1 1\n", "e.edges", "line 1: expected 'u v'"),
     ("2 2\n0 0\n1 1\n", "# u v\n0 one\n", "e.edges", "line 2: bad index"),
+    ("2 3\n0 0\n1 1\n2 0\n", "0 1\n2 2\n", "e.edges", "line 2: self-loop at vertex 2"),
+    ("2 3\n0 0\n1 1\n2 0\n", "0 1\n\n1 0\n", "e.edges", "line 3: parallel edge (0,1)"),
 ])
 def test_malformed_input_files_exit_2_with_line(tmp_path, capsys, points, edges, bad, message):
     (tmp_path / "pts.txt").write_text(points)
@@ -220,15 +221,13 @@ def test_malformed_input_files_exit_2_with_line(tmp_path, capsys, points, edges,
 
 
 def test_reports_record_resolved_prune_params(tmp_path):
-    cfg = tmp_path / "prune.cfg"
-    cfg.write_text("kappa = 10000\n")
     inst = str(tmp_path / "r.txt")
     main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", inst])
     rep = tmp_path / "cmp.json"
     main(["compare", "--in", inst, "--eps", "0.1", "--builders", "greedy,prune",
-          "--config", str(cfg), "--out", str(rep)])
+          "--kappa", "10000", "--out", str(rep)])
     assert json.loads(rep.read_text())["config"]["prune"] == {
-        "delta": None, "alpha": None, "kappa": 1e4, "config": str(cfg),
+        "delta": None, "alpha": None, "kappa": 1e4,
     }
     summary = tmp_path / "sweep.json"
     main(["sweep", "--family", "random", "--n", "30", "--eps-list", "0.3,0.2",
@@ -287,60 +286,36 @@ def test_report_configs_pinned(tmp_path, monkeypatch):
     )
 
 
-def test_prune_flags_override_config_file(tmp_path):
-    cfg = tmp_path / "prune.cfg"
-    cfg.write_text("eps = 0.05\ndelta = 0.2\nkappa = 20\n")
-    args = _build_parser().parse_args(
-        ["compare", "--in", "inst.txt", "--eps", "0.1", "--k", "2",
-         "--builders", "prune", "--config", str(cfg), "--kappa", "30"]
-    )
-    p = _prune_params_from_args(args, args.eps)
-    assert p.kappa == 30.0  # flag beats file
-    assert p.eps == 0.1  # --eps beats file
-    assert p.delta == 0.2  # file-only keys survive
-    assert p.alpha is None  # untouched default
-
-
 def test_prune_flags_are_params_fields():
     args = _build_parser().parse_args(
         ["build", "--builder", "prune", "--eps", "0.1", "--in", "i", "--out", "o"]
     )
-    other = {"command", "func", "builder", "eps", "k", "instance", "witness", "out",
-             "config"}
+    other = {"command", "func", "builder", "eps", "k", "instance", "witness", "out"}
     assert set(vars(args)) - other == {f.name for f in fields(PruneParams)} - {"eps"}
 
 
-@pytest.mark.parametrize(
-    "flag", ["--kappa-eff", "--alpha-log-const", "--logstar-const", "--constant-mode"]
-)
+_REJECTED_PRUNE_FLAGS = {  # flag -> the value it is given
+    "--kappa-eff": "5", "--alpha-log-const": "5", "--logstar-const": "5",
+    "--constant-mode": "5", "--hop-cap": "5", "--iterations": "5", "--config": "p.cfg",
+    # every pruning flag takes a plain number, with no "none" to clear it
+    "--alpha": "none", "--delta": "none",
+}
+
+
+@pytest.mark.parametrize("flag", _REJECTED_PRUNE_FLAGS)
 def test_removed_prune_flags_exit_2(flag):
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--in", "inst.txt", "--eps", "0.1", "--builders", "prune",
-              flag, "5"])
+              flag, _REJECTED_PRUNE_FLAGS[flag]])
     assert exc.value.code == 2
 
 
 def test_kappa_none_exits_2():
-    # "none" clears delta or alpha, but kappa is always a number
+    # kappa, like every pruning flag, is always a number
     with pytest.raises(SystemExit) as exc:
         main(["compare", "--in", "inst.txt", "--eps", "0.1", "--builders", "prune",
               "--kappa", "none"])
     assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("line", ["alpha = abc", "kappa = none"])
-def test_config_file_bad_value_exits_2_naming_file_and_line(tmp_path, capsys, line):
-    cfg = tmp_path / "prune.cfg"
-    cfg.write_text(f"# pruning\n{line}\n")
-    inst = str(tmp_path / "r.txt")
-    main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", inst])
-    capsys.readouterr()
-    assert main(["compare", "--in", inst, "--eps", "0.3", "--builders", "prune",
-                 "--config", str(cfg)]) == 2
-    key, value = (p.strip() for p in line.split("="))
-    assert capsys.readouterr().err == (
-        f"error: {cfg}: line 2: bad value for {key}: "
-        f"could not convert string to float: '{value}'\n")
 
 
 def test_kappa_flag_reaches_pipeline(tmp_path, monkeypatch):

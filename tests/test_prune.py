@@ -92,60 +92,12 @@ def test_params_reject_non_finite_and_non_positive(kw):
         PruneParams(**{"eps": 0.1, **kw})
 
 
-def test_params_config_file(tmp_path):
-    path = tmp_path / "prune.cfg"
-    path.write_text("eps = 0.05\nkappa = 5000\n# comment\nalpha = none\n")
-    p = PruneParams.from_config_file(path)
-    assert p.eps == 0.05
-    assert p.kappa == 5000
-    assert p.alpha is None
-    path.write_text("# comment\neps 0.05\n")
-    with pytest.raises(PruneError, match="line 2: expected key=value"):
-        PruneParams.from_config_file(path)
-
-
-def test_params_config_file_round_trip(tmp_path):
-    p = PruneParams(
-        eps=0.05,
-        delta=0.07,
-        kappa=5000.0,
-    )
-    path = tmp_path / "prune.cfg"
-    path.write_text("".join(f"{k} = {v}\n" for k, v in p.to_dict().items()))
-    q = PruneParams.from_config_file(path)
-    assert q == p
-    assert q.alpha is None
-
-    # a field the parser has never heard of is read by its annotated type
-    @dataclasses.dataclass
-    class Extended(PruneParams):
-        label: str = "a"
-        rounds: int = 1
-        scale: float | None = 1.0
-
-    e = Extended(eps=0.05, label="b", rounds=4, scale=None)
-    path.write_text("".join(f"{k} = {v}\n" for k, v in e.to_dict().items()))
-    f = Extended.from_config_file(path)
-    assert f == e and type(f.rounds) is int
-
-
 def test_params_iterations_keyword_is_ignored():
     # greedy_prune's k sets the rounds; the keyword only warns
     with pytest.warns(DeprecationWarning):
         p = PruneParams(eps=0.1, iterations=3)
     assert p == PruneParams(eps=0.1)
     assert "iterations" not in p.to_dict()
-
-
-@pytest.mark.parametrize(
-    "key",
-    ["iterations", "hop_cap", "kappa_eff", "alpha_log_const", "logstar_const", "constant_mode"],
-)
-def test_params_config_file_rejects_removed_keys(tmp_path, key):
-    path = tmp_path / "prune.cfg"
-    path.write_text(f"eps = 0.05\n{key} = 3\n")
-    with pytest.raises(PruneError, match="unknown key"):
-        PruneParams.from_config_file(path)
 
 
 def test_classify_two_point_instance():

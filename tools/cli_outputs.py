@@ -72,6 +72,8 @@ MATRIX = (
     (2, "generate --family random --n 30 --seed 1 --copies 0 --out bad0.txt"),
     (2, "compare --in r.txt --eps 0.5 --builders greedy,witness --out bad.json"),
     (2, "compare --in r.txt --eps 0.5 --builders greedy,bogus --out bad.json"),
+    (2, "compare --in r.txt --eps 0.3 --builders prune --config p.cfg --out bad.json"),
+    (2, "compare --in r.txt --eps 0.3 --builders prune --alpha none --out bad.json"),
     (2, "sweep --family random --n 20 --eps-list 0.5 --out bad.csv"),
     (2, "sweep --family lightness-lb --eps-list 0.02 --x-list 2 --out bad.csv"),
     (2, "sweep --family lightness-lb --eps-list 0.04,0.02 --out bad.json --gnuplot bad.gp"),
