@@ -495,9 +495,10 @@ def brute_force_optimal(
     feasibility are forced up front.  A node carries the distances ``d``
     of the chosen edges, updated incrementally on include, and ``da`` of
     the available ones (chosen and undecided), recomputed on exclude,
-    which is also that branch's feasibility check.  The lower bound's
-    candidate sets depend only on ``da``, so each ``da`` carries them,
-    as bitsets over the undecided edges, down its include branches.
+    which is also that branch's feasibility check.  The only lower bound
+    packs unmet pairs with disjoint candidate sets; the sets depend only
+    on ``da``, so each ``da`` carries them, as bitsets over the undecided
+    edges, down its include branches.
     ``eps`` must be finite and >= 0.  ``objective`` is
     "min_edges" or "min_weight"; ties break toward the lexicographically
     smallest edge set.  ``meta`` counts the search ``nodes`` and its
@@ -524,17 +525,11 @@ def brute_force_optimal(
     order = np.lexsort((iv, iu, -pw))
     pu, pv, pw = iu[order], iv[order], pw[order]
 
-    nodes = checks = 0
-
-    def apsp(mask: np.ndarray) -> np.ndarray:
-        nonlocal checks
-        checks += 1
-        return _apsp_small(n, wmat, mask)
-
+    # the root's check always passes: Floyd-Warshall only lowers entries
+    # below wmat, and target >= wmat off the diagonal
     full = ~np.eye(n, dtype=bool)
-    da0 = apsp(full)
-    if not bool(np.all(da0 <= target)):
-        raise GraphError("complete graph is not a (1+eps)-spanner (numerical)")
+    da0 = _apsp_small(n, wmat, full)
+    nodes, checks = 0, 1
 
     # every feasible subset contains the edges whose lone removal breaks
     # the complete graph.  Removing uv changes only d(u,v), and by the
@@ -548,7 +543,6 @@ def brute_force_optimal(
     fp, fq, fw = pu[~is_forced], pv[~is_forced], pw[~is_forced]
     free = list(zip(fp.tolist(), fq.tolist()))
     fwl = fw.tolist()
-    min_free_w = min(fwl, default=0.0)
 
     def with_edge(d, u, v):
         # a -> u -> v -> b and a -> v -> u -> b may shorten d[a, b]
@@ -557,10 +551,7 @@ def brute_force_optimal(
 
     d0 = np.full((n, n), np.inf)
     d0.flat[:: n + 1] = 0.0
-    # an edge whose ends d leaves apart joins two components
-    comps0 = n
     for u, v in forced:
-        comps0 -= math.isinf(d0[u, v])
         d0 = with_edge(d0, u, v)
     chosen = list(forced)
     if objective == "min_edges":
@@ -587,9 +578,7 @@ def brute_force_optimal(
         cand = (dp[a] + fw + dq[b] <= lim) | (dq[a] + fw + dp[b] <= lim)
         return dict(zip(bad.tolist(), (cand @ _BIT[: len(free)]).tolist()))
 
-    def lower_bound(cost, comps, bad, idx, sets):
-        # connectivity: each missing component costs at least one edge
-        need = comps - 1
+    def lower_bound(cost, bad, idx, sets):
         # pairs whose candidate sets are disjoint need distinct edges
         bits = [sets[i] >> idx for i in bad.tolist()]
         if not all(bits):
@@ -604,16 +593,12 @@ def brute_force_optimal(
                 # free is ordered by non-increasing weight, so the highest
                 # set bit is a lightest candidate
                 wsum += fwl[idx + s.bit_length() - 1]
-        if objective == "min_edges":
-            return cost + max(need, packed)
-        return cost + max(need * min_free_w, wsum)
+        return cost + (packed if objective == "min_edges" else wsum)
 
     best_cost, best_set = math.inf, None
 
-    def rec(
-        idx: int, d: np.ndarray, da: np.ndarray, avail_mask: np.ndarray, cost, comps: int, sets=None
-    ):
-        nonlocal best_cost, best_set, nodes
+    def rec(idx: int, d: np.ndarray, da: np.ndarray, avail_mask: np.ndarray, cost, sets=None):
+        nonlocal best_cost, best_set, nodes, checks
         nodes += 1
         # no tie window until a leaf has set best_cost
         eps_cmp = 1e-12 * best_cost if best_set is not None else 0.0
@@ -622,7 +607,7 @@ def brute_force_optimal(
             sets = candidates(bad, da)
         # with no undecided edge left, an unmet pair makes the bound inf,
         # which must prune while best_cost is still inf too
-        lb = lower_bound(cost, comps, bad, idx, sets)
+        lb = lower_bound(cost, bad, idx, sets)
         if lb == math.inf or lb > best_cost + eps_cmp:
             return
         # d and target are symmetric and the diagonal's target is inf, so
@@ -638,19 +623,19 @@ def brute_force_optimal(
         # exclude first (steers toward sparse solutions); viable only if
         # what remains can still span
         avail_mask[u, v] = avail_mask[v, u] = False
-        dx = apsp(avail_mask)
+        dx = _apsp_small(n, wmat, avail_mask)
+        checks += 1
         if bool(np.all(dx <= target)):
-            rec(idx + 1, d, dx, avail_mask, cost, comps)
+            rec(idx + 1, d, dx, avail_mask, cost)
         avail_mask[u, v] = avail_mask[v, u] = True
         # including leaves the available edges, da and the candidate sets
         # unchanged
         chosen.append((u, v))
         step = 1 if objective == "min_edges" else fwl[idx]
-        joins = math.isinf(d[u, v])
-        rec(idx + 1, with_edge(d, u, v), da, avail_mask, cost + step, comps - joins, sets)
+        rec(idx + 1, with_edge(d, u, v), da, avail_mask, cost + step, sets)
         chosen.pop()
 
-    rec(0, d0, da0, full, cost0, comps0)
+    rec(0, d0, da0, full, cost0)
     meta = {"builder": "oracle", "objective": objective, "eps": eps}
     meta.update(nodes=nodes, feasibility_checks=checks)
     return SpannerGraph.from_pairs(X, best_set, meta=meta)

@@ -290,8 +290,7 @@ def phase1(
     first visit on (lazy greedy max-coverage): an entry is stale when its
     size differs from its id's count, and the top is the best pair once
     it is current.  A bucket is skipped without a visit when it holds
-    fewer live edges than the threshold, or when its cover loop last
-    stopped with a best cover below it; the loop stops as soon as the
+    fewer live edges than the threshold; the loop stops as soon as the
     bucket holds no live edge, as every count in it is then 0.
     """
     eps = params.eps
@@ -355,12 +354,11 @@ def phase1(
     # order as the tuples (-cover size, pair) would, in one int each
     n_pairs = len(keys)
     heaps = [None] * len(order)
-    best_left = [math.inf] * len(order)  # best cover size when its loop last stopped
     n_sub = max(1, math.ceil(math.log2(max(alpha, 2.0))))
     for i in range(1, n_sub + 1):
         thr = alpha / (2.0**i * kappa)
         for r in range(len(order)):
-            if n_live[r] < thr or best_left[r] < thr:
+            if n_live[r] < thr:
                 continue
             heap = heaps[r]
             if heap is None:
@@ -395,7 +393,6 @@ def phase1(
                     leave(k)
                 gone += others
                 gone_by += [best] * len(others)
-            best_left[r] = -(heap[0] // n_pairs) if heap else 0
     report.substitutes_added = len(picks)
     report.type1_pruned = len(gone)
     old = t1[np.array(gone, dtype=np.intp)]  # the pruned edges' positions in E

@@ -209,6 +209,10 @@ COUNTERS = [
     # at eps = 0.5 the bound leans most on the candidate sets of each
     # available graph; sets computed at the root only give 3293 and 426 nodes
     ("random-n9-s2-eps0.5", lambda: random2(9, 2), 0.5, (1853, 954), (256, 131)),
+    # the candidate-set packing is the only bound, and at large eps it
+    # prunes least; a component count as a second bound gave (259, 141)
+    # and (24, 14) here, with the same edges
+    ("random-n6-s10-eps1", lambda: random2(6, 10), 1.0, (313, 169), (60, 33)),
 ]
 
 

@@ -67,6 +67,9 @@ MATRIX = (
         " --gnuplot swx.gp --summary-out swx.json"),
     (1, "sweep --family random --n 30 --d 3 --distribution clustered --eps-list 0.5,0.3"
         " --builders greedy,net-tree,prune --kappa 20 --out swr.json"),
+    (0, "generate --family motivating --eps 0.1 --out mo.txt"),
+    # the witness alone is not a full spanner here
+    (1, "compare --in mo.txt --eps 0.1 --builders greedy,witness --out mo.cmp.json"),
     # rejected inputs
     (2, "generate --family sparsity-lb --x 2 --out bad.txt"),
     (2, "generate --family random --n 30 --seed 1 --copies 0 --out bad0.txt"),
