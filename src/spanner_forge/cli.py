@@ -5,8 +5,8 @@ metadata sidecar), ``build`` (construct a spanner with a chosen
 builder), ``verify`` (exact stretch check of an edge list), ``compare``
 (all requested builders on one instance, one report row each), and
 ``sweep`` (a builder comparison across an eps grid with a log-log slope
-estimate).  Reports are JSON for single runs and CSV for sweeps; every
-JSON report embeds its configuration: each flag of its subcommand,
+estimate).  Only the row reports of ``compare`` and ``sweep`` may be CSV;
+every JSON report embeds its configuration: each flag of its subcommand,
 with the pruning flags under ``prune``.  The builders are the keys of
 ``_BUILDERS``; an unknown builder name exits 2 before any instance is
 read, and a missing witness before any builder runs.
@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 
@@ -138,54 +139,47 @@ def _meta_path(instance_path: str) -> str:
     return instance_path + ".meta.json"
 
 
-# PruneParams fields settable by a flag of the same name; eps comes
-# from --eps, and --k sets the number of rounds.
-_PRUNE_FLAGS = tuple(f.name for f in fields(PruneParams) if f.name != "eps")
+# PruneParams fields settable by a flag of the same name, with their
+# defaults; eps comes from --eps, and --k sets the number of rounds.
+_PRUNE_DEFAULTS = {f.name: f.default for f in fields(PruneParams) if f.name != "eps"}
+_PRUNE_FLAGS = tuple(_PRUNE_DEFAULTS)
 
 
-def _prune_params_from_args(args, eps: float) -> PruneParams:
+def _prune_params_from_args(args) -> PruneParams:
     flags = {k: getattr(args, k) for k in _PRUNE_FLAGS if getattr(args, k, None) is not None}
-    return PruneParams(eps=eps, **flags)
+    return PruneParams(eps=args.eps, **flags)
 
 
-def _pruned(X: PointSet, args, witness_pairs, seed=None) -> SpannerGraph:
-    params = _prune_params_from_args(args, args.eps)
-    out, _ = greedy_prune(X, args.eps, args.k, params=params, seed_spanner=seed)
-    return out
-
-
-# Builder name -> (X, args, witness pairs) -> spanner.  The entries look
-# the builders up among this module's globals when called, so a caller
-# that replaces one of them here is seen.
+# Builder name -> (X, args, witness pairs, build) -> spanner, where
+# build(name) gives another builder's spanner over the same X.  The
+# entries look the builders up among this module's globals when called,
+# so a caller that replaces one of them here is seen.
 _BUILDERS = {
-    "greedy": lambda X, args, witness_pairs: path_greedy(X, 1.0 + args.eps),
-    "net-tree": lambda X, args, witness_pairs: build_net_tree_spanner(build_hierarchy(X),
-                                                                      args.eps),
-    "prune": _pruned,
-    "witness": lambda X, args, witness_pairs: SpannerGraph.from_pairs(X, witness_pairs),
+    "greedy": lambda X, args, witness_pairs, build: path_greedy(X, 1.0 + args.eps),
+    "net-tree": lambda X, args, witness_pairs, build: build_net_tree_spanner(
+        build_hierarchy(X), args.eps),
+    "prune": lambda X, args, witness_pairs, build: greedy_prune(
+        X, args.eps, args.k, params=_prune_params_from_args(args),
+        seed_spanner=build("greedy"))[0],
+    "witness": lambda X, args, witness_pairs, build: SpannerGraph.from_pairs(X, witness_pairs),
 }
 
 
 def _spanners(names, X: PointSet, args, witness_pairs):
-    """The spanner of each named builder over X, built lazily in order;
-    a witness is checked for before the first one is built.  When both
-    greedy and prune are named, greedy is built once and seeds pruning,
-    whose own seed would be the same spanner."""
+    """The spanner of each named builder over X, built lazily in order,
+    each at most once; a witness is checked for before the first one is
+    built."""
     if "witness" in names and witness_pairs is None:
         raise ValueError("no witness available for this instance")
-    shared = {"greedy", "prune"} <= set(names)
-    greedy = []  # the shared greedy spanner, once built
+    return map(partial(_spanner, {}, X, args, witness_pairs), names)
 
-    def build(name):
-        if not shared or name not in ("greedy", "prune"):
-            return _BUILDERS[name](X, args, witness_pairs)
-        if not greedy:
-            greedy.append(_BUILDERS["greedy"](X, args, witness_pairs))
-        if name == "greedy":
-            return greedy[0]
-        return _BUILDERS["prune"](X, args, witness_pairs, seed=greedy[0])
 
-    return (build(name) for name in names)
+def _spanner(built: dict, X: PointSet, args, witness_pairs, name):
+    # a partial, not a closure over itself: no cycle keeps the spanners alive
+    if name not in built:
+        build = partial(_spanner, built, X, args, witness_pairs)
+        built[name] = _BUILDERS[name](X, args, witness_pairs, build)
+    return built[name]
 
 
 def _builder_list(value: str) -> list:
@@ -352,18 +346,14 @@ def _write_gnuplot(path, csv_path, column, builders, xs) -> None:
 
 def _config_of(args) -> dict:
     """Every flag of one invocation, as its reports record them: the
-    pruning flags given (all resolved fields when a builder prunes)
-    under ``prune``, the others at the top level."""
+    pruning flags given (every field, at its default where not given,
+    when a builder prunes) under ``prune``, the others at the top level."""
     config = dict(vars(args))
     del config["func"]
     given = {k: config.pop(k, None) for k in _PRUNE_FLAGS}
     prune = {k: v for k, v in given.items() if v is not None}
-    if "prune" in config.get("builders", []):
-        # the resolved fields do not depend on eps, so a sweep uses its first
-        eps = args.eps_list[0] if args.command == "sweep" else args.eps
-        prune.update(_prune_params_from_args(args, eps).to_dict())
-        del prune["eps"]
-    config["prune"] = prune
+    defaults = _PRUNE_DEFAULTS if "prune" in config.get("builders", []) else {}
+    config["prune"] = {**defaults, **prune}
     return config
 
 
@@ -432,13 +422,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # Stretch bounds, eps and x: refused before any work when NaN or +-inf;
 # x also when not positive, or when the family takes none.  --copies
-# below 1 too, and a --gnuplot script without a CSV --out to plot.
+# below 1 and --k below 0 too, a CSV path for a report that is not a
+# list of rows, and a --gnuplot script without a CSV --out to plot.
 _FINITE_FLAGS = ("t", "eps", "x", "eps_list", "x_list")
+_JSON_ONLY = {"verify": "out", "sweep": "summary_out"}  # subcommand -> its report's flag
 
 
 def _check_values(args) -> None:
     if getattr(args, "copies", 1) < 1:
         raise ValueError(f"--copies must be at least 1, got {args.copies}")
+    if getattr(args, "k", 0) < 0:
+        raise ValueError(f"--k must be at least 0, got {args.k}")
+    report = _JSON_ONLY.get(args.command)
+    if report and (getattr(args, report) or "").endswith(".csv"):
+        flag = "--" + report.replace("_", "-")
+        raise ValueError(f"{flag} writes a JSON report, which has no CSV form, "
+                         f"got {flag} {getattr(args, report)}")
     if getattr(args, "gnuplot", None) and not (args.out or "").endswith(".csv"):
         raise ValueError(f"--gnuplot plots the rows of a CSV --out, got --out {args.out}")
     for name in _FINITE_FLAGS:

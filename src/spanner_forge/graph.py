@@ -104,6 +104,9 @@ def symmetric_csr(n: int, u, v, w) -> csr_matrix:
     from scipy.sparse import csr_matrix
 
     rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    # no pair repeats and none is a loop, so the keys are distinct and any
+    # sort gives this order; the stable kind is kept because it merges the
+    # presorted runs of a net tree's ordered pairs, where it is the faster
     order = np.argsort(rows * n + cols, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])

@@ -18,7 +18,7 @@ import heapq
 import math
 import warnings
 from itertools import compress
-from dataclasses import InitVar, dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -110,9 +110,6 @@ class PruneParams:
         if self.alpha is not None:
             return self.alpha
         return float(self.eps) ** (-2 * dim)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass

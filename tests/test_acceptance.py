@@ -11,6 +11,7 @@ docstring for the geometric argument that no faithful variant can pass
 at the stated eps.
 """
 
+import dataclasses
 import json
 import math
 import time
@@ -256,7 +257,7 @@ def test_criterion6_prune_effectiveness_documented(tmp_path):
         json.dump(
             {
                 "instance": "motivating(0.01), greedy seed",
-                "params": params.to_dict(),
+                "params": dataclasses.asdict(params),
                 "greedy_edges": len(seed.edges),
                 "pruned_edges": len(out.edges),
                 "edge_ratio": ratio,

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -437,6 +438,55 @@ def test_generate_copies_below_one_exits_2_without_writing(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--eps", "0.3", "--builders", "greedy,prune", "--out", "bad.json"],
+        ["compare", "--eps", "0.3", "--builders", "prune", "--out", "bad.json"],
+        ["build", "--eps", "0.3", "--builder", "prune", "--out", "bad.edges"],
+    ],
+    ids=["compare-greedy-prune", "compare-prune", "build-prune"],
+)
+def test_negative_k_exits_2_before_any_builder(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    main(["generate", "--family", "random", "--n", "20", "--seed", "1", "--out", "r.txt"])
+    before = set(tmp_path.iterdir())
+    called = _spy_builders(monkeypatch)
+    assert main([*argv, "--in", "r.txt", "--k", "-1"]) == 2
+    assert called == []
+    assert set(tmp_path.iterdir()) == before
+    assert capsys.readouterr().err == "error: --k must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--out", ["verify", "--in", "r.txt", "--edges", "g.edges", "--t", "1.5"]),
+        ("--summary-out", ["sweep", "--family", "lightness-lb", "--eps-list", "0.04,0.02"]),
+    ],
+    ids=["verify", "sweep"],
+)
+def test_report_without_csv_form_exits_2_before_any_work(tmp_path, monkeypatch, capsys, flag,
+                                                         argv):
+    # a verification and a sweep summary are not lists of rows
+    monkeypatch.chdir(tmp_path)
+    main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", "r.txt"])
+    main(["build", "--builder", "greedy", "--eps", "0.5", "--in", "r.txt", "--out", "g.edges"])
+    before = set(tmp_path.iterdir())
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the report's path was checked")
+
+    for name in ("verify_stretch", "gen_lightness_lb"):
+        monkeypatch.setattr(cli, name, no_work)
+    called = _spy_builders(monkeypatch)
+    assert main([*argv, flag, "bad.csv"]) == 2
+    assert called == []
+    assert set(tmp_path.iterdir()) == before
+    assert capsys.readouterr().err == (
+        f"error: {flag} writes a JSON report, which has no CSV form, got {flag} bad.csv\n")
+
+
 @pytest.mark.parametrize("out", [None, "s.json"])
 def test_sweep_gnuplot_without_csv_out_exits_2_without_writing(tmp_path, monkeypatch, capsys,
                                                                out):
@@ -592,10 +642,11 @@ def test_compare_prune_k0_returns_greedy_seed(tmp_path):
     assert rows["prune"]["weight"] == rows["greedy"]["weight"]
 
 
-@pytest.mark.parametrize("builders", ["greedy,prune", "prune,greedy"])
+@pytest.mark.parametrize("builders", ["greedy,prune", "prune,greedy", "prune", "prune,prune"])
 def test_greedy_built_once_per_instance_and_seeds_prune(tmp_path, monkeypatch, builders):
-    # the rows equal those of each builder run on its own, where the prune
-    # builder builds its own greedy seed
+    # greedy is built once per instance, by the greedy builder, whichever
+    # of greedy and prune are named and however often; each named
+    # builder's rows equal those of that builder run on its own
     inst = str(tmp_path / "r.txt")
     main(["generate", "--family", "random", "--n", "40", "--seed", "3", "--out", inst])
     runs = {
@@ -603,17 +654,18 @@ def test_greedy_built_once_per_instance_and_seeds_prune(tmp_path, monkeypatch, b
         "sweep": ["sweep", "--family", "random", "--n", "40", "--seed", "3",
                   "--eps-list", "0.5,0.3", "--kappa", "20"],
     }
+    names = builders.split(",")
     alone = {}
     for command, argv in runs.items():
-        for name in ("greedy", "prune"):
+        for name in set(names):
             out = tmp_path / f"{command}-{name}.json"
             main([*argv, "--builders", name, "--out", str(out)])
             rows = json.load(open(out))
             alone[command, name] = rows["rows"] if command == "compare" else rows
     calls = []
     for module in (cli, prune):
-        def counting(*args, _real=module.path_greedy, **kwargs):
-            calls.append(args[0])
+        def counting(*args, _module=module, _real=module.path_greedy, **kwargs):
+            calls.append(_module)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(module, "path_greedy", counting)
@@ -624,11 +676,30 @@ def test_greedy_built_once_per_instance_and_seeds_prune(tmp_path, monkeypatch, b
         rows = json.load(open(out))
         rows = rows["rows"] if command == "compare" else rows
         instances = 1 if command == "compare" else 2
-        assert len(calls) == instances
-        by_builder = {name: [row for row in rows if row["builder"] == name]
-                      for name in ("greedy", "prune")}
-        for name, got in by_builder.items():
-            assert got == alone[command, name]
+        assert calls == [cli] * instances
+        for name in set(names):
+            got = [row for row in rows if row["builder"] == name]
+            assert got == [row for row in alone[command, name] for _ in range(names.count(name))]
+
+
+def test_builders_leave_no_spanner_to_the_collector(tmp_path):
+    # the builders' memo forms no reference cycle, so its spanners are
+    # freed when the run ends, not at the collector's next pass
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "40", "--seed", "3", "--out", inst])
+    def spanners():
+        return {id(obj) for obj in gc.get_objects() if isinstance(obj, graph.SpannerGraph)}
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = spanners()  # those other tests keep
+        assert main(["compare", "--in", inst, "--eps", "0.3", "--kappa", "20",
+                     "--builders", "prune,greedy"]) in (0, 1)
+        left = spanners() - before
+    finally:
+        gc.enable()
+    assert left == set()
 
 
 # Run in a fresh interpreter, since this one has loaded scipy already:

@@ -97,7 +97,7 @@ def test_params_iterations_keyword_is_ignored():
     with pytest.warns(DeprecationWarning):
         p = PruneParams(eps=0.1, iterations=3)
     assert p == PruneParams(eps=0.1)
-    assert "iterations" not in p.to_dict()
+    assert "iterations" not in dataclasses.asdict(p)
 
 
 def test_classify_two_point_instance():

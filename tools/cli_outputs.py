@@ -80,6 +80,9 @@ MATRIX = (
     (2, "sweep --family random --n 20 --eps-list 0.5 --out bad.csv"),
     (2, "sweep --family lightness-lb --eps-list 0.02 --x-list 2 --out bad.csv"),
     (2, "sweep --family lightness-lb --eps-list 0.04,0.02 --out bad.json --gnuplot bad.gp"),
+    (2, "verify --in r.txt --edges r.greedy.edges --t 1.5 --out bad.csv"),
+    (2, "sweep --family lightness-lb --eps-list 0.04,0.02 --summary-out bad.csv"),
+    (2, "compare --in r.txt --eps 0.3 --builders greedy,prune --k -1 --out bad.json"),
 )
 
 
