@@ -294,8 +294,7 @@ def _cmd_sweep(args) -> int:
                 row["witness_pair"] = "{}-{}".format(*row["witness_pair"])
             rows += new
             per_x.setdefault(x_arg, {})[eps] = {row["builder"]: row for row in new}
-    if args.out:
-        write_report(rows, args.out)
+    _write_run_report(args, args.out, rows=rows)
     ratio_kind = "weight" if "lightness" in args.family else "edge_count"
     slopes = []
     for x, per_eps in per_x.items():

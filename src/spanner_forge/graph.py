@@ -331,7 +331,9 @@ def _stretch_bounds(G: SpannerGraph, c: np.ndarray) -> np.ndarray:
 def emst_weight(X: PointSet) -> float:
     """Weight of a Euclidean minimum spanning tree (dense Prim scan).
 
-    The scan runs once per point set; the weight is kept on ``X``.
+    The scan runs once per point set; the weight is kept on ``X``.  It
+    reads the rows of ``X``'s distance matrix when that is already built,
+    and computes each row otherwise; it never builds the matrix.
     """
     if X._emst is None:
         X._emst = _prim_weight(X)
@@ -342,19 +344,25 @@ def _prim_weight(X: PointSet) -> float:
     n = X.n
     if n <= 1:
         return 0.0
-    c = X.coords
+    c, D = X.coords, X._dist
     cols = np.arange(n)
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = _lengths(c, 0, cols)
+
+    def row(j):
+        # the rows of PointSet.distances are these lengths, bit for bit
+        return _lengths(c, j, cols) if D is None else D[j]
+
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    best = np.array(row(0))
     best[0] = np.inf
     total = 0.0
     for _ in range(n - 1):
         j = int(np.argmin(best))
         total += float(best[j])
-        in_tree[j] = True
-        np.minimum(best, _lengths(c, j, cols), out=best)
-        best[in_tree] = np.inf
+        outside[j] = False
+        best[j] = np.inf
+        # vertices in the tree stay at inf
+        np.minimum(best, row(j), out=best, where=outside)
     return total
 
 
@@ -378,14 +386,24 @@ def metrics(G: SpannerGraph, X: PointSet) -> MetricsReport:
 # differences never exist for all pairs at once; up to n = 362 is one pass.
 _PAIR_PASS = 1 << 16
 
+# Pairs per length block, on average over the range of lengths.
+_BLOCK_PAIRS = 1024
 
-def _sorted_pairs(X: PointSet):
-    """All vertex pairs ordered by (length, u, v).
 
-    Returns int32 ``iu``, ``iv`` and float64 lengths ``w``.  The pairs are
-    built in (u, v) order, so a stable sort by length alone breaks ties
-    by (u, v).  Each length is ``norm(c[u] - c[v])`` as a whole-array
+def _grouped_pairs(X: PointSet):
+    """All vertex pairs grouped into blocks of increasing length.
+
+    Returns int32 ``iu``, ``iv``, float64 lengths ``w`` and ``bounds``:
+    block b holds the pairs ``bounds[b]:bounds[b + 1]``, none of them
+    empty.  Each length is ``norm(c[u] - c[v])`` as a whole-array
     ``norm(axis=1)`` computes it, in passes of :data:`_PAIR_PASS` pairs.
+    A pair's block is ``uint16(w / w.max() * K)`` for K = m //
+    :data:`_BLOCK_PAIRS` (at most 65535): each float step is monotone in
+    w, so every length in a block is at most every length in the next,
+    and equal lengths share a block.  The pairs are built in (u, v) order
+    and grouped by one stable sort of the 16-bit keys, which numpy runs as
+    a radix sort, so each block stays in (u, v) order.  With K = 0, or
+    lengths that are all zero or not all finite, there is one block.
     """
     n = X.n
     m = n * (n - 1) // 2
@@ -398,43 +416,114 @@ def _sorted_pairs(X: PointSet):
     w = np.empty(m)
     for k in range(0, m, _PAIR_PASS):
         w[k : k + _PAIR_PASS] = _lengths(X.coords, iu[k : k + _PAIR_PASS], iv[k : k + _PAIR_PASS])
-    order = np.argsort(w, kind="stable")
-    # one array at a time, so the unsorted copy of each is freed early
+    top = w.max()
+    # the keys run from 0 to K
+    K = min(m // _BLOCK_PAIRS, np.iinfo(np.uint16).max) if 0.0 < top < math.inf else 0
+    if K == 0:
+        return iu, iv, w, np.array([0, m])
+    # keys and block sizes a pass at a time too: a bincount of all keys
+    # would widen them to intp, and freed whole-array temporaries here let
+    # the allocator serve the permutations below from a heap that keeps
+    # freed memory resident (RSS, not the traced peak, grew by 2 n^2)
+    blk = np.empty(m, dtype=np.uint16)
+    sizes = np.zeros(K + 1, dtype=np.int64)
+    for k in range(0, m, _PAIR_PASS):
+        blk[k : k + _PAIR_PASS] = w[k : k + _PAIR_PASS] / top * K
+        sizes += np.bincount(blk[k : k + _PAIR_PASS], minlength=K + 1)
+    order = np.argsort(blk, kind="stable")
+    del blk
+    # one array at a time, so the ungrouped copy of each is freed early
     iu = iu[order]
     iv = iv[order]
-    return iu, iv, w[order]
+    w = w[order]
+    bounds = np.concatenate(([0], np.cumsum(sizes)[sizes > 0]))
+    return iu, iv, w, bounds
 
 
 # Incremental exact APSP restricted to the rows and columns the new edge shortens.
 def _path_greedy_matrix(X: PointSet, t: float) -> list:
     n = X.n
-    iu, iv, w = _sorted_pairs(X)
+    iu, iv, w, bounds = _grouped_pairs(X)
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
     edges = []
     # chunked tolist() avoids both numpy scalar indexing and n^2 Python objects
     chunk = 1024
-    for lo in range(0, len(w), chunk):
-        su, sv, sw = iu[lo : lo + chunk], iv[lo : lo + chunk], w[lo : lo + chunk]
-        # dist only falls, so a pair already met here is met at its turn;
-        # the open ones are re-tested one by one against the current dist
-        open_ = ~(dist[su, sv] <= t * sw * (1.0 + GREEDY_RTOL))
-        for u, v, wk in zip(su[open_].tolist(), sv[open_].tolist(), sw[open_].tolist()):
-            if dist[u, v] <= t * wk * (1.0 + GREEDY_RTOL):
-                continue
-            edges.append((u, v, wk))
-            # a -> u -> v -> b improves dist[a, b] only for a in A, b in B;
-            # A and B are disjoint (a vertex in both would give 2 wk < 0).
-            # dist stays exactly symmetric, so rows stand in for columns.
-            du, dv = dist[u], dist[v]
-            A = (du + wk < dv).nonzero()[0]
-            B = (dv + wk < du).nonzero()[0]
-            via = np.add.outer(du[A], dv[B])
-            via += wk
-            np.minimum(dist[A[:, None], B], via, out=via)
-            dist[A[:, None], B] = via
-            dist[B[:, None], A] = via.T
+    # the block ends are read from the array one by one: as Python lists
+    # they would outweigh the loop's other temporaries
+    for b in range(len(bounds) - 1):
+        # dist only falls, so a pair met at the start of its block or of
+        # its chunk is met at its turn
+        lo = int(bounds[b])
+        end = _sort_open(dist, t, iu, iv, w, lo, int(bounds[b + 1]))
+        for c in range(lo, end, chunk):
+            e = min(c + chunk, end)
+            su, sv, sw = iu[c:e], iv[c:e], w[c:e]
+            if c > lo:  # dist may have fallen since the block's test
+                open_ = ~(dist[su, sv] <= t * sw * (1.0 + GREEDY_RTOL))
+                su, sv, sw = su[open_], sv[open_], sw[open_]
+            # the open ones are re-tested one by one against the current dist
+            for u, v, wk in zip(su.tolist(), sv.tolist(), sw.tolist()):
+                if dist[u, v] <= t * wk * (1.0 + GREEDY_RTOL):
+                    continue
+                edges.append((u, v, wk))
+                _add_edge(dist, u, v, wk)
     return edges
+
+
+def _sort_open(dist: np.ndarray, t: float, iu, iv, w, lo: int, hi: int) -> int:
+    """Move the pairs ``lo:hi`` that ``dist`` leaves open to the front of
+    that range, in (length, u, v) order, and return where they end.
+
+    The pairs are tested a pass at a time and sorted in place, so that a
+    block of nearly all pairs (a far outlier makes one) stays within the
+    24 n^2 bytes of :func:`path_greedy`.  They arrive in (u, v) order, so
+    a stable sort by length orders them by (length, u, v).
+    """
+    end = lo
+    for k in range(lo, hi, _PAIR_PASS):
+        e = min(k + _PAIR_PASS, hi)
+        open_ = ~(dist[iu[k:e], iv[k:e]] <= t * w[k:e] * (1.0 + GREEDY_RTOL))
+        step = int(np.count_nonzero(open_))
+        for a in (iu, iv, w):
+            a[end : end + step] = a[k:e][open_]
+        end += step
+    order = np.argsort(w[lo:end], kind="stable")
+    iu[lo:end] = iu[lo:end][order]
+    iv[lo:end] = iv[lo:end][order]
+    # sorted in place: the values are the same in any order of their ties
+    w[lo:end].sort()
+    return end
+
+
+def _add_edge(dist: np.ndarray, u: int, v: int, wk: float) -> None:
+    """Lower ``dist`` to the distances after adding the edge u-v of weight wk.
+
+    a -> u -> v -> b improves dist[a, b] only for a in A, b in B; A and B
+    are disjoint (a vertex in both would give 2 wk < 0), and A holds u, B
+    holds v.  dist stays exactly symmetric, so rows stand in for columns.
+    When A or B is the one vertex u or v, the block is one row: the
+    general sum (du[a] + dv[b]) + wk then adds a 0, which changes no bit.
+    """
+    du, dv = dist[u], dist[v]
+    A = (du + wk < dv).nonzero()[0]
+    B = (dv + wk < du).nonzero()[0]
+    if len(A) == 1:
+        row = dv[B] + wk
+        np.minimum(du[B], row, out=row)
+        dist[u, B] = row
+        dist[B, u] = row
+    elif len(B) == 1:
+        row = du[A] + wk
+        np.minimum(dv[A], row, out=row)
+        dist[v, A] = row
+        dist[A, v] = row
+    else:
+        via = np.add.outer(du[A], dv[B])
+        via += wk
+        np.minimum(dist[A[:, None], B], via, out=via)
+        dist[A[:, None], B] = via
+        dist[B[:, None], A] = via.T
 
 
 def path_greedy(X: PointSet, t: float) -> SpannerGraph:
@@ -443,15 +532,19 @@ def path_greedy(X: PointSet, t: float) -> SpannerGraph:
     Processes pairs by increasing distance (ties lexicographic) and adds
     an edge iff the current graph distance exceeds t times the pair
     distance.  Graph distances live in an n x n matrix, and each new
-    edge updates only the rows and columns it shortens.  Pairs are
-    tested 1024 at a time against the matrix, and only those still open
-    are tested again, one by one, at their turn.
+    edge updates only the rows and columns it shortens, as one row when
+    either side of the update is a single vertex.  The pairs are not
+    sorted as a whole: one radix sort groups them into blocks of
+    increasing length (:func:`_grouped_pairs`).  At the start of a block
+    its pairs are tested against the matrix, and only those still open
+    are sorted, by (length, u, v).  They are tested again 1024 at a
+    time, and then one by one at their turn.
 
-    The sorted pairs (16 bytes each) and the matrix peak at about
-    24 * n^2 bytes: the RSS growth measured on uniform points was 17.7 to
-    23.0 n^2 bytes for d = 1..4 and n = 2000, 3000 and 4000.  Raises
-    :class:`TooLarge` before allocating when that exceeds the machine's
-    physical memory.
+    The grouped pairs (16 bytes each) and the matrix peak at about
+    24 * n^2 bytes: the RSS growth measured on uniform points was 17.1 to
+    21.8 n^2 bytes for d = 1..4 at n = 2000, and 19.5 at n = 3000 for
+    d = 2 and 3.  Raises :class:`TooLarge` before allocating when that
+    exceeds the machine's physical memory.
     """
     if not (math.isfinite(t) and t >= 1.0):
         raise GraphError(f"stretch factor must be finite and >= 1, got {t}")

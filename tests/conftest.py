@@ -312,6 +312,16 @@ def verify_stretch_rows(G, X):
     return best, witness
 
 
+def sorted_pairs(X):
+    """All vertex pairs in (length, u, v) order, the order in which path
+    greedy takes them: ``iu``, ``iv`` and the lengths ``norm(c[u] -
+    c[v])`` of one whole-array ``norm(axis=1)``."""
+    iu, iv = np.triu_indices(X.n, k=1)
+    w = np.linalg.norm(X.coords[iu] - X.coords[iv], axis=1)
+    order = np.lexsort((iv, iu, w))
+    return iu[order], iv[order], w[order]
+
+
 def prim_weight_rows(X):
     """EMST weight by dense Prim, one ``norm(axis=1)`` row per step."""
     n, c = X.n, X.coords

@@ -133,6 +133,22 @@ def test_sweep_lightness_slope_and_csv_schema(tmp_path):
         assert f"title '{b}'" in script
 
 
+def test_sweep_json_out_records_config_and_csv_rows(tmp_path):
+    argv = ["sweep", "--family", "random", "--n", "20", "--eps-list", "0.5,0.3",
+            "--builders", "greedy,net-tree", "--out"]
+    rep, csvf = tmp_path / "sw.json", tmp_path / "sw.csv"
+    assert main(argv + [str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    assert set(doc) == {"config", "timestamp", "rows"}
+    assert doc["config"]["command"] == "sweep" and doc["config"]["out"] == str(rep)
+    # the CSV form holds the same rows and nothing else
+    assert main(argv + [str(csvf)]) == 0
+    with open(csvf, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [set(r) for r in rows] == [set(r) for r in doc["rows"]]
+    assert [r["builder"] for r in rows] == ["greedy", "net-tree"] * 2
+
+
 def test_sweep_x_list_gives_one_slope_per_x(tmp_path, capsys):
     summ = tmp_path / "sweep.json"
     csvf, gp = tmp_path / "sweep.csv", tmp_path / "sweep.gp"
@@ -564,7 +580,7 @@ def test_sweep_x_family_checks_the_x_it_used(tmp_path):
     argv = ["sweep", "--family", "lightness-lb-x", "--eps-list", "0.01",
             "--builders", "witness", "--out", str(out)]
     assert main(argv) == 0
-    rows = json.load(open(out))
+    rows = json.load(open(out))["rows"]
     assert [row["x"] for row in rows] == [2.0]
     assert rows[0]["max_stretch"] <= 1.0 + 0.01 * 2.0 + 1e-9
 
@@ -660,8 +676,7 @@ def test_greedy_built_once_per_instance_and_seeds_prune(tmp_path, monkeypatch, b
         for name in set(names):
             out = tmp_path / f"{command}-{name}.json"
             main([*argv, "--builders", name, "--out", str(out)])
-            rows = json.load(open(out))
-            alone[command, name] = rows["rows"] if command == "compare" else rows
+            alone[command, name] = json.load(open(out))["rows"]
     calls = []
     for module in (cli, prune):
         def counting(*args, _module=module, _real=module.path_greedy, **kwargs):
@@ -673,8 +688,7 @@ def test_greedy_built_once_per_instance_and_seeds_prune(tmp_path, monkeypatch, b
         calls.clear()
         out = tmp_path / f"{command}.json"
         main([*argv, "--builders", builders, "--out", str(out)])
-        rows = json.load(open(out))
-        rows = rows["rows"] if command == "compare" else rows
+        rows = json.load(open(out))["rows"]
         instances = 1 if command == "compare" else 2
         assert calls == [cli] * instances
         for name in set(names):

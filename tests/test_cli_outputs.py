@@ -18,7 +18,8 @@ def test_matrix_outputs_without_timestamps_and_configs_apart(tmp_path):
     assert "wrote 40 points to c.txt" in runs[2]  # --copies 2 of 20 points
     reports = [p for p in out.glob("*.json") if not p.name.endswith(".config.json")]
     configs = sorted(out.glob("*.config.json"))
-    assert len(configs) == 19  # 9 instances, 2 verify, 6 compare, 2 sweep summaries
+    # 9 instances, 2 verify, 6 compare, 2 sweep summaries and 1 sweep --out
+    assert len(configs) == 20
     for path in reports:
         doc = json.loads(path.read_text())
         assert not isinstance(doc, dict) or not {"config", "timestamp"} & set(doc)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,8 +22,8 @@ from spanner_forge.graph import (
     symmetric_csr,
     verify_stretch,
     write_edge_list,
+    _grouped_pairs,
     _prim_weight,
-    _sorted_pairs,
 )
 import spanner_forge.nets as nets
 from spanner_forge.nets import build_cluster_graph, build_hierarchy, build_net_tree_spanner
@@ -43,6 +44,7 @@ from conftest import (
     prim_weight_rows,
     random_points,
     shortest_dist,
+    sorted_pairs,
     validate_weights,
     verify_stretch_rows,
 )
@@ -172,7 +174,12 @@ def test_verify_stretch_and_prim_match_row_scans(case):
     X = points()
     G = path_greedy(X, t)
     assert verify_stretch(G, X) == verify_stretch_rows(G, X)
-    assert _prim_weight(X) == prim_weight_rows(X)
+    # the EMST computes its rows and builds no matrix, or reads the rows
+    # of one already built
+    want = prim_weight_rows(X)
+    assert emst_weight(X) == want and X._dist is None
+    X.distances()
+    assert _prim_weight(X) == want
 
 
 @pytest.mark.parametrize("cut", [100, 70, 65])
@@ -479,7 +486,7 @@ def test_metrics_greedy_random():
 
 def dijkstra_greedy(X, t):
     """Path greedy with one bounded Dijkstra per pair on the growing graph."""
-    iu, iv, w = _sorted_pairs(X)
+    iu, iv, w = sorted_pairs(X)
     adj = [[] for _ in range(X.n)]
     edges = []
     for k in range(len(w)):
@@ -521,7 +528,7 @@ def test_path_greedy_refuses_matrix_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr("os.sysconf", lambda name: pages[name])
     assert len(path_greedy(line(26), 1.1).edges) == 25
     monkeypatch.setattr(
-        "spanner_forge.graph._sorted_pairs",
+        "spanner_forge.graph._grouped_pairs",
         lambda X: pytest.fail("allocated before the memory check"),
     )
     with pytest.raises(TooLarge):
@@ -540,23 +547,34 @@ def test_path_greedy_refuses_matrix_beyond_physical_memory(monkeypatch):
     ],
     ids=["grid2", "grid3", "line", "lightness-lb", "n2"],
 )
-def test_sorted_pairs_match_lexsort(make, pass_pairs, monkeypatch):
-    # tie-heavy inputs; with 5 pairs per pass most passes split a row
+def test_grouped_pairs_blocks_ordered_by_length(make, pass_pairs, monkeypatch):
+    # tie-heavy inputs; with 5 pairs per pass most passes split a row, and
+    # with 1 pair per block on average most ties meet a block end
     monkeypatch.setattr("spanner_forge.graph._PAIR_PASS", pass_pairs)
     X = make()
-    iu, iv = np.triu_indices(X.n, k=1)
-    w = np.linalg.norm(X.coords[iu] - X.coords[iv], axis=1)
-    order = np.lexsort((iv, iu, w))
-    got = _sorted_pairs(X)
-    assert got[0].dtype == got[1].dtype == np.int32
-    for a, b in zip(got, (iu[order], iv[order], w[order])):
-        assert np.array_equal(a, b)
+    want_u, want_v = np.triu_indices(X.n, k=1)
+    want_w = np.linalg.norm(X.coords[want_u] - X.coords[want_v], axis=1)
+    for block_pairs in (1, 1024):
+        monkeypatch.setattr("spanner_forge.graph._BLOCK_PAIRS", block_pairs)
+        iu, iv, w, bounds = _grouped_pairs(X)
+        assert iu.dtype == iv.dtype == np.int32
+        # every pair once, with the reference's length bits
+        got = np.lexsort((iv, iu))
+        assert np.array_equal(iu[got], want_u) and np.array_equal(iv[got], want_v)
+        assert np.array_equal(w[got], want_w)
+        assert bounds[0] == 0 and bounds[-1] == len(w) and (np.diff(bounds) > 0).all()
+        blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        for b in blocks:  # (u, v) order inside a block
+            assert (np.diff(iu[b].astype(np.int64) * X.n + iv[b]) > 0).all()
+        # blocks rise in length, and equal lengths never straddle a block end
+        for b, c in zip(blocks, blocks[1:]):
+            assert w[b].max() < w[c].min()
 
 
 def full_update_greedy(X, t):
     """Path greedy with a full n x n distance update per accepted edge."""
     n = X.n
-    iu, iv, w = _sorted_pairs(X)
+    iu, iv, w = sorted_pairs(X)
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
     buf = np.empty((n, n))
@@ -595,6 +613,58 @@ def full_update_greedy(X, t):
 def test_path_greedy_matrix_matches_full_update(make, t):
     X = make()
     assert path_greedy(X, t).edges == full_update_greedy(X, t)
+
+
+def _far_outlier(n):
+    # every pair of the cluster falls in the first length block
+    c = gen_random(n, 2, "clustered", 0).points.coords.copy()
+    c[0] += 1e3
+    return normalize(c)
+
+
+def _scaled(s):
+    return lambda: PointSet(np.random.default_rng(3).random((60, 2)) * s)
+
+
+@pytest.mark.parametrize("pass_pairs", [5, 1 << 16])
+@pytest.mark.parametrize(
+    "make, t, block_pairs",
+    [
+        (lambda: _far_outlier(150), 1.1, 1024),
+        # m = 1035, K = 1: block 1 holds only the longest pair
+        (lambda: random_points(46, 2, 4), 1.1, 1024),
+        (lambda: line(2), 1.0, 1024),
+        (lambda: random_points(2, 3, 5), 1.5, 1),
+        # every length underflows to 0: one block
+        (_scaled(1e-300), 1.1, 1024),
+        # the largest lengths whose squares stay finite
+        (_scaled(1e150), 1.1, 1024),
+        (lambda: int_grid(8, 2), 1.1, 1),  # one pair per block, or a tie
+        (lambda: normalize(gen_random(80, 3, "clustered", 2).points), 1.2, 1),
+    ],
+    ids=["far-outlier", "K1", "n2", "n2-one-pair-blocks", "scaled-1e-300",
+         "scaled-1e150", "grid2-one-pair-blocks", "clustered-one-pair-blocks"],
+)
+def test_path_greedy_blocks_match_full_update(make, t, block_pairs, pass_pairs, monkeypatch):
+    # with 5 pairs per pass, a block's open pairs move to its front in many passes
+    monkeypatch.setattr("spanner_forge.graph._PAIR_PASS", pass_pairs)
+    monkeypatch.setattr("spanner_forge.graph._BLOCK_PAIRS", block_pairs)
+    X = make()
+    assert path_greedy(X, t).edges == full_update_greedy(X, t)
+
+
+@pytest.mark.parametrize("make", [lambda: random_points(400, 2, 6), lambda: _far_outlier(400)],
+                         ids=["uniform", "far-outlier"])
+def test_path_greedy_traced_peak_within_memory_check(make):
+    # path_greedy refuses an input when 24 n^2 bytes exceed physical memory
+    X = make()
+    tracemalloc.start()
+    try:
+        path_greedy(X, 1.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * X.n**2
 
 
 def assert_same_csr(got, want):
