@@ -91,6 +91,8 @@ def parse_pointset(path) -> PointSet:
         d, n = int(head[0]), int(head[1])
     except ValueError:
         raise ParseError(path, 1, "header must be two integers") from None
+    if d < 1 or n < 1:
+        raise ParseError(path, 1, "header needs d >= 1 and n >= 1")
     rows = []
     lineno = 1
     for raw in lines[1:]:

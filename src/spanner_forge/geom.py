@@ -17,6 +17,7 @@ import numpy as np
 # analysis is in exact reals; every float comparison in this package is
 # guarded so the comparison contract is explicit.
 GEOM_RTOL = 1e-9
+NORMALIZED_RTOL = 1e-6  # how far from 1 a normalized set's minimum distance may be
 
 # Projection-fraction bands of the two waist regions inside the ellipse:
 # region A sits in a band of half-width 1/50 around 3/8, region B mirrors
@@ -89,15 +90,15 @@ class PointSet:
     """A finite set of d-dimensional points.
 
     ``scale`` records the factor the raw coordinates were divided by
-    during :func:`normalize` (1.0 for raw sets), so results can be mapped
-    back to input units.  The pairwise extremes, the distance matrix and
-    the EMST weight (``graph.emst_weight``) are computed on first use and
-    kept.
+    (:func:`normalize` sets it; 1.0 for raw sets), so results can be
+    mapped back to input units.  The pairwise extremes, the distance
+    matrix and the EMST weight (``graph.emst_weight``) are computed on
+    first use and kept.
     """
 
     __slots__ = ("coords", "scale", "_min_dist", "_max_dist", "_dist", "_emst")
 
-    def __init__(self, coords, scale: float = 1.0):
+    def __init__(self, coords):
         arr = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
         if arr.ndim != 2:
             raise GeomError("coordinates must be an (n, d) array")
@@ -107,10 +108,8 @@ class PointSet:
             raise GeomError("all coordinates must be finite")
         if arr.shape[0] > 1 and len(np.unique(arr, axis=0)) != arr.shape[0]:
             raise DuplicatePoint("point set contains duplicate points")
-        if not scale > 0:
-            raise GeomError("scale must be positive")
         self.coords = arr
-        self.scale = float(scale)
+        self.scale = 1.0
         self._min_dist = None
         self._max_dist = None
         self._dist = None
@@ -123,9 +122,6 @@ class PointSet:
     @property
     def dim(self) -> int:
         return self.coords.shape[1]
-
-    def __len__(self) -> int:
-        return self.n
 
     def distances(self) -> np.ndarray:
         """n x n Euclidean distances, built in row blocks on first use.
@@ -168,8 +164,8 @@ class PointSet:
         lo, hi = self._pairwise_extremes()
         return hi / lo
 
-    def is_normalized(self, rtol: float = GEOM_RTOL) -> bool:
-        return abs(self.min_pairwise_distance() - 1.0) <= rtol
+    def is_normalized(self) -> bool:
+        return abs(self.min_pairwise_distance() - 1.0) <= NORMALIZED_RTOL
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PointSet(n={self.n}, dim={self.dim}, scale={self.scale})"
@@ -179,20 +175,18 @@ def normalize(raw) -> PointSet:
     """Scale a raw point set so its minimum pairwise distance is 1.
 
     The divisor is recorded as ``scale`` on the result, whose extremes
-    are set to 1 and the raw spread rather than recomputed.  Raises
-    ``TooFewPoints`` for fewer than two points and ``DuplicatePoint``
-    for coincident points.
+    are set to 1 and the raw spread rather than recomputed; a given
+    ``PointSet`` is read as it is, not rebuilt.  Raises ``TooFewPoints``
+    for fewer than two points and ``DuplicatePoint`` for coincident points.
     """
-    if isinstance(raw, PointSet):
-        raw = raw.coords
-    ps = PointSet(raw)
+    ps = raw if isinstance(raw, PointSet) else PointSet(raw)
     if ps.n < 2:
         raise TooFewPoints("normalization needs at least two points")
     d, hi = ps._pairwise_extremes()
     if d <= 0:
         raise DuplicatePoint("zero minimum pairwise distance")
-    out = PointSet(ps.coords / d, scale=d)
-    out._min_dist, out._max_dist = 1.0, hi / d
+    out = PointSet(ps.coords / d)
+    out.scale, out._min_dist, out._max_dist = d, 1.0, hi / d
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING
@@ -155,8 +156,9 @@ class SpannerGraph:
 
     @classmethod
     def from_columns(cls, n: int, u, v, w, meta: dict | None = None) -> "SpannerGraph":
-        """Build a graph from edge columns ``u``, ``v`` and ``w``, checked
-        as the constructor checks its rows."""
+        """Build a graph from edge columns ``u``, ``v`` and ``w``, checked as
+        the constructor checks its rows; ``u`` and ``v`` are widened to int64."""
+        u, v = (np.asarray(a, dtype=np.int64) for a in (u, v))
         G = cls.__new__(cls)
         G._store(int(n), *_ordered_pairs(int(n), u, v), np.asarray(w, dtype=np.float64), meta)
         return G
@@ -440,13 +442,14 @@ def _grouped_pairs(X: PointSet):
     return iu, iv, w, bounds
 
 
-# Incremental exact APSP restricted to the rows and columns the new edge shortens.
-def _path_greedy_matrix(X: PointSet, t: float) -> list:
+# Incremental exact APSP restricted to the rows and columns the new edge shortens;
+# the accepted edges are int32 / int32 / float64 columns, 16 bytes an edge.
+def _path_greedy_matrix(X: PointSet, t: float) -> tuple:
     n = X.n
     iu, iv, w, bounds = _grouped_pairs(X)
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    edges = []
+    eu, ev, ew = array("i"), array("i"), array("d")
     # chunked tolist() avoids both numpy scalar indexing and n^2 Python objects
     chunk = 1024
     # the block ends are read from the array one by one: as Python lists
@@ -466,9 +469,11 @@ def _path_greedy_matrix(X: PointSet, t: float) -> list:
             for u, v, wk in zip(su.tolist(), sv.tolist(), sw.tolist()):
                 if dist[u, v] <= t * wk * (1.0 + GREEDY_RTOL):
                     continue
-                edges.append((u, v, wk))
+                eu.append(u)
+                ev.append(v)
+                ew.append(wk)
                 _add_edge(dist, u, v, wk)
-    return edges
+    return eu, ev, ew
 
 
 def _sort_open(dist: np.ndarray, t: float, iu, iv, w, lo: int, hi: int) -> int:
@@ -476,9 +481,9 @@ def _sort_open(dist: np.ndarray, t: float, iu, iv, w, lo: int, hi: int) -> int:
     that range, in (length, u, v) order, and return where they end.
 
     The pairs are tested a pass at a time and sorted in place, so that a
-    block of nearly all pairs (a far outlier makes one) stays within the
-    24 n^2 bytes of :func:`path_greedy`.  They arrive in (u, v) order, so
-    a stable sort by length orders them by (length, u, v).
+    block of nearly all pairs (a far outlier makes one) stays within
+    24 n^2 bytes.  They arrive in (u, v) order, so a stable sort by
+    length orders them by (length, u, v).
     """
     end = lo
     for k in range(lo, hi, _PAIR_PASS):
@@ -540,25 +545,27 @@ def path_greedy(X: PointSet, t: float) -> SpannerGraph:
     are sorted, by (length, u, v).  They are tested again 1024 at a
     time, and then one by one at their turn.
 
-    The grouped pairs (16 bytes each) and the matrix peak at about
-    24 * n^2 bytes: the RSS growth measured on uniform points was 17.1 to
-    21.8 n^2 bytes for d = 1..4 at n = 2000, and 19.5 at n = 3000 for
-    d = 2 and 3.  Raises :class:`TooLarge` before allocating when that
-    exceeds the machine's physical memory.
+    The grouped pairs (16 bytes each) and the matrix take 16 n^2 bytes,
+    and each edge 16 bytes of columns.  RSS growth measured on uniform
+    points at n = 2000 was 19.9 n^2 bytes at d = 2 and 18.2 at d = 5
+    (t = 1.1), and 40.6 when every pair is an edge (t = 1.0), where the
+    widened columns' check after the loop sets the peak.  Raises
+    :class:`TooLarge` before allocating when 41 n^2 bytes exceed the
+    machine's physical memory.
     """
     if not (math.isfinite(t) and t >= 1.0):
         raise GraphError(f"stretch factor must be finite and >= 1, got {t}")
     meta = {"t": t, "builder": "path_greedy"}
     if X.n < 2:
         return SpannerGraph(X.n, [], meta=meta)
-    need = 24 * X.n * X.n
+    need = 41 * X.n * X.n
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise TooLarge(
             f"n={X.n} needs about {need / 2**30:.1f} GiB for greedy, "
             f"more than the {have / 2**30:.1f} GiB of physical memory"
         )
-    return SpannerGraph(X.n, _path_greedy_matrix(X, t), meta=meta)
+    return SpannerGraph.from_columns(X.n, *_path_greedy_matrix(X, t), meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def build_hierarchy(X: PointSet) -> NetHierarchy:
         raise GeomError("empty point set")
     if X.n == 1:
         return NetHierarchy(X, [np.array([0])], 1.0)
-    if not X.is_normalized(rtol=1e-6):
+    if not X.is_normalized():
         raise GeomError("hierarchy requires a normalized point set")
     D = X.distances()
     spread = X.spread()

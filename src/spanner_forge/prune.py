@@ -261,7 +261,7 @@ def phase1(
     X: PointSet,
     E: SpannerGraph,
     params: PruneParams,
-    classification=None,
+    classification,
 ):
     """Substitute-edge pruning of type-1 edges.
 
@@ -291,8 +291,6 @@ def phase1(
     bucket holds no live edge, as every count in it is then 0.
     """
     eps = params.eps
-    if classification is None:
-        classification = classify_edges(X, E, eps)
     type1, _ = classification
     kappa = params.kappa
     alpha = params.alpha_value(X.dim)
@@ -559,7 +557,7 @@ def greedy_prune(
     the final graph and the per-phase reports; the output is re-verified
     to be connected.
     """
-    if not X.is_normalized(rtol=1e-6):
+    if not X.is_normalized():
         raise PruneError("point set must be normalized first")
     if k < 0:
         raise PruneError("iteration count must be nonnegative")
@@ -577,7 +575,7 @@ def greedy_prune(
     reports: list = []
     for it in range(1, k + 1):
         classification = classify_edges(X, E, eps)
-        E1, r1 = phase1(X, E, params, classification=classification)
+        E1, r1 = phase1(X, E, params, classification)
         r1.iteration = it
         E2, r2 = phase2(X, E1, params, classification, dist_backend=dist_backend)
         r2.iteration = it

@@ -220,6 +220,8 @@ def test_edge_index_out_of_range_exits_2(tmp_path, capsys, line):
 @pytest.mark.parametrize("points, edges, bad, message", [
     ("", "", "pts.txt", "line 1: empty file"),
     ("2 two\n", "", "pts.txt", "line 1: header must be two integers"),
+    ("2 0\n", "", "pts.txt", "line 1: header needs d >= 1 and n >= 1"),
+    ("2 -1\n", "", "pts.txt", "line 1: header needs d >= 1 and n >= 1"),
     ("2 2\n0 0\n1\n", "", "pts.txt", "line 3: expected 2 coordinates"),
     ("2 2\n0 0\n1 z\n", "", "pts.txt", "line 3: bad coordinate"),
     ("2 1\n\n0 0\n1 1\n", "", "pts.txt", "line 4: more than 1 rows"),  # blank lines count

@@ -41,6 +41,18 @@ def test_normalize_already_normalized():
     assert ps.scale == 1.0
 
 
+def test_normalize_reuses_a_given_point_set(monkeypatch):
+    P = PointSet(np.array([[0.0, 0.0], [0.0, 2.0], [0.0, 6.0]]))
+    built = []
+    init = PointSet.__init__
+    monkeypatch.setattr(PointSet, "__init__", lambda self, c: built.append(c) or init(self, c))
+    ps = normalize(P)
+    # only the scaled set is built; the given one is neither copied nor checked again
+    assert len(built) == 1 and built[0] is not P.coords
+    assert np.array_equal(ps.coords, P.coords / 2.0) and ps.scale == 2.0
+    assert P.scale == 1.0
+
+
 def test_normalize_random_min_distance_is_one():
     pts = np.random.default_rng(0).random((100, 2))
     ps = normalize(pts)

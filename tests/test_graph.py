@@ -522,17 +522,17 @@ def test_path_greedy_meta_same_for_tiny_inputs():
 
 
 def test_path_greedy_refuses_matrix_beyond_physical_memory(monkeypatch):
-    # 4 pages of 4 KiB = 16384 bytes: a 26-point line needs 24 * 26^2 =
-    # 16224 bytes and fits; a 27-point line needs 17496 and does not
+    # 4 pages of 4 KiB = 16384 bytes: a 19-point line needs 41 * 19^2 =
+    # 14801 bytes and fits; a 20-point line needs 16400 and does not
     pages = {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr("os.sysconf", lambda name: pages[name])
-    assert len(path_greedy(line(26), 1.1).edges) == 25
+    assert len(path_greedy(line(19), 1.1).edges) == 18
     monkeypatch.setattr(
         "spanner_forge.graph._grouped_pairs",
         lambda X: pytest.fail("allocated before the memory check"),
     )
     with pytest.raises(TooLarge):
-        path_greedy(line(27), 1.1)
+        path_greedy(line(20), 1.1)
 
 
 @pytest.mark.parametrize("pass_pairs", [5, 1 << 16])
@@ -653,18 +653,29 @@ def test_path_greedy_blocks_match_full_update(make, t, block_pairs, pass_pairs, 
     assert path_greedy(X, t).edges == full_update_greedy(X, t)
 
 
-@pytest.mark.parametrize("make", [lambda: random_points(400, 2, 6), lambda: _far_outlier(400)],
-                         ids=["uniform", "far-outlier"])
-def test_path_greedy_traced_peak_within_memory_check(make):
-    # path_greedy refuses an input when 24 n^2 bytes exceed physical memory
+@pytest.mark.parametrize(
+    "make, t, bound",
+    [
+        (lambda: random_points(400, 2, 6), 1.1, 24),
+        (lambda: _far_outlier(400), 1.1, 24),
+        # 26,786 edges, which must cost no Python object each
+        (lambda: random_points(400, 5, 6), 1.1, 24),
+        # every pair an edge: the columns, widened, are checked after the loop
+        (lambda: random_points(300, 2, 6), 1.0, 41),
+    ],
+    ids=["uniform", "far-outlier", "uniform-d5", "all-pairs"],
+)
+def test_path_greedy_traced_peak_within_memory_check(make, t, bound):
+    # path_greedy refuses an input when 41 n^2 bytes exceed physical memory;
+    # inputs short of all pairs stay within 24 n^2
     X = make()
     tracemalloc.start()
     try:
-        path_greedy(X, 1.1)
+        path_greedy(X, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * X.n**2
+    assert peak <= bound * X.n**2
 
 
 def assert_same_csr(got, want):

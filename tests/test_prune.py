@@ -136,7 +136,7 @@ def test_phase1_prunes_biclique():
     X, meta = motivating_normalized()
     E = biclique_seed(X, meta)
     params = PruneParams(eps=0.01)
-    E1, rep = phase1(X, E, params)
+    E1, rep = phase1(X, E, params, classify_edges(X, E, 0.01))
     k1 = len(meta["x_indices"])
     assert rep.type1_pruned >= k1 * k1 - 1  # essentially the whole bi-clique
     assert len(E1.edges) < len(E.edges)
@@ -623,7 +623,7 @@ def _assert_phase1_matches_reference(name, param_sets, relabel=None, by_pair=Fal
     cls = _reference_classify(X, E, eps)
     for kwargs in param_sets:
         params = PruneParams(eps=eps, **kwargs)
-        got, got_rep = phase1(X, E, params)
+        got, got_rep = phase1(X, E, params, classify_edges(X, E, eps))
         want, want_rep = _reference_phase1(X, E, params, cls)
         assert got.edges == want.edges
         assert got.meta == want.meta
@@ -660,8 +660,8 @@ def test_phase1_repeat_calls_agree(name):
     E = path_greedy(X, 1.0 + eps)
     for kwargs in KAPPAS:
         params = PruneParams(eps=eps, **kwargs)
-        first, first_rep = phase1(X, E, params)
-        again, again_rep = phase1(X, E, params)
+        first, first_rep = phase1(X, E, params, classify_edges(X, E, eps))
+        again, again_rep = phase1(X, E, params, classify_edges(X, E, eps))
         assert again.edges == first.edges
         assert again.meta == first.meta
         assert again_rep.__dict__ == first_rep.__dict__
@@ -684,7 +684,8 @@ def test_phase1_pops_each_pick_once_on_the_relaxed_arc(monkeypatch):
     monkeypatch.setattr(prune.heapq, "heappop", lambda h: pops.append(1) or heappop(h))
     eps = 0.025
     X = normalize(gen_lightness_lb_x(eps, 2).points)
-    _, report = phase1(X, path_greedy(X, 1.0 + eps), PruneParams(eps=eps))
+    E = path_greedy(X, 1.0 + eps)
+    _, report = phase1(X, E, PruneParams(eps=eps), classify_edges(X, E, eps))
     assert report.substitutes_added == 303
     assert len(pops) == 303
 
@@ -977,7 +978,8 @@ def test_classify_four_points_type2():
 
 def test_genuine_substitutes_counter():
     X, meta = motivating_normalized()
-    _, rep = phase1(X, biclique_seed(X, meta), PruneParams(eps=0.01))
+    E = biclique_seed(X, meta)
+    _, rep = phase1(X, E, PruneParams(eps=0.01), classify_edges(X, E, 0.01))
     assert rep.genuine_substitutes >= 1
     assert reconciles(rep)
     _, reports = greedy_prune(int_grid(6, 2), 0.1, 1)

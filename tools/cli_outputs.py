@@ -101,8 +101,6 @@ def split_configs(directory: Path) -> None:
     """Drop each JSON report's timestamp and move its config to a file of its own."""
     for path in sorted(directory.glob("*.json")):
         doc = json.loads(path.read_text())
-        if not isinstance(doc, dict):
-            continue
         doc.pop("timestamp", None)
         if "config" in doc:
             config = doc.pop("config")
