@@ -29,6 +29,7 @@ import numpy as np
 from .geom import PointSet, normalize
 from .graph import (
     SpannerGraph,
+    _ascii_lines,
     metrics,
     path_greedy,
     read_edge_list,
@@ -80,8 +81,7 @@ def write_pointset(X: PointSet, path) -> None:
 
 def parse_pointset(path) -> PointSet:
     """Read an instance file written by :func:`write_pointset`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
+    lines = _ascii_lines(path, partial(ParseError, path))
     if not lines:
         raise ParseError(path, 1, "empty file")
     head = lines[0].split()
@@ -111,7 +111,13 @@ def parse_pointset(path) -> PointSet:
             raise ParseError(path, lineno, f"more than {n} rows")
     if len(rows) < n:
         raise ParseError(path, len(lines) + 1, f"expected {n} rows, got {len(rows)}")
-    return PointSet(np.array(rows, dtype=np.float64))
+    coords = np.array(rows, dtype=np.float64)
+    bad = ~np.isfinite(coords).all(axis=1)
+    if bad.any():
+        # row r is on the (r + 2)-th line that is not blank: the header is the first
+        filled = [k for k, raw in enumerate(lines, start=1) if raw.strip()]
+        raise ParseError(path, filled[int(np.argmax(bad)) + 1], "coordinates must be finite")
+    return PointSet(coords)
 
 
 def write_report(report: dict, path) -> None:
@@ -422,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # Stretch bounds, eps and x: refused before any work when NaN or +-inf;
-# x also when not positive, or when the family takes none.  --copies
+# x also when not positive, or when the family takes none; a list flag
+# also when it repeats a value, which sweep would build twice.  --copies
 # below 1 and --k below 0 too, a CSV path for a report that is not a
 # list of rows, and a --gnuplot script without a CSV --out to plot.
 _FINITE_FLAGS = ("t", "eps", "x", "eps_list", "x_list")
@@ -447,6 +454,8 @@ def _check_values(args) -> None:
         flag = "--" + name.replace("_", "-")
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"{flag} must be finite, got {value}")
+        if len(set(values)) < len(values):
+            raise ValueError(f"{flag} lists a value more than once, got {value}")
         if name.startswith("x") and not all(v > 0 for v in values):
             raise ValueError(f"{flag} must be positive, got {value}")
         family = getattr(args, "family", "-x")  # compare's --x has no family to check

@@ -754,27 +754,43 @@ def write_edge_list(G: SpannerGraph, path) -> None:
         fh.writelines(f"{u} {v}\n" for u, v in zip(G.u[order].tolist(), G.v[order].tolist()))
 
 
+def _ascii_lines(path, error) -> list:
+    """The lines of the text file at ``path``.  A byte outside ASCII
+    raises ``error(lineno, message)`` for the first one, counting lines
+    by their ``\\n``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        pass  # the decoder's offset is within one chunk: find the byte in the file
+    with open(path, "rb") as fh:
+        data = fh.read()
+    k = int(np.argmax(np.frombuffer(data, dtype=np.uint8) >= 0x80))
+    raise error(data.count(b"\n", 0, k) + 1, f"non-ASCII byte 0x{data[k]:02x}")
+
+
 def read_edge_list(path, X: PointSet) -> SpannerGraph:
     """Load an edge list; weights are recomputed from the coordinates.
-    Every rejected edge is reported with the file and its line."""
+    Every rejected edge, and a byte outside ASCII, is reported with the
+    file and its line."""
+    lines = _ascii_lines(path, lambda lineno, msg: GraphError(f"{path}: line {lineno}: {msg}"))
     pairs, linenos = [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphError(f"{path}: line {lineno}: expected 'u v'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphError(f"{path}: line {lineno}: bad index") from exc
-            # checked as Python ints: numpy cannot hold an index too long for int64
-            if not (0 <= u < X.n and 0 <= v < X.n):
-                raise GraphError(f"{path}: line {lineno}: index out of range for n={X.n}")
-            pairs.append((u, v))
-            linenos.append(lineno)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphError(f"{path}: line {lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphError(f"{path}: line {lineno}: bad index") from exc
+        # checked as Python ints: numpy cannot hold an index too long for int64
+        if not (0 <= u < X.n and 0 <= v < X.n):
+            raise GraphError(f"{path}: line {lineno}: index out of range for n={X.n}")
+        pairs.append((u, v))
+        linenos.append(lineno)
     try:
         return SpannerGraph.from_pairs(X, pairs)
     except BadEdge as exc:

@@ -145,13 +145,10 @@ class ClusterGraph:
         self.inter = inter  # columns (a, b, w)
         self.rep = rep  # original point -> representative
 
-    def add_bridge(self, s: int, t: int, w: float) -> None:
-        """Register a new source-graph edge (s, t) of weight w as
-        inter-cluster edges between every pair of containing clusters."""
-        self._add_bridges([s], [t], [w])
-
-    def _add_bridges(self, us, vs, ws) -> None:
-        """add_bridge for each source edge (u, v, w), in one concatenation."""
+    def add_bridges(self, us, vs, ws) -> None:
+        """Register new source-graph edges (us[k], vs[k]) of weights ws[k]
+        as inter-cluster edges between every pair of containing clusters,
+        in one concatenation."""
         m, rep = self.membership, self.rep
         rows = [(c1, c2, d1 + w + d2) for u, v, w in zip(us, vs, ws)
                 for c1, d1 in m[rep[u]] for c2, d2 in m[rep[v]] if c1 != c2]
@@ -221,7 +218,7 @@ def build_cluster_graph(
     i1, i2 = np.nonzero(np.triu(d < np.inf, k=1))
     F = ClusterGraph(i, centers, membership, (c[i1], c[i2], d[i1, i2]), rep.tolist())
     # bridge inter edges through existing edges between clusters
-    F._add_bridges(eu[cross].tolist(), ev[cross].tolist(), ew[cross].tolist())
+    F.add_bridges(eu[cross].tolist(), ev[cross].tolist(), ew[cross].tolist())
     return F
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from itertools import compress
 from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
@@ -150,7 +149,8 @@ def _ellipse_masks(dist, S, T, limit):
 
 
 def classify_edges(X: PointSet, E: SpannerGraph, eps: float):
-    """Partition the edges of E into type-1 and type-2 sets.
+    """The type-1 and type-2 edges of E, as int64 pair-code arrays: the
+    codes ``u * n + v`` of the edges, in E's edge order.
 
     An edge is type-2 when both waist regions of its ellipse contain
     input points, type-1 otherwise.  A type-2 edge needs its two
@@ -172,8 +172,8 @@ def classify_edges(X: PointSet, E: SpannerGraph, eps: float):
         S, T = E.u[rows], E.v[rows]
         _, in_a, in_b = _ellipse_bands(coords[S], coords[T], coords, eps, dist[S] + dist[T])
         is2[rows] = in_a.any(axis=1) & in_b.any(axis=1)
-    edges = list(zip(E.u.tolist(), E.v.tolist()))
-    return set(compress(edges, (~is2).tolist())), set(compress(edges, is2.tolist()))
+    code = E.u * X.n + E.v
+    return code[~is2], code[is2]
 
 
 def _buckets(w):
@@ -263,7 +263,7 @@ def phase1(
     params: PruneParams,
     classification,
 ):
-    """Substitute-edge pruning of type-1 edges.
+    """Substitute-edge pruning of the type-1 edges, ``classification[0]``.
 
     Within each sub-iteration and length bucket, while some candidate
     pair covers at least alpha/(2^i kappa) live type-1 edges, the
@@ -291,13 +291,12 @@ def phase1(
     bucket holds no live edge, as every count in it is then 0.
     """
     eps = params.eps
-    type1, _ = classification
     kappa = params.kappa
     alpha = params.alpha_value(X.dim)
     n = X.n
     bucket, power = _buckets(E.w)
     # type-1 edges by bucket; an edge is its position k in this order
-    t1 = np.flatnonzero(np.isin(E.u * n + E.v, _pair_codes(type1, n)))
+    t1 = np.flatnonzero(np.isin(E.u * n + E.v, classification[0]))
     t1 = t1[np.argsort(bucket[t1], kind="stable")]
     S, T = E.u[t1], E.v[t1]
     pos = dict(zip((S * n + T).tolist(), range(len(t1))))  # edge k at its pair's code
@@ -426,7 +425,7 @@ def phase1(
 
 
 def _pair_codes(pairs, n: int) -> np.ndarray:
-    """The codes u*n + v of pairs (u, v), such as a classification set."""
+    """The codes u*n + v of pairs (u, v), such as ``meta["new_pairs"]``."""
     return np.array(list(pairs), dtype=np.int64).reshape(-1, 2) @ np.array([n, 1])
 
 
@@ -458,7 +457,7 @@ def phase2(
     classification,
     dist_backend: str = "exact",
 ):
-    """Helper-edge pruning of type-2 edges.
+    """Helper-edge pruning of the type-2 edges, ``classification[1]``.
 
     Starts from E1 minus its old type-2 edges and scans those by
     increasing weight (ties lexicographic): an edge is dropped when its
@@ -482,7 +481,7 @@ def phase2(
     eps, n = params.eps, X.n
     code = E1.u * n + E1.v
     new = _pair_codes(E1.meta.get("new_pairs", []), n)
-    old2 = np.isin(code, _pair_codes(classification[1], n)) & ~np.isin(code, new)
+    old2 = np.isin(code, classification[1]) & ~np.isin(code, new)
     scan = np.flatnonzero(old2)[np.lexsort((E1.v[old2], E1.u[old2], E1.w[old2]))]
     report = PhaseReport(phase=2, type2_total=len(scan))
     # the kept edges are the first m entries of ku, kv, kw, the one of a
@@ -522,8 +521,8 @@ def phase2(
             k = at.setdefault(s * n + t, m)
             ku[k], kv[k], kw[k] = s, t, wst
             m = len(at)
-            if not exact:
-                F.add_bridge(s, t, wst)
+        if not exact:
+            F.add_bridges(*zip(*kept))
         csr = None  # rebuilt at the next query
     meta = {"new_pairs": [divmod(p, n) for p in sorted(set(new.tolist() + helpers))]}
     return SpannerGraph.from_columns(n, ku[:m], kv[:m], kw[:m], meta=meta), report

@@ -229,10 +229,15 @@ def test_edge_index_out_of_range_exits_2(tmp_path, capsys, line):
     ("2 2\n0 0\n1 1\n", "# u v\n0 one\n", "e.edges", "line 2: bad index"),
     ("2 3\n0 0\n1 1\n2 0\n", "0 1\n2 2\n", "e.edges", "line 2: self-loop at vertex 2"),
     ("2 3\n0 0\n1 1\n2 0\n", "0 1\n\n1 0\n", "e.edges", "line 3: parallel edge (0,1)"),
+    ("2 2\n0 0\nnan 1\n", "", "pts.txt", "line 3: coordinates must be finite"),
+    ("2 2\n0 0\n\n1 -inf\n", "", "pts.txt", "line 4: coordinates must be finite"),
+    ("2 2\n0 0\n1 \xff\n", "", "pts.txt", "line 3: non-ASCII byte 0xff"),
+    ("2 2\n0 0\n1 1\n", "0 1\n# \xe9\n", "e.edges", "line 2: non-ASCII byte 0xe9"),
 ])
 def test_malformed_input_files_exit_2_with_line(tmp_path, capsys, points, edges, bad, message):
-    (tmp_path / "pts.txt").write_text(points)
-    (tmp_path / "e.edges").write_text(edges)
+    # latin-1 writes each character below 256 as the one byte of that value
+    (tmp_path / "pts.txt").write_bytes(points.encode("latin-1"))
+    (tmp_path / "e.edges").write_bytes(edges.encode("latin-1"))
     argv = ["verify", "--in", str(tmp_path / "pts.txt"), "--edges", str(tmp_path / "e.edges"),
             "--t", "1.5"]
     assert main(argv) == 2
@@ -503,6 +508,32 @@ def test_report_without_csv_form_exits_2_before_any_work(tmp_path, monkeypatch, 
     assert set(tmp_path.iterdir()) == before
     assert capsys.readouterr().err == (
         f"error: {flag} writes a JSON report, which has no CSV form, got {flag} bad.csv\n")
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--eps-list", ["--family", "lightness-lb", "--eps-list", "0.04,0.02,0.04"]),
+        ("--eps-list", ["--family", "lightness-lb", "--eps-list", "0.04,0.04"]),
+        ("--x-list", ["--family", "lightness-lb-x", "--eps-list", "0.05", "--x-list", "2,3,2"]),
+    ],
+    ids=["eps-list-apart", "eps-list-twice", "x-list"],
+)
+def test_sweep_repeated_list_value_exits_2_before_any_work(tmp_path, monkeypatch, capsys, flag,
+                                                           argv):
+    # a repeat would be built twice, its rows written twice, and fitted once
+    monkeypatch.chdir(tmp_path)
+
+    def no_instance(*args, **kwargs):
+        raise AssertionError("instance generated before the lists were checked")
+
+    for name in ("gen_lightness_lb", "gen_lightness_lb_x"):
+        monkeypatch.setattr(cli, name, no_instance)
+    assert main(["sweep", *argv, "--out", "s.json", "--summary-out", "sum.json"]) == 2
+    value = argv[argv.index(flag) + 1]
+    assert capsys.readouterr().err == (
+        f"error: {flag} lists a value more than once, got {[float(v) for v in value.split(',')]}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("out", [None, "s.json"])

@@ -26,8 +26,8 @@ def test_matrix_outputs_without_timestamps_and_configs_apart(tmp_path):
     assert "wrote 40 points to c.txt" in runs[2]  # --copies 2 of 20 points
     reports = [p for p in out.glob("*.json") if not p.name.endswith(".config.json")]
     configs = sorted(out.glob("*.config.json"))
-    # 9 instances, 2 verify, 6 compare, 2 sweep summaries and 1 sweep --out
-    assert len(configs) == 20
+    # 10 instances, 2 verify, 7 compare, 2 sweep summaries and 1 sweep --out
+    assert len(configs) == 22
     for path in reports:
         doc = json.loads(path.read_text())
         assert isinstance(doc, dict) and not {"config", "timestamp"} & set(doc)
@@ -55,7 +55,6 @@ UNREACHED = {
     "graph.SpannerGraph.edge_set": "perfbench reads it in its phase-1 span",
     "graph.SpannerGraph.edges": "perfbench reads it in its spans and output checks",
     "instances.GeneratedInstance.n": "the instance tests read it",
-    "nets.ClusterGraph.add_bridge": "phase 2's keep path under the clusters backend",
     "prune._helper": "phase 2's keep path, for a type-2 edge no short detour replaces",
 }
 

@@ -575,6 +575,6 @@ def test_cluster_dist_matches_dict_reference_bit_for_bit(distribution, seed):
             for s, t in rng.integers(0, X.n, (3, 2)).tolist():
                 if s != t:
                     w = point_dist(X, s, t)
-                    F.add_bridge(s, t, w)
+                    F.add_bridges([s], [t], [w])
                     R.add_bridge(s, t, w)
                 assert hexes(cluster_dist, F, pairs) == hexes(dict_cluster_dist, R, pairs)

@@ -58,6 +58,11 @@ def biclique_seed(X, meta, middles=True):
     return SpannerGraph.from_pairs(X, sorted(pairs))
 
 
+def pair_sets(classification, n):
+    """classify_edges' two pair-code arrays as sets of (u, v) pairs."""
+    return tuple({divmod(c, n) for c in codes.tolist()} for codes in classification)
+
+
 def test_params_validation():
     with pytest.raises(PruneError):
         PruneParams(eps=0.1, delta=0.05)
@@ -103,7 +108,7 @@ def test_params_iterations_keyword_is_ignored():
 def test_classify_two_point_instance():
     X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
     E = SpannerGraph.from_pairs(X, [(0, 1)])
-    t1, t2 = classify_edges(X, E, 0.2)
+    t1, t2 = pair_sets(classify_edges(X, E, 0.2), X.n)
     assert t1 == {(0, 1)} and t2 == set()
 
 
@@ -111,13 +116,13 @@ def test_classify_motivating_band_interior_middles():
     # middle points at fractions 0.375 / 0.625 lie inside the waist bands
     X, meta = motivating_normalized(mid_x=(3.75, 6.25))
     E = biclique_seed(X, meta)
-    t1, t2 = classify_edges(X, E, 0.01)
+    t1, t2 = pair_sets(classify_edges(X, E, 0.01), X.n)
     first = (meta["x_indices"][0], meta["y_indices"][0])
     assert first in t2
     # with the default middles at fractions 0.30 / 0.70 the bands are empty
     Xd, md = motivating_normalized(mid_x=(3.0, 7.0))
     Ed = biclique_seed(Xd, md)
-    t1d, t2d = classify_edges(Xd, Ed, 0.01)
+    t1d, t2d = pair_sets(classify_edges(Xd, Ed, 0.01), Xd.n)
     assert (md["x_indices"][0], md["y_indices"][0]) in t1d
 
 
@@ -126,7 +131,8 @@ def test_phase1_no_type1_noop():
     E = SpannerGraph.from_pairs(X, [(0, 1), (1, 2)])
     params = PruneParams(eps=0.01, alpha=1e4)
     # force an empty type-1 set: everything treated as type-2
-    E1, rep = phase1(X, E, params, classification=(set(), E.edge_set()))
+    code = E.u * X.n + E.v
+    E1, rep = phase1(X, E, params, classification=(code[:0], code))
     assert E1.edge_set() == E.edge_set()
     assert rep.substitutes_added == 0 and rep.type1_pruned == 0
     assert reconciles(rep)
@@ -154,7 +160,7 @@ def test_phase1_never_removes_type2_or_new():
     params = PruneParams(eps=0.15)
     cls = classify_edges(X, E, 0.15)
     E1, rep = phase1(X, E, params, classification=cls)
-    _, type2 = cls
+    _, type2 = pair_sets(cls, X.n)
     assert type2 <= E1.edge_set()
     assert set(map(tuple, E1.meta["new_pairs"])) <= E1.edge_set()
     assert reconciles(rep)
@@ -164,7 +170,8 @@ def test_phase2_noop_without_type2():
     X = random_points(30, 2, 32)
     E = path_greedy(X, 1.2)
     params = PruneParams(eps=0.2)
-    cls = (E.edge_set(), set())
+    code = E.u * X.n + E.v
+    cls = (code, code[:0])
     E1, _ = phase1(X, E, params, classification=cls)
     E2, rep = phase2(X, E1, params, cls)
     assert E2.edge_set() == E1.edge_set()
@@ -183,7 +190,7 @@ def test_phase2_keep_drop_and_helper(dist_backend):
     E1 = biclique_seed(X, meta, middles=False)
     params = PruneParams(eps=0.01)
     cls = classify_edges(X, E1, 0.01)
-    _, type2 = cls
+    _, type2 = pair_sets(cls, X.n)
     assert {(a, b) for a in xs for b in ys} <= type2
     E2, rep = phase2(X, E1, params, cls, dist_backend=dist_backend)
     assert rep.type2_kept == 1
@@ -202,7 +209,7 @@ def test_phase2_rejects_unknown_backend():
     X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
     E1 = SpannerGraph.from_pairs(X, [(0, 1)])
     with pytest.raises(PruneError, match="bogus"):
-        phase2(X, E1, PruneParams(eps=0.1), (E1.edge_set(), set()), dist_backend="bogus")
+        phase2(X, E1, PruneParams(eps=0.1), classify_edges(X, E1, 0.1), dist_backend="bogus")
 
 
 def test_phase2_inconsistent_classification_raises():
@@ -210,8 +217,9 @@ def test_phase2_inconsistent_classification_raises():
     E1 = SpannerGraph.from_pairs(X, [(0, 1)])
     params = PruneParams(eps=0.01)
     # lie about (0,1) being type-2: its waist regions are empty
+    code = E1.u * X.n + E1.v
     with pytest.raises(InternalInconsistency):
-        phase2(X, E1, params, (set(), {(0, 1)}))
+        phase2(X, E1, params, (code[:0], code))
 
 
 def test_update_params_values_and_property():
@@ -386,7 +394,7 @@ def test_phase1_candidate_map_matches_brute_force():
     E = path_greedy(X, 1.3)
     eps = 0.3
     beta = 1.01
-    t1, _ = classify_edges(X, E, eps)
+    t1, _ = pair_sets(classify_edges(X, E, eps), X.n)
     buckets = {}
     weights = {(u, v): w for u, v, w in E.edges}
     for (u, v), w in weights.items():
@@ -701,7 +709,7 @@ def test_candidate_triples_match_reference(name, monkeypatch):
     make, eps = PHASE1_INPUTS[name]
     X = make()
     E = path_greedy(X, 1.0 + eps)
-    type1, _ = classify_edges(X, E, eps)
+    type1, _ = pair_sets(classify_edges(X, E, eps), X.n)
     weights = {(u, v): w for u, v, w in E.edges}
     live = sorted(type1)
     bucket = [_bucket(weights[p], BETA) for p in live]
@@ -775,7 +783,7 @@ def _reference_phase2(X, E1, params, classification, dist_backend="exact"):
         if exact:
             csr = None
         else:
-            F.add_bridge(a, b, w)
+            F.add_bridges([a], [b], [w])
 
     for w, u, v in type2_old:
         limit = thr_mult * w * (1.0 + 1e-12)
@@ -845,7 +853,9 @@ PHASE2_INPUTS = {
 def _assert_phase2_matches_reference(X, E1, cls, eps, dist_backend):
     params = PruneParams(eps=eps)
     got, got_rep = phase2(X, E1, params, cls, dist_backend=dist_backend)
-    want, want_rep = _reference_phase2(X, E1, params, cls, dist_backend=dist_backend)
+    want, want_rep = _reference_phase2(
+        X, E1, params, pair_sets(cls, X.n), dist_backend=dist_backend
+    )
     for col in ("u", "v", "w"):
         assert getattr(got, col).tolist() == getattr(want, col).tolist()
     assert got.meta == want.meta
@@ -879,7 +889,8 @@ def test_phase2_helper_that_is_an_old_type2_edge(dist_backend, kept):
     X = _clustered3_sparse()
     E1, cls = _net_tree_phase2_input(X, 0.9)
     assert _helper(X, 21, 56, 0.9)[:2] == (3, 33)
-    assert {(21, 56), (3, 33)} <= cls[1] and (3, 33) not in E1.meta["new_pairs"]
+    assert {(21, 56), (3, 33)} <= pair_sets(cls, X.n)[1]
+    assert (3, 33) not in E1.meta["new_pairs"]
     weight = dict(zip(zip(E1.u.tolist(), E1.v.tolist()), E1.w.tolist()))
     assert weight[(21, 56)] < weight[(3, 33)]
     rep = _assert_phase2_matches_reference(X, E1, cls, 0.9, dist_backend)
@@ -965,7 +976,7 @@ def test_classify_filter_matches_region_codes(name, monkeypatch):
         want = _reference_classify(Xc, E, eps)
         for mask_edges in (prune._MASK_EDGES, 5):
             monkeypatch.setattr(prune, "_MASK_EDGES", mask_edges)
-            assert classify_edges(Xc, E, eps) == want
+            assert pair_sets(classify_edges(Xc, E, eps), Xc.n) == want
 
 
 def test_classify_four_points_type2():
@@ -973,7 +984,10 @@ def test_classify_four_points_type2():
     # point in each waist region
     X = PointSet(np.array([[0.0, 0.0], [8.0, 0.0], [3.0, 0.0], [5.0, 0.0]]))
     E = SpannerGraph.from_pairs(X, [(0, 1), (0, 2), (2, 3)])
-    assert classify_edges(X, E, 0.1) == ({(0, 2), (2, 3)}, {(0, 1)})
+    # the codes u * n + v, in E's edge order
+    type1, type2 = classify_edges(X, E, 0.1)
+    assert type1.dtype == type2.dtype == np.int64
+    assert (type1.tolist(), type2.tolist()) == ([0 * 4 + 2, 2 * 4 + 3], [0 * 4 + 1])
 
 
 def test_genuine_substitutes_counter():

@@ -3,12 +3,13 @@
     python3 tools/cli_outputs.py DIR
 
 The commands cover all five subcommands, every builder, JSON and CSV
-reports, ``--x-list``, ``--copies`` and ``--gnuplot``, a net tree of 300
-points at eps = 0.1, the verification of a dense net tree, and a few
-inputs the CLI rejects.  They run in ``DIR``, which must be empty or
-absent, with the ``spanner_forge`` of the checkout this file belongs to.
-``DIR/runs.txt`` lists each command with its exit code and stdout; each
-``MATRIX`` entry holds the code its command is expected to exit with.
+reports, ``--x-list``, ``--copies`` (with and without a witness to
+tile) and ``--gnuplot``, a net tree of 300 points at eps = 0.1, the
+verification of a dense net tree, and a few inputs the CLI rejects.
+They run in ``DIR``, which must be empty or absent, with the
+``spanner_forge`` of the checkout this file belongs to.  ``DIR/runs.txt``
+lists each command with its exit code and stdout; each ``MATRIX`` entry
+holds the code its command is expected to exit with.
 Every JSON file loses its ``timestamp``, and its ``config`` moves to
 ``<file>.config.json``, so that
 
@@ -70,6 +71,9 @@ MATRIX = (
     (0, "generate --family motivating --eps 0.1 --out mo.txt"),
     # the witness alone is not a full spanner here
     (1, "compare --in mo.txt --eps 0.1 --builders greedy,witness --out mo.cmp.json"),
+    # copies of an instance with a witness: the witness is tiled and bridged
+    (0, "generate --family sparsity-lb --eps 0.02 --copies 2 --out st.txt"),
+    (0, "compare --in st.txt --eps 0.02 --builders greedy,witness --out st.cmp.json"),
     # rejected inputs
     (2, "generate --family sparsity-lb --x 2 --out bad.txt"),
     (2, "generate --family random --n 30 --seed 1 --copies 0 --out bad0.txt"),
