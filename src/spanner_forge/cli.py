@@ -121,18 +121,16 @@ def parse_pointset(path) -> PointSet:
 
 
 def write_report(report: dict, path) -> None:
-    """Single-run reports are JSON; a list of row dicts becomes CSV."""
+    """JSON, or to a ``.csv`` path the CSV of the report's ``rows`` dicts."""
     path = str(path)
     if path.endswith(".csv"):
-        rows = report.get("rows") if isinstance(report, dict) else report
+        rows = report.get("rows")
         if not rows:
             raise ValueError(f"{path}: a CSV report needs rows, this report has none")
-        keys = list(rows[0].keys())
         with open(path, "w", newline="", encoding="ascii") as fh:
-            w = csv.DictWriter(fh, fieldnames=keys)
+            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
             w.writeheader()
-            for row in rows:
-                w.writerow(row)
+            w.writerows(rows)
     else:
         with open(path, "w", encoding="ascii") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -18,6 +18,9 @@ import numpy as np
 # guarded so the comparison contract is explicit.
 GEOM_RTOL = 1e-9
 NORMALIZED_RTOL = 1e-6  # how far from 1 a normalized set's minimum distance may be
+# normalize's range, where the length kernels' squares stay normal floats
+NORMALIZE_MIN_DIST = 1.5e-154  # above the square root of the least normal float
+NORMALIZE_MAX_SPREAD = 1.3e154  # below the square root of the largest float
 
 # Projection-fraction bands of the two waist regions inside the ellipse:
 # region A sits in a band of half-width 1/50 around 3/8, region B mirrors
@@ -177,16 +180,21 @@ def normalize(raw) -> PointSet:
     The divisor is recorded as ``scale`` on the result, whose extremes
     are set to 1 and the raw spread rather than recomputed; a given
     ``PointSet`` is read as it is, not rebuilt.  Raises ``TooFewPoints``
-    for fewer than two points and ``DuplicatePoint`` for coincident points.
+    for fewer than two points and ``GeomError`` outside the range that
+    ``NORMALIZE_*`` sets; ``PointSet`` refuses coincident points.
     """
     ps = raw if isinstance(raw, PointSet) else PointSet(raw)
     if ps.n < 2:
         raise TooFewPoints("normalization needs at least two points")
     d, hi = ps._pairwise_extremes()
-    if d <= 0:
-        raise DuplicatePoint("zero minimum pairwise distance")
+    # distinct points whose squared distance underflows to 0 fail here too
+    if d < NORMALIZE_MIN_DIST:
+        raise GeomError(f"minimum pairwise distance {d:.3g} is below {NORMALIZE_MIN_DIST:.3g}")
+    spread = hi / d
+    if not spread < NORMALIZE_MAX_SPREAD:
+        raise GeomError(f"spread {spread:.3g} is not below {NORMALIZE_MAX_SPREAD:.3g}")
     out = PointSet(ps.coords / d)
-    out.scale, out._min_dist, out._max_dist = d, 1.0, hi / d
+    out.scale, out._min_dist, out._max_dist = d, 1.0, spread
     return out
 
 

@@ -93,6 +93,12 @@ def _ordered_pairs(n: int, u: np.ndarray, v: np.ndarray):
     return lo, hi
 
 
+def sum_in_order(values) -> float:
+    """0.0 plus ``values`` left to right, as ``sum()`` adds up to Python 3.11;
+    from 3.12 on ``sum()`` compensates, and ``np.sum`` adds pairwise."""
+    return float(np.add.accumulate(np.append(0.0, values))[-1])
+
+
 def symmetric_csr(n: int, u, v, w) -> csr_matrix:
     """n x n CSR holding both arcs of each edge u[k]-v[k] of weight w[k].
 
@@ -174,8 +180,8 @@ class SpannerGraph:
         return frozenset(zip(self.u.tolist(), self.v.tolist()))
 
     def weight(self) -> float:
-        # a sequential sum in edge order; np.sum adds pairwise
-        return float(sum(self.w.tolist()))
+        """The edge weights summed left to right, in edge order."""
+        return sum_in_order(self.w)
 
     def as_csr(self) -> csr_matrix:
         if self._csr is None:
@@ -602,9 +608,10 @@ def brute_force_optimal(
     packs unmet pairs with disjoint candidate sets; the sets depend only
     on ``da``, so each ``da`` carries them, as bitsets over the undecided
     edges, down its include branches.
-    ``eps`` must be finite and >= 0.  ``objective`` is
-    "min_edges" or "min_weight"; ties break toward the lexicographically
-    smallest edge set.  ``meta`` counts the search ``nodes`` and its
+    ``eps`` must be finite and >= 0.  ``objective`` only picks each
+    pair's cost, 1.0 for "min_edges" and the pair's length for
+    "min_weight"; ties break toward the lexicographically smallest edge
+    set.  ``meta`` counts the search ``nodes`` and its
     ``feasibility_checks`` (Floyd-Warshall runs).  Raises TooLarge above
     :data:`ORACLE_N_MAX` points.
     """
@@ -645,7 +652,9 @@ def brute_force_optimal(
     forced = list(zip(pu[is_forced].tolist(), pv[is_forced].tolist()))
     fp, fq, fw = pu[~is_forced], pv[~is_forced], pw[~is_forced]
     free = list(zip(fp.tolist(), fq.tolist()))
-    fwl = fw.tolist()
+    # edge counts are small integers, which floats hold exactly
+    pcost = pw if objective == "min_weight" else np.ones_like(pw)
+    fcost = pcost[~is_forced].tolist()
 
     def with_edge(d, u, v):
         # a -> u -> v -> b and a -> v -> u -> b may shorten d[a, b]
@@ -657,14 +666,7 @@ def brute_force_optimal(
     for u, v in forced:
         d0 = with_edge(d0, u, v)
     chosen = list(forced)
-    if objective == "min_edges":
-        cost0 = len(forced)
-    else:
-        # summed left to right, in pair order (sum() compensates from
-        # Python 3.12 on, which would change the bits)
-        cost0 = 0.0
-        for w in pw[is_forced].tolist():
-            cost0 += w
+    cost0 = sum_in_order(pcost[is_forced])
 
     # widened so that rounding can only weaken the bound
     loose = tgt * (1.0 + 1e-9)
@@ -686,17 +688,15 @@ def brute_force_optimal(
         bits = [sets[i] >> idx for i in bad.tolist()]
         if not all(bits):
             return math.inf
-        used = packed = 0
-        wsum = 0.0
+        used, packed = 0, 0.0
         # smallest sets first, ties in pair order
         for s in sorted(bits, key=int.bit_count):
             if not s & used:
                 used |= s
-                packed += 1
                 # free is ordered by non-increasing weight, so the highest
-                # set bit is a lightest candidate
-                wsum += fwl[idx + s.bit_length() - 1]
-        return cost + (packed if objective == "min_edges" else wsum)
+                # set bit is a cheapest candidate
+                packed += fcost[idx + s.bit_length() - 1]
+        return cost + packed
 
     best_cost, best_set = math.inf, None
 
@@ -734,8 +734,7 @@ def brute_force_optimal(
         # including leaves the available edges, da and the candidate sets
         # unchanged
         chosen.append((u, v))
-        step = 1 if objective == "min_edges" else fwl[idx]
-        rec(idx + 1, with_edge(d, u, v), da, avail_mask, cost + step, sets)
+        rec(idx + 1, with_edge(d, u, v), da, avail_mask, cost + fcost[idx], sets)
         chosen.pop()
 
     rec(0, d0, da0, full, cost0)

@@ -35,10 +35,6 @@ class GeneratedInstance:
     witness_pairs: list | None = None
     meta: dict = field(default_factory=dict)
 
-    @property
-    def n(self) -> int:
-        return self.points.n
-
 
 def _rot(v, angle):
     c, s = math.cos(angle), math.sin(angle)

@@ -134,8 +134,8 @@ class ClusterGraph:
     intra edges join members to their centers, inter edges join nearby
     centers.  ``inter`` holds the inter edges as columns (a, b, w) of
     center ids and weights; a center pair may appear more than once.
-    With contraction, ultra-short edges are collapsed first and all
-    distances live on the quotient.
+    Ultra-short edges are collapsed first and all distances live on the
+    quotient.
     """
 
     def __init__(self, level, centers, membership, inter, rep):
@@ -162,17 +162,16 @@ def build_cluster_graph(
     G_below: SpannerGraph,
     i: int,
     eps: float,
-    contract: bool = False,
 ) -> ClusterGraph:
     """Cluster graph at scale 2^i over a graph of shorter edges.
 
     Greedy cover by radius eps*2^i balls in the graph metric, scanning
     points in index order; inter edges join centers at graph distance at
     most 2^i, plus bridges through existing edges between clusters.
-    With ``contract``, edges of weight at most 2^i * eps^2 / n (n the
-    graph's point count) are collapsed first and the cover is built on
-    the quotient, whose source distances undercut the uncontracted ones
-    by at most 2^i * eps^2 along any simple path.
+    Edges of weight at most 2^i * eps^2 / n (n the graph's point count)
+    are collapsed first and the cover is built on the quotient, whose
+    source distances undercut the uncontracted ones by at most
+    2^i * eps^2 along any simple path.
     """
     from scipy.sparse.csgraph import connected_components, dijkstra
 
@@ -181,17 +180,16 @@ def build_cluster_graph(
     too_long = np.flatnonzero(ew >= scale * (1.0 + GEOM_RTOL))
     if len(too_long):
         raise GraphError(f"edge of weight {float(ew[too_long[0]])} >= scale {scale}")
-    rep = np.arange(n)
-    if contract and n:  # an empty graph has nothing to contract
-        short = ew <= scale * eps * eps / n * (1.0 + GEOM_RTOL)
-        _, labels = connected_components(symmetric_csr(n, eu[short], ev[short], ew[short]))
-        # a point's representative is the smallest index in its component
-        _, first = np.unique(labels, return_index=True)
-        rep = first[labels]
+    # max(n, 1): an empty graph has nothing to contract
+    short = ew <= scale * eps * eps / max(n, 1) * (1.0 + GEOM_RTOL)
+    _, labels = connected_components(symmetric_csr(n, eu[short], ev[short], ew[short]))
+    # a point's representative is the smallest index in its component
+    _, first = np.unique(labels, return_index=True)
+    rep = first[labels]
     ru, rv = rep[eu], rep[ev]
     cross = ru != rv
-    # the quotient graph (the source graph when not contracting); of the
-    # edges contracted onto one pair of representatives, the lightest
+    # the quotient graph; of the edges contracted onto one pair of
+    # representatives, the lightest
     a, b, w = np.minimum(ru, rv)[cross], np.maximum(ru, rv)[cross], ew[cross]
     order = np.argsort(w, kind="stable")
     _, first = np.unique((a * n + b)[order], return_index=True)

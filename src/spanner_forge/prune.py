@@ -22,7 +22,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .geom import PointSet, _dot_lengths, _ellipse_bands
-from .graph import GraphError, SpannerGraph, path_greedy, symmetric_csr
+from .graph import GraphError, SpannerGraph, path_greedy, sum_in_order, symmetric_csr
 from .nets import build_cluster_graph, cluster_dist
 
 _RTOL = 1e-12
@@ -48,7 +48,7 @@ class InternalInconsistency(PruneError):
 def _product_minus_one(terms) -> float:
     # prod(1 + x_i) - 1 without the cancellation the literal form
     # suffers at tiny x_i
-    return math.expm1(sum(math.log1p(x) for x in terms))
+    return math.expm1(sum_in_order([math.log1p(x) for x in terms]))
 
 
 def delta_growth(kappa: float, delta: float) -> float:
@@ -504,7 +504,7 @@ def phase2(
             if F is None or F.level != i:
                 low = np.flatnonzero(kw[:m] < 2.0**i * (1.0 - _RTOL))
                 below = SpannerGraph.from_columns(n, ku[low], kv[low], kw[low])
-                F = build_cluster_graph(below, i, eps, contract=True)
+                F = build_cluster_graph(below, i, eps)
             d, slack = cluster_dist(F, u, v), eps * eps * 2.0**i
         if d + slack <= limit:
             report.type2_dropped += 1

@@ -20,7 +20,7 @@ from spanner_forge.geom import (
     Region,
     normalize,
 )
-from spanner_forge.graph import Disconnected, GraphError
+from spanner_forge.graph import Disconnected, GraphError, symmetric_csr
 from spanner_forge.instances import gen_lightness_lb, gen_lightness_lb_x
 
 
@@ -282,6 +282,108 @@ def shortest_dist(G, s: int, t: int, cutoff: float | None = None) -> float:
         return 0.0
     limit = math.inf if cutoff is None else cutoff * (1.0 + GEOM_RTOL)
     return bounded_dijkstra(adjacency(G), s, limit, t).get(t, math.inf)
+
+
+# The cluster graph with one dict update per inter edge, uncontracted or
+# contracted: the reference for nets.build_cluster_graph and cluster_dist.
+
+
+class DictClusterGraph:
+    """The cluster graph with its inter edges in a dict: (c1, c2) with
+    c1 < c2 -> the lightest weight.  The reference for the columns."""
+
+    def __init__(self, level, centers, membership, inter, rep):
+        self.level = level
+        self.centers = centers
+        self.membership = membership
+        self.inter = inter
+        self.rep = rep
+
+    def add_bridge(self, s, t, w):
+        rs, rt = self.rep[s], self.rep[t]
+        for c1, d1 in self.membership.get(rs, ()):
+            for c2, d2 in self.membership.get(rt, ()):
+                if c1 == c2:
+                    continue
+                key = (c1, c2) if c1 < c2 else (c2, c1)
+                cand = d1 + w + d2
+                if cand < self.inter.get(key, math.inf):
+                    self.inter[key] = cand
+
+
+def dict_cluster_graph(G_below, i, eps, contract=False):
+    """build_cluster_graph, one dict update per inter edge; with
+    ``contract`` false no edge is collapsed."""
+    from scipy.sparse.csgraph import connected_components, dijkstra
+
+    scale = 2.0**i
+    n, eu, ev, ew = G_below.n, G_below.u, G_below.v, G_below.w
+    rep = np.arange(n)
+    if contract and n:
+        short = ew <= scale * eps * eps / n * (1.0 + GEOM_RTOL)
+        _, labels = connected_components(symmetric_csr(n, eu[short], ev[short], ew[short]))
+        _, first = np.unique(labels, return_index=True)
+        rep = first[labels]
+    ru, rv = rep[eu], rep[ev]
+    cross = ru != rv
+    a, b, w = np.minimum(ru, rv)[cross], np.maximum(ru, rv)[cross], ew[cross]
+    order = np.argsort(w, kind="stable")
+    _, first = np.unique((a * n + b)[order], return_index=True)
+    lightest = order[first]
+    csr = symmetric_csr(n, a[lightest], b[lightest], w[lightest])
+    nodes = np.unique(rep).tolist()
+    radius = eps * scale
+    centers, membership = [], {u: [] for u in nodes}
+    nearest = np.full(n, np.inf)
+    for u in nodes:
+        if nearest[u] <= radius * (1.0 + GEOM_RTOL):
+            continue
+        centers.append(u)
+        d = dijkstra(csr, indices=u, limit=radius * (1.0 + GEOM_RTOL))
+        ball = np.flatnonzero(d < np.inf)
+        for v, dv in zip(ball.tolist(), d[ball].tolist()):
+            membership[v].append((u, dv))
+        np.minimum(nearest, d, out=nearest)
+    c = np.array(centers, dtype=np.int64)
+    d = dijkstra(csr, indices=c, limit=scale * (1.0 + GEOM_RTOL))[:, c]
+    d = np.minimum(d, d.T)
+    i1, i2 = np.nonzero(np.triu(d < np.inf, k=1))
+    inter = dict(zip(zip(c[i1].tolist(), c[i2].tolist()), d[i1, i2].tolist()))
+    F = DictClusterGraph(i, centers, membership, inter, rep.tolist())
+    for u, v, w in zip(eu[cross].tolist(), ev[cross].tolist(), ew[cross].tolist()):
+        F.add_bridge(u, v, w)
+    return F
+
+
+def dict_cluster_dist(F, s, t, hop_cap=20):
+    """cluster_dist over a DictClusterGraph: a center -> position map and
+    the inter columns rebuilt from the dict on every query."""
+    rs, rt = F.rep[s], F.rep[t]
+    if rs == rt:
+        return 0.0
+    start = F.membership.get(rs, ())
+    goal = F.membership.get(rt, ())
+    if not start or not goal:
+        return math.inf
+    idx = {c: k for k, c in enumerate(F.centers)}
+    dist = np.full(len(F.centers), np.inf)
+    for c, d in start:
+        dist[idx[c]] = min(dist[idx[c]], d)
+    if F.inter:
+        e_a = np.fromiter((idx[a] for a, _ in F.inter), dtype=np.int64, count=len(F.inter))
+        e_b = np.fromiter((idx[b] for _, b in F.inter), dtype=np.int64, count=len(F.inter))
+        e_w = np.fromiter(F.inter.values(), dtype=np.float64, count=len(F.inter))
+        for _ in range(max(0, hop_cap - 2)):
+            nd = dist.copy()
+            np.minimum.at(nd, e_b, dist[e_a] + e_w)
+            np.minimum.at(nd, e_a, dist[e_b] + e_w)
+            if not (nd < dist).any():
+                break
+            dist = nd
+    best = math.inf
+    for c, d in goal:
+        best = min(best, dist[idx[c]] + d)
+    return float(best)
 
 
 # The package computes its O(n^2) Euclidean lengths in row blocks through

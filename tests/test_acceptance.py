@@ -44,6 +44,8 @@ from spanner_forge.prune import PruneParams, delta_growth, greedy_prune
 from conftest import (
     approximate_edge,
     check_invariants,
+    dict_cluster_dist,
+    dict_cluster_graph,
     lemma_sequence,
     low_angle_weight,
     point_dist,
@@ -404,8 +406,8 @@ def test_criterion9_cluster_oracle_sandwich():
         scale = 2.0**i
         below = [(u, v, w) for u, v, w in S.edges if w < scale]
         GB = SpannerGraph(X.n, below)
-        F = build_cluster_graph(GB, i, eps)
-        Fc = build_cluster_graph(GB, i, eps, contract=True)
+        F = dict_cluster_graph(GB, i, eps)  # uncontracted
+        Fc = build_cluster_graph(GB, i, eps)
         slack = scale * eps * eps
         pairs = 0
         for _ in range(3000):
@@ -420,7 +422,7 @@ def test_criterion9_cluster_oracle_sandwich():
             exact = shortest_dist(GB, u, v)
             if math.isinf(exact):
                 continue
-            cd = cluster_dist(F, u, v)
+            cd = dict_cluster_dist(F, u, v)
             ok &= cd >= exact * (1 - 1e-9)
             ok &= cd <= exact * (1 + 10 * eps) * (1 + 1e-9)
             worst = max(worst, cd / exact)

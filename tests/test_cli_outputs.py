@@ -24,6 +24,7 @@ def test_matrix_outputs_without_timestamps_and_configs_apart(tmp_path):
     for run, (code, command) in zip(runs, cli_outputs.MATRIX):
         assert run.startswith(f"{command}\nexit {code}\n")
     assert "wrote 40 points to c.txt" in runs[2]  # --copies 2 of 20 points
+    assert runs[-1].endswith("exit 2\nerror: normalization needs at least two points\n")
     reports = [p for p in out.glob("*.json") if not p.name.endswith(".config.json")]
     configs = sorted(out.glob("*.config.json"))
     # 10 instances, 2 verify, 7 compare, 2 sweep summaries and 1 sweep --out
@@ -54,7 +55,6 @@ UNREACHED = {
     "graph.SpannerGraph.__repr__": "__repr__",
     "graph.SpannerGraph.edge_set": "perfbench reads it in its phase-1 span",
     "graph.SpannerGraph.edges": "perfbench reads it in its spans and output checks",
-    "instances.GeneratedInstance.n": "the instance tests read it",
     "prune._helper": "phase 2's keep path, for a type-2 edge no short detour replaces",
 }
 

@@ -7,6 +7,7 @@ from spanner_forge.geom import (
     BAND_TOL,
     DegenerateSegment,
     DuplicatePoint,
+    GeomError,
     PointSet,
     Region,
     TooFewPoints,
@@ -69,6 +70,23 @@ def test_normalize_errors():
         normalize(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         PointSet(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("coords, match", [
+    ([[0.0], [1e-160], [1.0]], r"minimum pairwise distance 1e-160 is below 1.5e-154"),
+    ([[0.0], [1e-100], [1e60]], r"spread 1e\+160 is not below"),
+], ids=["subnormal-square", "spread"])
+def test_normalize_refuses_lengths_the_kernel_cannot_square(coords, match):
+    with pytest.raises(GeomError, match=match):
+        normalize(np.array(coords))
+
+
+def test_normalize_keeps_closest_pair_one_apart_inside_its_range():
+    X = normalize(np.array([[0.0], [1e-150], [1.0]]))
+    assert X.spread() == pytest.approx(1e150)
+    # the extremes recomputed from the coordinates, not the ones normalize sets
+    assert PointSet(X.coords).min_pairwise_distance() == pytest.approx(1.0, rel=1e-12)
+    assert PointSet(X.coords).spread() == pytest.approx(1e150)
 
 
 def test_distances_cached_and_read_only():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra
 
-from spanner_forge.geom import PointSet, normalize
+from spanner_forge.geom import PointSet, TooFewPoints, normalize
 from spanner_forge.graph import (
     GREEDY_RTOL,
     Disconnected,
@@ -27,6 +27,7 @@ from spanner_forge.graph import (
 )
 import spanner_forge.nets as nets
 from spanner_forge.nets import build_cluster_graph, build_hierarchy, build_net_tree_spanner
+from spanner_forge.prune import greedy_prune
 from spanner_forge.instances import (
     gen_lightness_lb,
     gen_motivating,
@@ -719,7 +720,7 @@ def test_symmetric_csr_of_contracted_quotient_matches_coo_route(monkeypatch):
     monkeypatch.setattr(nets, "symmetric_csr", recording)
     # 0-1 and 2-3 contract; 0-2 and 1-3 join the same representatives
     rows = [(0, 1, 0.01), (2, 3, 0.01), (0, 2, 0.9), (1, 3, 0.4), (3, 4, 0.4)]
-    F = build_cluster_graph(SpannerGraph(5, rows), 1, 0.25, contract=True)
+    F = build_cluster_graph(SpannerGraph(5, rows), 1, 0.25)
     assert F.rep == [0, 0, 2, 2, 4]
     contracted, quotient = seen
     assert contracted[1].tolist() == [0, 2]  # the short edges 0-1 and 2-3
@@ -939,8 +940,32 @@ def test_from_pairs_list_and_array_agree():
 
 def test_weight_is_sequential_sum_of_edges():
     G = path_greedy(random_points(150, 2, 0), 1.1)
-    assert G.weight() == sum(w for _, _, w in G.edges)
+    total = 0.0
+    for w in G.w.tolist():
+        total += w
+    assert G.weight() == total
     # here numpy's pairwise sum rounds differently
     assert float(np.sum(G.w)) != G.weight()
     with pytest.raises(ValueError):
         G.w[0] = 0.0  # the columns are read-only
+    # compensated summation, which sum() does from Python 3.12 on, gives 1 + 2^-51
+    weights = [1.0] + [2.0**-53] * 4
+    star = SpannerGraph(6, [(0, k, w) for k, w in enumerate(weights, start=1)])
+    assert star.weight() == 1.0
+
+
+def test_one_point_gives_empty_results():
+    X = PointSet(np.array([[0.5, 2.0]]))
+    graphs = [path_greedy(X, 1.1), build_net_tree_spanner(build_hierarchy(X), 0.1)]
+    graphs += [brute_force_optimal(X, 0.1, objective=o) for o in ("min_edges", "min_weight")]
+    for G in graphs:
+        assert (G.n, len(G.u), G.weight()) == (1, 0, 0.0)
+    assert emst_weight(X) == 0.0
+    m = metrics(graphs[0], X)
+    assert (m.edge_count, m.sparsity, m.weight, m.mst_weight) == (0, 0.0, 0.0, 0.0)
+    assert (m.max_stretch, m.witness_pair) == (1.0, (0, 0))
+    assert m.lightness == math.inf  # weight 0 over an EMST of weight 0
+    with pytest.raises(TooFewPoints):
+        normalize(X)
+    with pytest.raises(TooFewPoints):
+        greedy_prune(X, 0.1, 1)

@@ -101,7 +101,7 @@ def test_sparsity_lb_x_point_count_scaling():
     eps = 1e-5
     i1 = gen_sparsity_lb_x(eps, 1.0)
     i2 = gen_sparsity_lb_x(eps, 2.0)
-    assert i1.n == 2 * i1.meta["k"] + 3
+    assert i1.points.n == 2 * i1.meta["k"] + 3
     ratio = i2.meta["k"] / i1.meta["k"]
     assert 0.8 * 2**-1.5 <= ratio <= 1.2 * 2**-1.5
 
@@ -172,7 +172,7 @@ def test_motivating_counts():
     eps = 0.01
     inst = gen_motivating(eps)
     k = int(math.floor(eps**-0.5))
-    assert inst.n == 2 * (k + 1) + 2
+    assert inst.points.n == 2 * (k + 1) + 2
     assert len(inst.witness_pairs) == 2 * (k + 1) + 1
     bi_clique = (k + 1) ** 2
     assert len(inst.witness_pairs) < bi_clique
@@ -197,7 +197,7 @@ def test_motivating_witness_cross_pairs_good_within_columns_bad():
 
 def test_random_instances():
     inst = gen_random(2, 2, "uniform", 5)
-    assert inst.n == 2
+    assert inst.points.n == 2
     a = gen_random(500, 2, "uniform", 42)
     b = gen_random(500, 2, "uniform", 42)
     assert np.array_equal(a.points.coords, b.points.coords)
@@ -221,7 +221,7 @@ def test_tile_copies_identity_and_counts():
     inst = gen_sparsity_lb(0.02)
     assert tile_copies(inst, 1) is inst
     tiled = tile_copies(inst, 3)
-    assert tiled.n == 3 * inst.n
+    assert tiled.points.n == 3 * inst.points.n
     assert len(tiled.witness_pairs) == 3 * len(inst.witness_pairs) + 2
 
 
@@ -243,7 +243,7 @@ def test_tile_copies_greedy_one_bridge():
     inst = gen_sparsity_lb(0.02)
     tiled = tile_copies(inst, 2)
     G = path_greedy(tiled.points, 1.02)
-    n = inst.n
+    n = inst.points.n
     cross = [(u, v) for u, v in G.edge_set() if u < n <= v]
     assert len(cross) == 1
 
@@ -251,7 +251,7 @@ def test_tile_copies_greedy_one_bridge():
 def test_tile_copies_random_without_diameter_meta():
     inst = gen_random(20, 2, "uniform", 8)
     tiled = tile_copies(inst, 2)
-    assert tiled.n == 40
+    assert tiled.points.n == 40
     assert tiled.witness_pairs is None
     # copies do not overlap
     xs = tiled.points.coords[:, 0]

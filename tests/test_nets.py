@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spanner_forge import nets
-from spanner_forge.geom import GEOM_RTOL, GeomError, PointSet, normalize
-from spanner_forge.graph import SpannerGraph, path_greedy, symmetric_csr, verify_stretch
+from spanner_forge.geom import GeomError, PointSet, normalize
+from spanner_forge.graph import SpannerGraph, path_greedy, verify_stretch
 from spanner_forge.nets import (
     NetHierarchy,
     build_cluster_graph,
@@ -20,6 +20,8 @@ from spanner_forge.instances import gen_random
 from conftest import (
     approximate_edge,
     check_invariants,
+    dict_cluster_dist,
+    dict_cluster_graph,
     int_grid,
     net_parent,
     point_dist,
@@ -223,19 +225,18 @@ def test_cluster_graph_empty_edges():
         assert F.membership[u] == [(u, 0.0)]
 
 
-def test_cluster_graph_of_empty_graph_is_empty_with_and_without_contraction():
+def test_cluster_graph_of_empty_graph_is_empty():
     # the contraction threshold divides by n, which is 0 here
-    for c in (False, True):
-        F = build_cluster_graph(SpannerGraph(0, []), 1, 0.25, contract=c)
-        assert (F.level, F.centers, F.membership, F.rep) == (1, [], {}, [])
-        assert [col.tolist() for col in F.inter] == [[], [], []]
+    F = build_cluster_graph(SpannerGraph(0, []), 1, 0.25)
+    assert (F.level, F.centers, F.membership, F.rep) == (1, [], {}, [])
+    assert [col.tolist() for col in F.inter] == [[], [], []]
 
 
 def test_contraction_keeps_lighter_of_parallel_quotient_edges():
     # 0-1 and 2-3 contract, so 0-2 (0.9) and 1-3 (0.4) both join the
     # representatives 0 and 2; only the lighter one may count, not their sum
     rows = [(0, 1, 0.01), (2, 3, 0.01), (0, 2, 0.9), (1, 3, 0.4), (3, 4, 0.4)]
-    F = build_cluster_graph(SpannerGraph(5, rows), 1, 0.25, contract=True)
+    F = build_cluster_graph(SpannerGraph(5, rows), 1, 0.25)
     assert F.rep == [0, 0, 2, 2, 4]
     assert F.centers == [0, 4]
     assert F.membership == {
@@ -344,8 +345,8 @@ def test_contracted_cluster_graph_deviation():
     eps = 0.1
     below = [(u, v, w) for u, v, w in G.edges if w < 2.0**i]
     GB = SpannerGraph(X.n, below)
-    F = build_cluster_graph(GB, i, eps, contract=False)
-    Fc = build_cluster_graph(GB, i, eps, contract=True)
+    F = dict_cluster_graph(GB, i, eps)  # uncontracted
+    Fc = build_cluster_graph(GB, i, eps)
     thr = 2.0**i * eps * eps / X.n
     assert thr > 1.0  # short edges really are contracted
     assert any(r != u for u, r in enumerate(Fc.rep))
@@ -353,7 +354,7 @@ def test_contracted_cluster_graph_deviation():
     rng = np.random.default_rng(9)
     for _ in range(100):
         u, v = (int(z) for z in rng.integers(0, X.n, 2))
-        d1 = cluster_dist(F, u, v)
+        d1 = dict_cluster_dist(F, u, v)
         d2 = cluster_dist(Fc, u, v)
         if math.isinf(d1) and math.isinf(d2):
             continue
@@ -388,7 +389,7 @@ def test_contraction_reps_match_union_find(seed):
     for eps in (0.25, 0.5):
         for i in range(1, int(math.log2(X.spread())) + 14):
             GB = SpannerGraph(X.n, [e for e in S.edges if e[2] < 2.0**i])
-            F = build_cluster_graph(GB, i, eps, contract=True)
+            F = build_cluster_graph(GB, i, eps)
             assert F.rep == union_find_reps(GB, 2.0**i * eps * eps / X.n)
             assert all(type(r) is int for r in F.rep)
             sizes.append(len(set(F.rep)))
@@ -451,103 +452,6 @@ def test_cluster_dist_matches_bounded_hop_enumeration(monkeypatch):
             assert got == pytest.approx(want, rel=1e-12)
 
 
-class DictClusterGraph:
-    """The cluster graph with its inter edges in a dict: (c1, c2) with
-    c1 < c2 -> the lightest weight.  The reference for the columns."""
-
-    def __init__(self, level, centers, membership, inter, rep):
-        self.level = level
-        self.centers = centers
-        self.membership = membership
-        self.inter = inter
-        self.rep = rep
-
-    def add_bridge(self, s, t, w):
-        rs, rt = self.rep[s], self.rep[t]
-        for c1, d1 in self.membership.get(rs, ()):
-            for c2, d2 in self.membership.get(rt, ()):
-                if c1 == c2:
-                    continue
-                key = (c1, c2) if c1 < c2 else (c2, c1)
-                cand = d1 + w + d2
-                if cand < self.inter.get(key, math.inf):
-                    self.inter[key] = cand
-
-
-def dict_cluster_graph(G_below, i, eps, contract=False):
-    """build_cluster_graph, one dict update per inter edge."""
-    from scipy.sparse.csgraph import connected_components, dijkstra
-
-    scale = 2.0**i
-    n, eu, ev, ew = G_below.n, G_below.u, G_below.v, G_below.w
-    rep = np.arange(n)
-    if contract and n:
-        short = ew <= scale * eps * eps / n * (1.0 + GEOM_RTOL)
-        _, labels = connected_components(symmetric_csr(n, eu[short], ev[short], ew[short]))
-        _, first = np.unique(labels, return_index=True)
-        rep = first[labels]
-    ru, rv = rep[eu], rep[ev]
-    cross = ru != rv
-    a, b, w = np.minimum(ru, rv)[cross], np.maximum(ru, rv)[cross], ew[cross]
-    order = np.argsort(w, kind="stable")
-    _, first = np.unique((a * n + b)[order], return_index=True)
-    lightest = order[first]
-    csr = symmetric_csr(n, a[lightest], b[lightest], w[lightest])
-    nodes = np.unique(rep).tolist()
-    radius = eps * scale
-    centers, membership = [], {u: [] for u in nodes}
-    nearest = np.full(n, np.inf)
-    for u in nodes:
-        if nearest[u] <= radius * (1.0 + GEOM_RTOL):
-            continue
-        centers.append(u)
-        d = dijkstra(csr, indices=u, limit=radius * (1.0 + GEOM_RTOL))
-        ball = np.flatnonzero(d < np.inf)
-        for v, dv in zip(ball.tolist(), d[ball].tolist()):
-            membership[v].append((u, dv))
-        np.minimum(nearest, d, out=nearest)
-    c = np.array(centers, dtype=np.int64)
-    d = dijkstra(csr, indices=c, limit=scale * (1.0 + GEOM_RTOL))[:, c]
-    d = np.minimum(d, d.T)
-    i1, i2 = np.nonzero(np.triu(d < np.inf, k=1))
-    inter = dict(zip(zip(c[i1].tolist(), c[i2].tolist()), d[i1, i2].tolist()))
-    F = DictClusterGraph(i, centers, membership, inter, rep.tolist())
-    for u, v, w in zip(eu[cross].tolist(), ev[cross].tolist(), ew[cross].tolist()):
-        F.add_bridge(u, v, w)
-    return F
-
-
-def dict_cluster_dist(F, s, t, hop_cap=20):
-    """cluster_dist over a DictClusterGraph: a center -> position map and
-    the inter columns rebuilt from the dict on every query."""
-    rs, rt = F.rep[s], F.rep[t]
-    if rs == rt:
-        return 0.0
-    start = F.membership.get(rs, ())
-    goal = F.membership.get(rt, ())
-    if not start or not goal:
-        return math.inf
-    idx = {c: k for k, c in enumerate(F.centers)}
-    dist = np.full(len(F.centers), np.inf)
-    for c, d in start:
-        dist[idx[c]] = min(dist[idx[c]], d)
-    if F.inter:
-        e_a = np.fromiter((idx[a] for a, _ in F.inter), dtype=np.int64, count=len(F.inter))
-        e_b = np.fromiter((idx[b] for _, b in F.inter), dtype=np.int64, count=len(F.inter))
-        e_w = np.fromiter(F.inter.values(), dtype=np.float64, count=len(F.inter))
-        for _ in range(max(0, hop_cap - 2)):
-            nd = dist.copy()
-            np.minimum.at(nd, e_b, dist[e_a] + e_w)
-            np.minimum.at(nd, e_a, dist[e_b] + e_w)
-            if not (nd < dist).any():
-                break
-            dist = nd
-    best = math.inf
-    for c, d in goal:
-        best = min(best, dist[idx[c]] + d)
-    return float(best)
-
-
 def hexes(dist, F, pairs):
     return [dist(F, s, t).hex() for s, t in pairs]
 
@@ -561,20 +465,19 @@ def test_cluster_dist_matches_dict_reference_bit_for_bit(distribution, seed):
     levels = range(1, int(math.log2(X.spread())) + 2)
     for i in levels:
         GB = SpannerGraph(X.n, [e for e in S.edges if e[2] < 2.0**i])
-        for contract in (False, True):
-            F = build_cluster_graph(GB, i, 0.2, contract)
-            R = dict_cluster_graph(GB, i, 0.2, contract)
-            assert (F.centers, F.membership, F.rep) == (R.centers, R.membership, R.rep)
-            lightest = {}
-            for a, b, w in zip(*(col.tolist() for col in F.inter)):
-                key = (min(a, b), max(a, b))
-                lightest[key] = min(w, lightest.get(key, math.inf))
-            assert lightest == R.inter
+        F = build_cluster_graph(GB, i, 0.2)
+        R = dict_cluster_graph(GB, i, 0.2, contract=True)
+        assert (F.centers, F.membership, F.rep) == (R.centers, R.membership, R.rep)
+        lightest = {}
+        for a, b, w in zip(*(col.tolist() for col in F.inter)):
+            key = (min(a, b), max(a, b))
+            lightest[key] = min(w, lightest.get(key, math.inf))
+        assert lightest == R.inter
+        assert hexes(cluster_dist, F, pairs) == hexes(dict_cluster_dist, R, pairs)
+        # and after bridges through new edges, as phase 2 adds its kept ones
+        for s, t in rng.integers(0, X.n, (3, 2)).tolist():
+            if s != t:
+                w = point_dist(X, s, t)
+                F.add_bridges([s], [t], [w])
+                R.add_bridge(s, t, w)
             assert hexes(cluster_dist, F, pairs) == hexes(dict_cluster_dist, R, pairs)
-            # and after bridges through new edges, as phase 2 adds its kept ones
-            for s, t in rng.integers(0, X.n, (3, 2)).tolist():
-                if s != t:
-                    w = point_dist(X, s, t)
-                    F.add_bridges([s], [t], [w])
-                    R.add_bridge(s, t, w)
-                assert hexes(cluster_dist, F, pairs) == hexes(dict_cluster_dist, R, pairs)

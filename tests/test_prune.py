@@ -799,7 +799,7 @@ def _reference_phase2(X, E1, params, classification, dist_backend="exact"):
                     for (a, b), wab in kept_edges.items()
                     if wab < 2.0**i * (1.0 - 1e-12)
                 ]
-                F = build_cluster_graph(SpannerGraph(X.n, below), i, eps, contract=True)
+                F = build_cluster_graph(SpannerGraph(X.n, below), i, eps)
             d, slack = cluster_dist(F, u, v), eps * eps * 2.0**i
         if d + slack <= limit:
             report.type2_dropped += 1

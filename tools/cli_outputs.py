@@ -8,8 +8,9 @@ tile) and ``--gnuplot``, a net tree of 300 points at eps = 0.1, the
 verification of a dense net tree, and a few inputs the CLI rejects.
 They run in ``DIR``, which must be empty or absent, with the
 ``spanner_forge`` of the checkout this file belongs to.  ``DIR/runs.txt``
-lists each command with its exit code and stdout; each ``MATRIX`` entry
-holds the code its command is expected to exit with.
+lists each command with its exit code, stdout and stderr; each ``MATRIX``
+entry holds the code its command is expected to exit with, and ``FILES``
+the inputs written before the first command.
 Every JSON file loses its ``timestamp``, and its ``config`` moves to
 ``<file>.config.json``, so that
 
@@ -29,6 +30,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -87,18 +89,25 @@ MATRIX = (
     (2, "verify --in r.txt --edges r.greedy.edges --t 1.5 --out bad.csv"),
     (2, "sweep --family lightness-lb --eps-list 0.04,0.02 --summary-out bad.csv"),
     (2, "compare --in r.txt --eps 0.3 --builders greedy,prune --k -1 --out bad.json"),
+    # a one-point instance: normalization needs two points
+    (2, "compare --in one.txt --eps 0.1 --builders greedy --out bad.json"),
 )
+
+# Input files no command can write, put into the directory before the matrix runs.
+FILES = {"one.txt": "2 1\n0 0\n"}
 
 
 def run(argv: list) -> tuple:
-    """Exit code and stdout of one in-process CLI run."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    # argparse wraps its usage to the terminal's width, which would then differ between runs
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), contextlib.redirect_stdout(
+            out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse's rejections
             code = exc.code
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def split_configs(directory: Path) -> None:
@@ -125,9 +134,11 @@ def main(argv=None) -> int:
     cwd = os.getcwd()
     os.chdir(directory)
     try:
+        for name, text in FILES.items():
+            Path(name).write_text(text)
         for _, command in MATRIX:
-            code, stdout = run(command.split())
-            log.append(f"$ spanner-forge {command}\nexit {code}\n{stdout}")
+            code, stdout, stderr = run(command.split())
+            log.append(f"$ spanner-forge {command}\nexit {code}\n{stdout}{stderr}")
     finally:
         os.chdir(cwd)
     (directory / "runs.txt").write_text("\n".join(log))
