@@ -8,8 +8,9 @@ builder), ``verify`` (exact stretch check of an edge list), ``compare``
 estimate).  Only the row reports of ``compare`` and ``sweep`` may be CSV;
 every JSON report embeds its configuration: each flag of its subcommand,
 with the pruning flags under ``prune``.  The builders are the keys of
-``_BUILDERS``; an unknown builder name exits 2 before any instance is
-read, and a missing witness before any builder runs.
+``_BUILDERS``; an unknown or repeated builder name exits 2 before any
+instance is read, and a missing witness before any builder runs.  A
+witness is read only for a ``witness`` builder.
 """
 
 from __future__ import annotations
@@ -194,15 +195,19 @@ def _builder_list(value: str) -> list:
         if name not in _BUILDERS:
             raise argparse.ArgumentTypeError(
                 f"unknown builder {name!r} (choose from {', '.join(_BUILDERS)})")
+    if len(set(names)) < len(names):  # it would be built, measured and written twice
+        raise argparse.ArgumentTypeError(f"a builder is named more than once in {value!r}")
     return names
 
 
-def _load_witness(args, X: PointSet):
-    path = getattr(args, "witness", None) or _witness_path(args.instance)
-    if os.path.exists(path):
-        W = read_edge_list(path, X)
-        return np.column_stack((W.u, W.v))
-    return None
+def _load_witness(args, X: PointSet, names):
+    """The witness pairs of a ``witness`` builder in ``names``: from
+    ``--witness``, which must exist, else from a sidecar if there is one."""
+    path = args.witness or _witness_path(args.instance)
+    if "witness" not in names or not (args.witness or os.path.exists(path)):
+        return None
+    W = read_edge_list(path, X)
+    return np.column_stack((W.u, W.v))
 
 
 def _builder_rows(X: PointSet, args, witness_pairs, **lead) -> list:
@@ -249,7 +254,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_build(args) -> int:
     X = normalize(parse_pointset(args.instance))
-    [G] = _spanners([args.builder], X, args, _load_witness(args, X))
+    [G] = _spanners([args.builder], X, args, _load_witness(args, X, [args.builder]))
     write_edge_list(G, args.out)
     print(f"{args.builder}: {len(G.u)} edges -> {args.out}")
     return 0
@@ -268,7 +273,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compare(args) -> int:
     X = normalize(parse_pointset(args.instance))
-    rows = _builder_rows(X, args, _load_witness(args, X))
+    rows = _builder_rows(X, args, _load_witness(args, X, args.builders))
     base = {row["builder"]: row for row in rows}.get("witness")
     if base is not None and base["edge_count"]:
         for row in rows:

@@ -1,10 +1,11 @@
 """Hierarchical nets and cluster graphs.
 
 A geometric net hierarchy, the cross-edge spanner it induces, and the
-bounded-hop cluster-graph distance oracle behind the "clusters" phase-2
-backend of the pruning pipeline: a cluster graph keeps its inter-cluster
-edges as ``(a, b, w)`` columns, and :func:`cluster_dist` relaxes them
-over paths of at most ``HOP_CAP`` edges.  scipy is imported inside
+paper's bounded-hop cluster-graph distance proxy: a cluster graph keeps
+its inter-cluster edges as ``(a, b, w)`` columns, and
+:func:`cluster_dist` relaxes them over paths of at most ``HOP_CAP``
+edges.  The pruning pipeline does not use the cluster graph; its phase 2
+runs an exact bounded Dijkstra.  scipy is imported inside
 :func:`build_cluster_graph`, its only user here.
 """
 

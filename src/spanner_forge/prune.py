@@ -8,8 +8,9 @@ is not already approximately preserved, pairing each kept edge with a
 helper edge drawn from the two regions.  Iterating the phases with the
 documented parameter updates trades a bounded stretch increase for
 sparsity and weight reductions.  The knobs are eps, delta, alpha and the
-one constant kappa (:class:`PruneParams`).  scipy is imported inside
-:func:`phase2`, whose exact backend runs its Dijkstra.
+one constant kappa (:class:`PruneParams`).  Phase 2 has one distance
+query, scipy's bounded Dijkstra over the kept edges, imported inside
+:func:`phase2`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from .geom import PointSet, _dot_lengths, _ellipse_bands
 from .graph import GraphError, SpannerGraph, path_greedy, sum_in_order, symmetric_csr
-from .nets import build_cluster_graph, cluster_dist
 
 _RTOL = 1e-12
 # Edges per ellipse-membership mask (edges x n booleans), and point pairs
@@ -455,30 +455,21 @@ def phase2(
     E1: SpannerGraph,
     params: PruneParams,
     classification,
-    dist_backend: str = "exact",
 ):
     """Helper-edge pruning of the type-2 edges, ``classification[1]``.
 
     Starts from E1 minus its old type-2 edges and scans those by
     increasing weight (ties lexicographic): an edge is dropped when its
     endpoints are already connected within (1+kappa^2 delta) times its
-    length, otherwise it is kept and one helper edge joining its two
-    waist regions is added.  The kept edges are columns in E1's order,
-    then in the order kept; a helper kept again keeps its place.
-    ``dist_backend`` chooses the distance query: "exact" runs scipy's
-    Dijkstra on the CSR of the kept edges, rebuilt after each kept
-    edge; "clusters" asks a bounded-hop cluster graph at scale 2^i,
-    i = floor(log2 w), rebuilt from the shorter kept edges whenever i
-    changes (the scan is sorted by weight, so each scale is one run),
-    and accepts a detour d when d + eps^2 2^i is within
-    (1+eps)(1+kappa^2 delta) times the length.
+    length, which scipy's Dijkstra, bounded at that length, checks on
+    the CSR of the kept edges; otherwise it is kept and one helper edge
+    joining its two waist regions is added, and the CSR is rebuilt at
+    the next query.  The kept edges are columns in E1's order, then in
+    the order kept; a helper kept again keeps its place.
     """
     from scipy.sparse.csgraph import dijkstra
 
-    if dist_backend not in ("exact", "clusters"):
-        raise PruneError(f"unknown distance backend {dist_backend!r}")
-    exact = dist_backend == "exact"
-    eps, n = params.eps, X.n
+    n = X.n
     code = E1.u * n + E1.v
     new = _pair_codes(E1.meta.get("new_pairs", []), n)
     old2 = np.isin(code, classification[1]) & ~np.isin(code, new)
@@ -491,38 +482,27 @@ def phase2(
     at = {c: k for k, c in enumerate(code[~old2].tolist())}
     m, helpers = len(at), []
     bound = 1.0 + params.kappa * params.kappa * params.delta_value
-    thr_mult = bound if exact else (1.0 + eps) * bound
-    csr = F = None  # the exact backend's graph, the clusters backend's graph
+    csr = None
     for w, u, v in zip(*(col[scan].tolist() for col in (E1.w, E1.u, E1.v))):
-        limit = thr_mult * w * (1.0 + _RTOL)
-        if exact:
-            if csr is None:
-                csr = symmetric_csr(n, ku[:m], kv[:m], kw[:m])
-            d, slack = float(dijkstra(csr, indices=u, limit=limit)[v]), 0.0
-        else:
-            i = int(math.floor(math.log2(w)))
-            if F is None or F.level != i:
-                low = np.flatnonzero(kw[:m] < 2.0**i * (1.0 - _RTOL))
-                below = SpannerGraph.from_columns(n, ku[low], kv[low], kw[low])
-                F = build_cluster_graph(below, i, eps)
-            d, slack = cluster_dist(F, u, v), eps * eps * 2.0**i
-        if d + slack <= limit:
+        limit = bound * w * (1.0 + _RTOL)
+        if csr is None:
+            csr = symmetric_csr(n, ku[:m], kv[:m], kw[:m])
+        d = float(dijkstra(csr, indices=u, limit=limit)[v])
+        if d <= limit:
             report.type2_dropped += 1
             report.measured_delta = max(report.measured_delta, d / w - 1.0)
             continue
         report.type2_kept += 1
-        a, b, wab = _helper(X, u, v, eps)
+        a, b, wab = _helper(X, u, v, params.eps)
         kept = [(u, v, w)]
         if a * n + b not in at:
             kept.append((a, b, wab))
             report.helpers_added += 1
             helpers.append(a * n + b)
-        for s, t, wst in kept:  # each joins the output and the query's graph
+        for s, t, wst in kept:
             k = at.setdefault(s * n + t, m)
             ku[k], kv[k], kw[k] = s, t, wst
             m = len(at)
-        if not exact:
-            F.add_bridges(*zip(*kept))
         csr = None  # rebuilt at the next query
     meta = {"new_pairs": [divmod(p, n) for p in sorted(set(new.tolist() + helpers))]}
     return SpannerGraph.from_columns(n, ku[:m], kv[:m], kw[:m], meta=meta), report
@@ -547,21 +527,27 @@ def greedy_prune(
     k: int,
     params: PruneParams | None = None,
     seed_spanner: SpannerGraph | None = None,
-    dist_backend: str = "exact",
+    dist_backend: str | None = None,
 ):
     """Full pruning pipeline: k rounds of classify / phase1 / phase2.
 
-    The seed defaults to the path-greedy (1+eps)-spanner;
-    ``dist_backend`` is phase 2's "exact" or "clusters" backend.  Returns
-    the final graph and the per-phase reports; the output is re-verified
-    to be connected.
+    The seed defaults to the path-greedy (1+eps)-spanner.  Each round's
+    parameters are :func:`update_params` of the previous round's, all
+    computed, and a round whose delta overflows refused, before the
+    seed is built.  Returns the final graph and the per-phase reports;
+    the output is re-verified to be connected.  ``dist_backend`` is
+    accepted for existing callers: "exact" and "clusters" warn and
+    change nothing, any other value is refused.
     """
     if not X.is_normalized():
         raise PruneError("point set must be normalized first")
     if k < 0:
         raise PruneError("iteration count must be nonnegative")
-    if dist_backend not in ("exact", "clusters"):
+    if dist_backend not in (None, "exact", "clusters"):
         raise PruneError(f"unknown distance backend {dist_backend!r}")
+    if dist_backend is not None:
+        warnings.warn("greedy_prune(dist_backend=...) is ignored; phase 2 has one distance query",
+                      DeprecationWarning, stacklevel=2)
     if seed_spanner is not None and seed_spanner.n != X.n:
         raise PruneError("seed spanner and point set sizes differ")
     if params is None:
@@ -570,17 +556,21 @@ def greedy_prune(
         raise PruneError("params.eps disagrees with eps argument")
     if params.alpha is None:
         params = replace(params, alpha=params.alpha_value(X.dim))
+    rounds = [params]
+    while len(rounds) < k:
+        try:
+            rounds.append(update_params(rounds[-1]))
+        except OverflowError:
+            raise PruneError(f"the parameters of round {len(rounds) + 1} are not finite: "
+                             f"delta overflows after {rounds[-1].delta_value:.6g}") from None
     E = seed_spanner if seed_spanner is not None else path_greedy(X, 1.0 + eps)
     reports: list = []
-    for it in range(1, k + 1):
+    for it, round_params in enumerate(rounds[:k], start=1):
         classification = classify_edges(X, E, eps)
-        E1, r1 = phase1(X, E, params, classification)
-        r1.iteration = it
-        E2, r2 = phase2(X, E1, params, classification, dist_backend=dist_backend)
-        r2.iteration = it
+        E1, r1 = phase1(X, E, round_params, classification)
+        E, r2 = phase2(X, E1, round_params, classification)
+        r1.iteration = r2.iteration = it
         reports.extend([r1, r2])
-        E = E2
-        params = update_params(params)
     if not E.is_connected():
         raise PruneError("pruned spanner lost connectivity")
     return E, reports

@@ -212,9 +212,10 @@ def test_edge_index_out_of_range_exits_2(tmp_path, capsys, line):
     edges.write_text(f"0 1\n{line}\n")
     assert main(["verify", "--in", inst, "--edges", str(edges), "--t", "1.5"]) == 2
     assert "line 2" in capsys.readouterr().err
-    # a witness sidecar goes through the same reader
+    # a witness sidecar goes through the same reader when a witness builder runs
     (tmp_path / "r.txt.witness").write_text(f"{line}\n")
-    assert main(["compare", "--in", inst, "--eps", "0.5", "--builders", "greedy"]) == 2
+    assert main(["compare", "--in", inst, "--eps", "0.5", "--builders", "greedy,witness"]) == 2
+    assert "line 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("points, edges, bad, message", [
@@ -343,7 +344,8 @@ def test_kappa_none_exits_2():
 
 
 def test_kappa_flag_reaches_pipeline(tmp_path, monkeypatch):
-    # an explicit kappa reaches the delta chain unchanged
+    # an explicit kappa reaches the delta chain unchanged; two rounds
+    # make one update, between them
     seen = []
 
     def spy(kappa, delta):
@@ -353,7 +355,7 @@ def test_kappa_flag_reaches_pipeline(tmp_path, monkeypatch):
     monkeypatch.setattr("spanner_forge.prune.delta_growth", spy)
     inst = str(tmp_path / "r.txt")
     main(["generate", "--family", "random", "--n", "30", "--seed", "1", "--out", inst])
-    assert main(["build", "--builder", "prune", "--eps", "0.1", "--k", "1",
+    assert main(["build", "--builder", "prune", "--eps", "0.1", "--k", "2",
                  "--kappa", "20", "--in", inst, "--out", str(tmp_path / "p.edges")]) == 0
     assert seen == [20.0]
 
@@ -608,6 +610,69 @@ def test_missing_witness_exits_2_before_any_builder(tmp_path, monkeypatch, capsy
     assert "no witness available" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--eps", "0.1", "--builders", "greedy", "--out", "c.json"],
+    ["build", "--eps", "0.1", "--builder", "greedy", "--out", "g.edges"],
+], ids=["compare", "build"])
+def test_witness_sidecar_unread_without_witness_builder(tmp_path, monkeypatch, argv):
+    # a malformed sidecar matters only to a witness builder
+    monkeypatch.chdir(tmp_path)
+    main(["generate", "--family", "random", "--n", "20", "--seed", "1", "--out", "r.txt"])
+    Path("r.txt.witness").write_text("0 1\n0 0\n")
+    assert main([*argv, "--in", "r.txt"]) == 0
+    assert main(["compare", "--in", "r.txt", "--eps", "0.1", "--builders", "greedy,witness"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--eps", "0.1", "--builders", "greedy,witness"],
+    ["build", "--eps", "0.1", "--builder", "witness", "--out", "w.edges"],
+], ids=["compare", "build"])
+def test_missing_witness_file_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    main(["generate", "--family", "sparsity-lb", "--eps", "0.02", "--out", "s.txt"])
+    capsys.readouterr()
+    called = _spy_builders(monkeypatch)
+    assert main([*argv, "--in", "s.txt", "--witness", "typo.edges"]) == 2
+    assert called == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "typo.edges" in err
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_repeated_builder_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command):
+    # a repeat would be built, measured and written twice
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "20", "--seed", "1", "--out", inst])
+    called = _spy_builders(monkeypatch)
+
+    def no_instance(*args, **kwargs):
+        raise AssertionError("instance read before the builders were checked")
+
+    for name in ("parse_pointset", "gen_random"):
+        monkeypatch.setattr(cli, name, no_instance)
+    source = {"compare": ["--in", inst, "--eps", "0.5"],
+              "sweep": ["--family", "random", "--n", "20", "--eps-list", "0.5"]}[command]
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, "--builders", "greedy,net-tree,greedy", "--out", str(out)])
+    assert exc.value.code == 2
+    assert called == []
+    assert not out.exists()
+    assert "a builder is named more than once in 'greedy,net-tree,greedy'" in capsys.readouterr().err
+
+
+def test_prune_rounds_whose_parameters_overflow_exit_2(tmp_path, capsys):
+    # at eps=0.1 and kappa 10 round 7's delta overflows; six rounds run,
+    # to a stretch above 1 + eps
+    inst = str(tmp_path / "r.txt")
+    main(["generate", "--family", "random", "--n", "60", "--seed", "1", "--out", inst])
+    argv = ["compare", "--in", inst, "--eps", "0.1", "--builders", "prune"]
+    assert main([*argv, "--k", "6"]) == 1
+    capsys.readouterr()
+    assert main([*argv, "--k", "7"]) == 2
+    assert capsys.readouterr().err.startswith("error: the parameters of round 7 are not finite")
+
+
 def test_sweep_x_family_checks_the_x_it_used(tmp_path):
     out = tmp_path / "rows.json"
     argv = ["sweep", "--family", "lightness-lb-x", "--eps-list", "0.01",
@@ -691,11 +756,11 @@ def test_compare_prune_k0_returns_greedy_seed(tmp_path):
     assert rows["prune"]["weight"] == rows["greedy"]["weight"]
 
 
-@pytest.mark.parametrize("builders", ["greedy,prune", "prune,greedy", "prune", "prune,prune"])
+@pytest.mark.parametrize("builders", ["greedy,prune", "prune,greedy", "prune"])
 def test_greedy_built_once_per_instance_and_seeds_prune(tmp_path, monkeypatch, builders):
     # greedy is built once per instance, by the greedy builder, whichever
-    # of greedy and prune are named and however often; each named
-    # builder's rows equal those of that builder run on its own
+    # of greedy and prune are named; each named builder's rows equal
+    # those of that builder run on its own
     inst = str(tmp_path / "r.txt")
     main(["generate", "--family", "random", "--n", "40", "--seed", "3", "--out", inst])
     runs = {
@@ -706,7 +771,7 @@ def test_greedy_built_once_per_instance_and_seeds_prune(tmp_path, monkeypatch, b
     names = builders.split(",")
     alone = {}
     for command, argv in runs.items():
-        for name in set(names):
+        for name in names:
             out = tmp_path / f"{command}-{name}.json"
             main([*argv, "--builders", name, "--out", str(out)])
             alone[command, name] = json.load(open(out))["rows"]
@@ -724,9 +789,8 @@ def test_greedy_built_once_per_instance_and_seeds_prune(tmp_path, monkeypatch, b
         rows = json.load(open(out))["rows"]
         instances = 1 if command == "compare" else 2
         assert calls == [cli] * instances
-        for name in set(names):
-            got = [row for row in rows if row["builder"] == name]
-            assert got == [row for row in alone[command, name] for _ in range(names.count(name))]
+        for name in names:
+            assert [row for row in rows if row["builder"] == name] == alone[command, name]
 
 
 def test_builders_leave_no_spanner_to_the_collector(tmp_path):

@@ -43,6 +43,8 @@ def test_matrix_outputs_without_timestamps_and_configs_apart(tmp_path):
 
 # Package functions that neither the CLI matrix nor the benchmark's library
 # calls reach, each with the reason it stays.
+_CLUSTER_GRAPH = ("the paper's cluster graph, which pruning no longer uses; "
+                  "perfbench traces build_cluster_graph and cluster_dist by name")
 UNREACHED = {
     "cli.ParseError.__init__": "error constructor; a malformed instance file raises it",
     "cli._with_x": "runs at import, while _FAMILIES is built",
@@ -55,6 +57,10 @@ UNREACHED = {
     "graph.SpannerGraph.__repr__": "__repr__",
     "graph.SpannerGraph.edge_set": "perfbench reads it in its phase-1 span",
     "graph.SpannerGraph.edges": "perfbench reads it in its spans and output checks",
+    "nets.ClusterGraph.__init__": _CLUSTER_GRAPH,
+    "nets.ClusterGraph.add_bridges": _CLUSTER_GRAPH,
+    "nets.build_cluster_graph": _CLUSTER_GRAPH,
+    "nets.cluster_dist": _CLUSTER_GRAPH,
     "prune._helper": "phase 2's keep path, for a type-2 edge no short detour replaces",
 }
 
@@ -79,7 +85,7 @@ def _package_functions() -> dict:
 
 def test_every_package_function_is_reached_or_named(tmp_path):
     # the CLI matrix, then the library calls of the benchmark's net-clusters
-    # (the relaxed arc reaches the cluster graph) and oracle-tiny workloads
+    # and oracle-tiny workloads
     called = set()
 
     def profile(frame, event, arg):
@@ -90,8 +96,7 @@ def test_every_package_function_is_reached_or_named(tmp_path):
     sys.setprofile(profile)
     try:
         assert cli_outputs.main([str(tmp_path / "out")]) == 0
-        greedy_prune(normalize(gen_lightness_lb_x(0.025, 2.0).points), 0.025, 1,
-                     dist_backend="clusters")
+        greedy_prune(normalize(gen_lightness_lb_x(0.025, 2.0).points), 0.025, 1)
         X = normalize(gen_random(8, 2, "uniform", 0).points)
         for objective in ("min_edges", "min_weight"):
             brute_force_optimal(X, 0.2, objective=objective)

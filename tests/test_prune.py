@@ -7,12 +7,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from spanner_forge.geom import PointSet, Region, normalize, region_codes
 from spanner_forge.graph import SpannerGraph, path_greedy, verify_stretch
-from spanner_forge.nets import (
-    build_cluster_graph,
-    build_hierarchy,
-    build_net_tree_spanner,
-    cluster_dist,
-)
+from spanner_forge.nets import build_hierarchy, build_net_tree_spanner
 from spanner_forge.instances import (
     gen_lightness_lb_x,
     gen_motivating,
@@ -36,6 +31,11 @@ from spanner_forge.prune import (
 )
 
 from conftest import int_grid, point_dist, random_points, reconciles, shortest_dist
+
+
+# Phase 2 has one distance query, the exact bounded Dijkstra.  The cases
+# that ran under each of its two former backends keep the id of this one.
+EXACT_QUERY = pytest.mark.parametrize("query", ["exact"])
 
 
 def motivating_normalized(eps=0.01, mid_x=(3.0, 7.0)):
@@ -179,11 +179,11 @@ def test_phase2_noop_without_type2():
     assert reconciles(rep)
 
 
-@pytest.mark.parametrize("dist_backend", ["exact", "clusters"])
-def test_phase2_keep_drop_and_helper(dist_backend):
+@EXACT_QUERY
+def test_phase2_keep_drop_and_helper(query):
     # columns + bi-clique, middle points present but unconnected: the
     # first cross edge must be kept with helper (z, w); every later
-    # cross edge is dropped through it, with either distance backend
+    # cross edge is dropped through it
     X, meta = motivating_normalized(mid_x=(3.75, 6.25))
     xs, ys = meta["x_indices"], meta["y_indices"]
     zi, wi = meta["z_index"], meta["w_index"]
@@ -192,7 +192,7 @@ def test_phase2_keep_drop_and_helper(dist_backend):
     cls = classify_edges(X, E1, 0.01)
     _, type2 = pair_sets(cls, X.n)
     assert {(a, b) for a in xs for b in ys} <= type2
-    E2, rep = phase2(X, E1, params, cls, dist_backend=dist_backend)
+    E2, rep = phase2(X, E1, params, cls)
     assert rep.type2_kept == 1
     assert rep.type2_dropped == len(xs) * len(ys) - 1
     assert rep.helpers_added == 1
@@ -203,13 +203,6 @@ def test_phase2_keep_drop_and_helper(dist_backend):
     w_len = point_dist(X, zi, wi)
     first_len = point_dist(X, xs[0], ys[0])
     assert w_len >= 0.2 * first_len
-
-
-def test_phase2_rejects_unknown_backend():
-    X = PointSet(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    E1 = SpannerGraph.from_pairs(X, [(0, 1)])
-    with pytest.raises(PruneError, match="bogus"):
-        phase2(X, E1, PruneParams(eps=0.1), classify_edges(X, E1, 0.1), dist_backend="bogus")
 
 
 def test_phase2_inconsistent_classification_raises():
@@ -322,16 +315,42 @@ def test_greedy_prune_sparsity_lb_desk_eps():
 
 
 def test_greedy_prune_clusters_backend():
-    # the relaxed arc gives the cluster-graph backend type-2 edges to
-    # decide; random instances give it none
+    # the keyword only warns: on the relaxed arc, whose type-2 edges phase
+    # 2 decides, under the identity and two relabelings, the call returns
+    # what the call without it returns
     eps = 0.025
-    X = normalize(gen_lightness_lb_x(eps, 2).points)
-    out, reports = greedy_prune(X, eps, 1, dist_backend="clusters")
-    assert reports[1].type2_total > 0
-    assert all(reconciles(r) for r in reports)
+    arc = normalize(gen_lightness_lb_x(eps, 2).points)
+    for relabel in (None, 1, 2):
+        X = arc
+        if relabel is not None:
+            X = PointSet(arc.coords[np.random.default_rng(relabel).permutation(arc.n)])
+        want, want_reports = greedy_prune(X, eps, 1)
+        with pytest.warns(DeprecationWarning, match="dist_backend"):
+            got, reports = greedy_prune(X, eps, 1, dist_backend="clusters")
+        assert want_reports[1].type2_total > 0
+        for col in ("u", "v", "w"):
+            assert getattr(got, col).tolist() == getattr(want, col).tolist()
+        assert got.meta == want.meta
+        assert [r.__dict__ for r in reports] == [r.__dict__ for r in want_reports]
+        assert got.is_connected() and all(reconciles(r) for r in reports)
+        assert verify_stretch(got, X)[0] <= 1 + delta_growth(10.0, eps) + 1e-9
+
+
+def test_greedy_prune_refuses_rounds_whose_parameters_overflow(monkeypatch):
+    # at eps=0.1 and kappa 10 delta passes 1e231 in round 6, and round 7's
+    # update overflows: six rounds run, and seven are refused before the
+    # seed is built
+    X = normalize(gen_random(60, 2, "uniform", 1).points)
+    out, reports = greedy_prune(X, 0.1, 6)
+    assert [r.iteration for r in reports] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
     assert out.is_connected()
-    ms, _ = verify_stretch(out, X)
-    assert ms <= 1 + delta_growth(10.0, eps) + 1e-9
+
+    def no_seed(*args, **kwargs):
+        raise AssertionError("seed built before the rounds' parameters were checked")
+
+    monkeypatch.setattr("spanner_forge.prune.path_greedy", no_seed)
+    with pytest.raises(PruneError, match="round 7 are not finite"):
+        greedy_prune(X, 0.1, 7)
 
 
 def test_greedy_prune_requires_normalized():
@@ -755,9 +774,7 @@ def _reference_helper(X, u, v, eps):
     return min(cands)
 
 
-def _reference_phase2(X, E1, params, classification, dist_backend="exact"):
-    exact = dist_backend == "exact"
-    eps = params.eps
+def _reference_phase2(X, E1, params, classification):
     _, type2 = classification
     new_pairs = set(map(tuple, E1.meta.get("new_pairs", [])))
     weights = dict(zip(zip(E1.u.tolist(), E1.v.tolist()), E1.w.tolist()))
@@ -770,48 +787,28 @@ def _reference_phase2(X, E1, params, classification, dist_backend="exact"):
     report = PhaseReport(phase=2, type2_total=len(type2_old))
     added_pairs = set(new_pairs)
     thr_mult = 1.0 + params.kappa * params.kappa * params.delta_value
-    if not exact:
-        thr_mult = (1.0 + eps) * thr_mult
-    csr = F = None
+    csr = None
 
     def kept_graph(meta=None):
         return SpannerGraph(X.n, [(*p, w) for p, w in kept_edges.items()], meta=meta)
 
-    def keep(a, b, w):
-        nonlocal csr
-        kept_edges[(a, b)] = w
-        if exact:
-            csr = None
-        else:
-            F.add_bridges([a], [b], [w])
-
     for w, u, v in type2_old:
         limit = thr_mult * w * (1.0 + 1e-12)
-        if exact:
-            if csr is None:
-                csr = kept_graph().as_csr()
-            d, slack = float(dijkstra(csr, indices=u, limit=limit)[v]), 0.0
-        else:
-            i = int(math.floor(math.log2(w)))
-            if F is None or F.level != i:
-                below = [
-                    (a, b, wab)
-                    for (a, b), wab in kept_edges.items()
-                    if wab < 2.0**i * (1.0 - 1e-12)
-                ]
-                F = build_cluster_graph(SpannerGraph(X.n, below), i, eps)
-            d, slack = cluster_dist(F, u, v), eps * eps * 2.0**i
-        if d + slack <= limit:
+        if csr is None:
+            csr = kept_graph().as_csr()
+        d = float(dijkstra(csr, indices=u, limit=limit)[v])
+        if d <= limit:
             report.type2_dropped += 1
             report.measured_delta = max(report.measured_delta, d / w - 1.0)
             continue
         report.type2_kept += 1
-        keep(u, v, w)
-        hk = _reference_helper(X, u, v, eps)
+        kept_edges[(u, v)] = w
+        hk = _reference_helper(X, u, v, params.eps)
         if hk not in kept_edges:
-            keep(*hk, point_dist(X, *hk))
+            kept_edges[hk] = point_dist(X, *hk)
             report.helpers_added += 1
             added_pairs.add(hk)
+        csr = None
     return kept_graph({"new_pairs": sorted(added_pairs)}), report
 
 
@@ -850,12 +847,10 @@ PHASE2_INPUTS = {
 }
 
 
-def _assert_phase2_matches_reference(X, E1, cls, eps, dist_backend):
+def _assert_phase2_matches_reference(X, E1, cls, eps):
     params = PruneParams(eps=eps)
-    got, got_rep = phase2(X, E1, params, cls, dist_backend=dist_backend)
-    want, want_rep = _reference_phase2(
-        X, E1, params, pair_sets(cls, X.n), dist_backend=dist_backend
-    )
+    got, got_rep = phase2(X, E1, params, cls)
+    want, want_rep = _reference_phase2(X, E1, params, pair_sets(cls, X.n))
     for col in ("u", "v", "w"):
         assert getattr(got, col).tolist() == getattr(want, col).tolist()
     assert got.meta == want.meta
@@ -863,11 +858,11 @@ def _assert_phase2_matches_reference(X, E1, cls, eps, dist_backend):
     return got_rep
 
 
-@pytest.mark.parametrize("dist_backend", ["exact", "clusters"])
+@EXACT_QUERY
 @pytest.mark.parametrize("name", sorted(PHASE2_INPUTS))
-def test_phase2_matches_reference(name, dist_backend):
+def test_phase2_matches_reference(name, query):
     make, type2_total = PHASE2_INPUTS[name]
-    rep = _assert_phase2_matches_reference(*make(), dist_backend)
+    rep = _assert_phase2_matches_reference(*make())
     if type2_total is not None:
         assert rep.type2_total == type2_total
     if name == "arc":
@@ -881,8 +876,8 @@ def _clustered3_sparse():
     return normalize(gen_random(60, 3, "clustered", 1).points)
 
 
-@pytest.mark.parametrize("dist_backend, kept", [("exact", 4), ("clusters", 7)])
-def test_phase2_helper_that_is_an_old_type2_edge(dist_backend, kept):
+@pytest.mark.parametrize("query, kept", [("exact", 4)])
+def test_phase2_helper_that_is_an_old_type2_edge(query, kept):
     # the helper (3, 33) of the kept edge (21, 56) is an old type-2 edge
     # later in the scan: it keeps the place it took as a helper, and a
     # second keep gives it its E1 weight
@@ -893,12 +888,12 @@ def test_phase2_helper_that_is_an_old_type2_edge(dist_backend, kept):
     assert (3, 33) not in E1.meta["new_pairs"]
     weight = dict(zip(zip(E1.u.tolist(), E1.v.tolist()), E1.w.tolist()))
     assert weight[(21, 56)] < weight[(3, 33)]
-    rep = _assert_phase2_matches_reference(X, E1, cls, 0.9, dist_backend)
+    rep = _assert_phase2_matches_reference(X, E1, cls, 0.9)
     assert (rep.type2_kept, rep.helpers_added) == (kept, kept - 1)
 
 
-@pytest.mark.parametrize("dist_backend", ["exact", "clusters"])
-def test_greedy_prune_rounds_match_reference_pipeline(dist_backend, monkeypatch):
+@EXACT_QUERY
+def test_greedy_prune_rounds_match_reference_pipeline(query, monkeypatch):
     # round 2 reads round 1's output in its edge order.  The second round
     # disconnects this spanner (ROADMAP item 1), so each phase's output is
     # recorded as greedy_prune runs it and compared with the reference's.
@@ -918,13 +913,13 @@ def test_greedy_prune_rounds_match_reference_pipeline(dist_backend, monkeypatch)
     X, eps = _clustered3_sparse(), 0.9
     seed = build_net_tree_spanner(build_hierarchy(X), eps)
     with pytest.raises(PruneError, match="lost connectivity"):
-        greedy_prune(X, eps, 2, seed_spanner=seed, dist_backend=dist_backend)
+        greedy_prune(X, eps, 2, seed_spanner=seed)
     params = PruneParams(eps=eps, alpha=PruneParams(eps=eps).alpha_value(X.dim))
     E, want = seed, []
     for it in (1, 2):
         cls = _reference_classify(X, E, eps)
         E1, r1 = _reference_phase1(X, E, params, cls)
-        E, r2 = _reference_phase2(X, E1, params, cls, dist_backend)
+        E, r2 = _reference_phase2(X, E1, params, cls)
         r1.iteration = r2.iteration = it
         want += [(E1, r1), (E, r2)]
         params = update_params(params)
